@@ -1,8 +1,8 @@
 """Command-line interface: config ingestion, run orchestration, file emission.
 
 Subcommands: run, threshold, sweep, validate.  Configs are flat
-``key = value`` text with dotted sections (model.d, solver.n_cells,
-init.sigma); every run is fully deterministic and CSV numbers carry 17
+``key = value`` text with dotted sections; :data:`SCHEMA` declares every
+key.  Every run is fully deterministic and CSV numbers carry 17
 significant digits so refinement studies reproduce exactly.  Plots are
 emitted as self-contained SVG.
 
@@ -15,11 +15,10 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import Any, Callable
 
 import numpy as np
 
@@ -27,17 +26,17 @@ from . import analysis, model, threshold
 from .errors import (
     BlowUpError,
     ConfigError,
+    DomainError,
     EpifrontError,
     MonitorViolation,
     ThresholdUndefinedError,
 )
 from .model import InfectionResponse, InitialData, ModelParams
-from .solver import SolverConfig, Trajectory, simulate
+from .solver import EARLY_STOP_MODES, SolverConfig, Trajectory, simulate
 
+# epifront no longer reads this variable; the name stays importable for
+# scripts that still set it.
 THREADS_ENV = "EPIFRONT_THREADS"
-
-_MODEL_FIELDS = ("d", "a11", "a12", "a22", "mu", "h0")
-_SHAPES = ("cosine", "skewed_cosine")
 
 
 def _fmt(x: float) -> str:
@@ -72,75 +71,132 @@ def parse_config_text(text: str) -> dict[str, tuple[str, int]]:
     return entries
 
 
-class _Reader:
-    """Typed access to parsed entries with line-anchored errors."""
+def _parse_bool(text: str) -> bool:
+    value = text.lower()
+    if value in ("true", "yes", "on", "1"):
+        return True
+    if value in ("false", "no", "off", "0"):
+        return False
+    raise ValueError(text)
 
-    def __init__(self, entries: dict[str, tuple[str, int]]):
-        self.entries = entries
-        self.used: set[str] = set()
 
-    def _raw(self, key: str) -> tuple[str, int] | None:
-        if key in self.entries:
-            self.used.add(key)
-            return self.entries[key]
-        return None
+def _parse_floats(text: str) -> tuple[float, ...]:
+    return tuple(float(part) for part in text.split(",")) if text else ()
 
-    def error(self, key: str, message: str) -> ConfigError:
-        line = self.entries[key][1] if key in self.entries else None
-        return ConfigError(f"{key}: {message}", key=key, line=line)
 
-    def get_float(self, key: str, default: float | None) -> float | None:
-        raw = self._raw(key)
-        if raw is None:
-            return default
+# value type -> (parser, what the error message says was expected)
+_TYPES: dict[type, tuple[Callable[[str], Any], str]] = {
+    float: (float, "a number"),
+    int: (int, "an integer"),
+    bool: (_parse_bool, "true/false"),
+    str: (str, "text"),
+    tuple: (_parse_floats, "comma-separated numbers"),
+}
+
+
+def _show(value: Any) -> str:
+    """Echo format of a config value; floats carry 17 significant digits."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, tuple):
+        return ",".join(_fmt(v) for v in value)
+    return _fmt(value) if isinstance(value, float) else str(value)
+
+
+@dataclass
+class ConfigKey:
+    """One config key ``section.name``.
+
+    ``default`` is either the value used when the key is absent or a
+    dataclass, whose default for the field ``attr`` (the key's last part
+    unless given) then applies.  ``check`` pairs a predicate on a given
+    value with the message shown when it fails.  With ``when = (key,
+    value)`` the key applies only while that earlier key has that value;
+    setting it otherwise is an unknown-key error.
+    """
+
+    name: str
+    type: type
+    default: Any = None
+    attr: str = ""
+    choices: tuple[str, ...] = ()
+    check: tuple[Callable[[Any], bool], str] | None = None
+    when: tuple["ConfigKey", str] | None = None
+
+    def __post_init__(self) -> None:
+        self.section, _, last = self.name.partition(".")
+        self.attr = self.attr or last
+        if isinstance(self.default, type):
+            self.default = self.default.__dataclass_fields__[self.attr].default
+
+    def error(self, message: str, entries: dict[str, tuple[str, int]]) -> ConfigError:
+        line = entries[self.name][1] if self.name in entries else None
+        return ConfigError(f"{self.name}: {message}", key=self.name, line=line)
+
+    def read(self, entries: dict[str, tuple[str, int]]) -> Any:
+        if self.name not in entries:
+            return self.default
+        text = entries[self.name][0]
+        parse, expected = _TYPES[self.type]
         try:
-            return float(raw[0])
+            value = parse(text)
         except ValueError:
-            raise self.error(key, f"expected a number, got {raw[0]!r}") from None
-
-    def get_int(self, key: str, default: int) -> int:
-        raw = self._raw(key)
-        if raw is None:
-            return default
-        try:
-            return int(raw[0])
-        except ValueError:
-            raise self.error(key, f"expected an integer, got {raw[0]!r}") from None
-
-    def get_bool(self, key: str, default: bool) -> bool:
-        raw = self._raw(key)
-        if raw is None:
-            return default
-        value = raw[0].lower()
-        if value in ("true", "yes", "on", "1"):
-            return True
-        if value in ("false", "no", "off", "0"):
-            return False
-        raise self.error(key, f"expected true/false, got {raw[0]!r}")
-
-    def get_str(self, key: str, default: str, choices: tuple[str, ...] | None = None) -> str:
-        raw = self._raw(key)
-        value = default if raw is None else raw[0]
-        if choices is not None and value not in choices:
-            raise self.error(key, f"expected one of {', '.join(choices)}; got {value!r}")
+            raise self.error(f"expected {expected}, got {text!r}", entries) from None
+        if self.choices and value not in self.choices:
+            raise self.error(f"expected one of {', '.join(self.choices)}; got {value!r}", entries)
+        if self.check is not None and not self.check[0](value):
+            raise self.error(f"{self.check[1]} (got {value!r})", entries)
         return value
 
-    def get_floats(self, key: str, default: list[float] | None = None) -> list[float] | None:
-        raw = self._raw(key)
-        if raw is None:
-            return default
-        text = raw[0]
-        if not text:
-            return []
-        try:
-            return [float(part) for part in text.split(",")]
-        except ValueError:
-            raise self.error(key, f"expected comma-separated numbers, got {text!r}") from None
 
-    def reject_unknown(self) -> None:
-        for key, (_, lineno) in self.entries.items():
-            if key not in self.used:
-                raise ConfigError(f"unknown key {key!r}", key=key, line=lineno)
+_POSITIVE = (lambda v: math.isfinite(v) and v > 0, "must be a finite positive number")
+_KIND = ConfigKey("response.kind", str, "monod", choices=("monod", "table"))
+_Z_VALUES = ConfigKey("response.z_values", tuple, attr="z", when=(_KIND, "table"))
+_G_VALUES = ConfigKey("response.g_values", tuple, attr="g", when=(_KIND, "table"))
+_SHAPE = ConfigKey("init.shape", str, "cosine", choices=("cosine", "skewed_cosine"))
+_RECORD_TIMES = ConfigKey("solver.record_times", tuple, SolverConfig)
+
+# Every config key, in echo order.  Model values carry no dataclass
+# default, so theirs are written here.
+SCHEMA: tuple[ConfigKey, ...] = (
+    ConfigKey("model.d", float, 1.0, check=_POSITIVE),
+    ConfigKey("model.a11", float, 1.0, check=_POSITIVE),
+    ConfigKey("model.a12", float, 1.0, check=_POSITIVE),
+    ConfigKey("model.a22", float, 1.0, check=_POSITIVE),
+    ConfigKey("model.mu", float, 1.0, check=_POSITIVE),
+    ConfigKey("model.h0", float, 1.0, check=_POSITIVE),
+    _KIND,
+    ConfigKey("response.a21", float, 2.0, check=(lambda v: v > 0, "must be > 0"),
+              when=(_KIND, "monod")),
+    _Z_VALUES,
+    _G_VALUES,
+    ConfigKey("init.sigma", float, 1.0, check=(lambda v: not v < 0, "must be >= 0")),
+    _SHAPE,
+    ConfigKey("init.skew", float, 0.5, check=(lambda v: abs(v) < 1.0, "magnitude must be < 1"),
+              when=(_SHAPE, "skewed_cosine")),
+    ConfigKey("solver.n_cells", int, SolverConfig),
+    ConfigKey("solver.dt_max", float, SolverConfig),
+    ConfigKey("solver.cfl_adv", float, SolverConfig),
+    ConfigKey("solver.front_cfl", float, SolverConfig),
+    ConfigKey("solver.t_max", float, SolverConfig),
+    ConfigKey("solver.frame_stride", int, SolverConfig),
+    _RECORD_TIMES,
+    ConfigKey("solver.early_stop", str, SolverConfig, choices=EARLY_STOP_MODES),
+    ConfigKey("monitors.bounds", bool, analysis.Monitors),
+    ConfigKey("monitors.symmetry", bool, analysis.Monitors),
+    ConfigKey("monitors.speed", bool, analysis.Monitors),
+    ConfigKey("classify.r0f_margin", float, analysis.ClassifyThresholds),
+    ConfigKey("classify.width_factor", float, analysis.ClassifyThresholds),
+    ConfigKey("classify.interior_factor", float, analysis.ClassifyThresholds),
+    ConfigKey("classify.vanish_ratio", float, analysis.ClassifyThresholds),
+    ConfigKey("classify.plateau_ratio", float, analysis.ClassifyThresholds),
+    ConfigKey("classify.trailing_fraction", float, analysis.ClassifyThresholds),
+    ConfigKey("threshold.tol", float, threshold.BisectConfig, attr="rel_tol"),
+    ConfigKey("threshold.hi_factor", float, threshold.BisectConfig, attr="hi_seed_factor"),
+    ConfigKey("sweep.sigma", tuple),
+    ConfigKey("sweep.mu", tuple),
+    ConfigKey("sweep.d", tuple),
+)
 
 
 @dataclass
@@ -154,164 +210,69 @@ class RunSetup:
     thresholds: analysis.ClassifyThresholds
     monitor_toggles: dict[str, bool]
     bisect: threshold.BisectConfig
-    sweep_sigma: list[float] | None
-    sweep_mu: list[float] | None
-    sweep_d: list[float] | None
+    sweep_sigma: tuple[float, ...] | None
+    sweep_mu: tuple[float, ...] | None
+    sweep_d: tuple[float, ...] | None
     echo: dict[str, str] = field(default_factory=dict)
 
 
-def _table_response(reader: _Reader) -> InfectionResponse:
-    zs = reader.get_floats("response.z_values")
-    gs = reader.get_floats("response.g_values")
-    if zs is None or gs is None:
-        raise ConfigError(
-            "response.kind = table needs response.z_values and response.g_values",
-            key="response.kind",
-        )
-    if len(zs) != len(gs) or len(zs) < 3:
-        raise reader.error("response.z_values", "need >= 3 matching z/g samples")
-    z_arr = np.asarray(zs, dtype=float)
-    g_arr = np.asarray(gs, dtype=float)
-    if z_arr[0] != 0.0 or g_arr[0] != 0.0:
-        raise reader.error("response.z_values", "table must start at (0, 0)")
-    if np.any(np.diff(z_arr) <= 0):
-        raise reader.error("response.z_values", "z samples must be strictly increasing")
-    slopes = np.gradient(g_arr, z_arr)
-    resp = InfectionResponse(
-        g=lambda z: np.interp(z, z_arr, g_arr),
-        g_prime=lambda z: np.interp(z, z_arr, slopes),
-        deriv_at_zero=float(slopes[0]),
-        kind="table",
-    )
-    resp.table = (z_arr, g_arr)
-    return resp
+def _section(values: dict[str, Any], section: str) -> dict[str, Any]:
+    """The parsed values of one section, keyed by ``ConfigKey.attr``."""
+    return {key.attr: values[key.name] for key in SCHEMA
+            if key.section == section and key.name in values}
 
 
 def build_setup(entries: dict[str, tuple[str, int]]) -> RunSetup:
-    reader = _Reader(entries)
+    values: dict[str, Any] = {}
+    for key in SCHEMA:
+        if key.when is None or values[key.when[0].name] == key.when[1]:
+            values[key.name] = key.read(entries)
+    for name, (_, lineno) in entries.items():
+        if name not in values:
+            raise ConfigError(f"unknown key {name!r}", key=name, line=lineno)
 
-    values: dict[str, float] = {}
-    for name in _MODEL_FIELDS:
-        key = f"model.{name}"
-        value = reader.get_float(key, 1.0)
-        if not (value is not None and math.isfinite(value) and value > 0):
-            raise reader.error(key, f"must be a finite positive number (got {value!r})")
-        values[name] = value
-    params = ModelParams(**values)
+    params = ModelParams(**_section(values, "model"))
 
-    kind = reader.get_str("response.kind", "monod", choices=("monod", "table"))
+    response = _section(values, "response")
+    kind = response.pop("kind")
     if kind == "monod":
-        a21 = reader.get_float("response.a21", 2.0)
-        if not a21 > 0:
-            raise reader.error("response.a21", f"must be > 0 (got {a21!r})")
-        resp = InfectionResponse.monod(a21)
+        resp = InfectionResponse.monod(**response)
+    elif None in response.values():
+        raise ConfigError(f"{_KIND.name} = table needs {_Z_VALUES.name} and {_G_VALUES.name}",
+                          key=_KIND.name)
     else:
-        resp = _table_response(reader)
+        try:
+            resp = InfectionResponse.table(**response)
+        except DomainError as exc:
+            raise _Z_VALUES.error(str(exc), entries) from None
 
-    sigma = reader.get_float("init.sigma", 1.0)
-    if sigma < 0:
-        raise reader.error("init.sigma", f"must be >= 0 (got {sigma!r})")
-    shape = reader.get_str("init.shape", "cosine", choices=_SHAPES)
-    skew = reader.get_float("init.skew", 0.5)
-    if shape == "cosine":
-        init = InitialData.cosine(sigma, params.h0)
-    else:
-        if not abs(skew) < 1.0:
-            raise reader.error("init.skew", f"magnitude must be < 1 (got {skew!r})")
-        init = InitialData.skewed_cosine(sigma, params.h0, skew=skew)
+    # init.shape names the InitialData constructor; the other init keys are its arguments.
+    init_args = _section(values, "init")
+    init = getattr(InitialData, init_args.pop("shape"))(h0=params.h0, **init_args)
 
-    record_times = reader.get_floats("solver.record_times", []) or []
     try:
-        solver_cfg = SolverConfig(
-            n_cells=reader.get_int("solver.n_cells", 256),
-            dt_max=reader.get_float("solver.dt_max", None),
-            cfl_adv=reader.get_float("solver.cfl_adv", 0.5),
-            front_cfl=reader.get_float("solver.front_cfl", 0.2),
-            t_max=reader.get_float("solver.t_max", None),
-            frame_stride=reader.get_int("solver.frame_stride", 50),
-            record_times=tuple(record_times),
-            early_stop=reader.get_str(
-                "solver.early_stop", "both", choices=("both", "vanishing", "spreading", "none")
-            ),
-        ).resolved(params)
-    except EpifrontError as exc:
+        solver_cfg = SolverConfig(**_section(values, "solver")).resolved(params)
+    except DomainError as exc:
         raise ConfigError(f"solver configuration invalid: {exc}") from exc
+    # Echo the resolved dt_max and t_max that the run will use.
+    values.update((key.name, getattr(solver_cfg, key.attr))
+                  for key in SCHEMA if key.section == "solver")
 
-    thresholds = analysis.ClassifyThresholds(
-        r0f_margin=reader.get_float("classify.r0f_margin", 1e-6),
-        width_factor=reader.get_float("classify.width_factor", 10.0),
-        interior_factor=reader.get_float("classify.interior_factor", 0.5),
-        vanish_ratio=reader.get_float("classify.vanish_ratio", 1e-6),
-        plateau_ratio=reader.get_float("classify.plateau_ratio", 1e-6),
-        trailing_fraction=reader.get_float("classify.trailing_fraction", 0.1),
-    )
-
-    monitor_toggles = {
-        "bounds": reader.get_bool("monitors.bounds", True),
-        "symmetry": reader.get_bool("monitors.symmetry", True),
-        "speed": reader.get_bool("monitors.speed", True),
-    }
-
-    bisect = threshold.BisectConfig(
-        rel_tol=reader.get_float("threshold.tol", 1e-2),
-        hi_seed_factor=reader.get_float("threshold.hi_factor", 10.0),
-    )
-
-    sweep_sigma = reader.get_floats("sweep.sigma", None)
-    sweep_mu = reader.get_floats("sweep.mu", None)
-    sweep_d = reader.get_floats("sweep.d", None)
-
-    reader.reject_unknown()
-
-    echo: dict[str, str] = {}
-    for name in _MODEL_FIELDS:
-        echo[f"model.{name}"] = _fmt(values[name])
-    echo["response.kind"] = kind
-    if kind == "monod":
-        echo["response.a21"] = _fmt(resp.a21)
-    else:
-        z_arr, g_arr = resp.table
-        echo["response.z_values"] = ",".join(_fmt(z) for z in z_arr)
-        echo["response.g_values"] = ",".join(_fmt(g) for g in g_arr)
-    echo["init.sigma"] = _fmt(sigma)
-    echo["init.shape"] = shape
-    if shape == "skewed_cosine":
-        echo["init.skew"] = _fmt(skew)
-    echo["solver.n_cells"] = str(solver_cfg.n_cells)
-    echo["solver.dt_max"] = _fmt(solver_cfg.dt_max)
-    echo["solver.cfl_adv"] = _fmt(solver_cfg.cfl_adv)
-    echo["solver.front_cfl"] = _fmt(solver_cfg.front_cfl)
-    echo["solver.t_max"] = _fmt(solver_cfg.t_max)
-    echo["solver.frame_stride"] = str(solver_cfg.frame_stride)
-    if solver_cfg.record_times:
-        echo["solver.record_times"] = ",".join(_fmt(t) for t in solver_cfg.record_times)
-    echo["solver.early_stop"] = solver_cfg.early_stop
-    for key, value in monitor_toggles.items():
-        echo[f"monitors.{key}"] = "true" if value else "false"
-    echo["classify.r0f_margin"] = _fmt(thresholds.r0f_margin)
-    echo["classify.width_factor"] = _fmt(thresholds.width_factor)
-    echo["classify.interior_factor"] = _fmt(thresholds.interior_factor)
-    echo["classify.vanish_ratio"] = _fmt(thresholds.vanish_ratio)
-    echo["classify.plateau_ratio"] = _fmt(thresholds.plateau_ratio)
-    echo["classify.trailing_fraction"] = _fmt(thresholds.trailing_fraction)
-    echo["threshold.tol"] = _fmt(bisect.rel_tol)
-    echo["threshold.hi_factor"] = _fmt(bisect.hi_seed_factor)
-    for key, grid in (("sweep.sigma", sweep_sigma), ("sweep.mu", sweep_mu), ("sweep.d", sweep_d)):
-        if grid is not None:
-            echo[key] = ",".join(_fmt(v) for v in grid)
-
+    sweep = _section(values, "sweep")
     return RunSetup(
         params=params,
         resp=resp,
         init=init,
         solver=solver_cfg,
-        thresholds=thresholds,
-        monitor_toggles=monitor_toggles,
-        bisect=bisect,
-        sweep_sigma=sweep_sigma,
-        sweep_mu=sweep_mu,
-        sweep_d=sweep_d,
-        echo=echo,
+        thresholds=analysis.ClassifyThresholds(**_section(values, "classify")),
+        monitor_toggles=_section(values, "monitors"),
+        bisect=threshold.BisectConfig(**_section(values, "threshold")),
+        sweep_sigma=sweep["sigma"],
+        sweep_mu=sweep["mu"],
+        sweep_d=sweep["d"],
+        # List keys are echoed only when set.
+        echo={key.name: _show(values[key.name]) for key in SCHEMA if key.name in values
+              and not (key.type is tuple and values[key.name] == key.default)},
     )
 
 
@@ -506,14 +467,6 @@ def svg_heatmap(path: Path, title: str, xlabel: str, ylabel: str,
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def _threads() -> int:
-    raw = os.environ.get(THREADS_ENV, "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def _make_monitors(setup: RunSetup) -> analysis.Monitors | None:
     toggles = setup.monitor_toggles
     if not any(toggles.values()):
@@ -545,7 +498,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         merged = tuple(sorted(set(solver_cfg.record_times) | set(profile_times)))
         solver_cfg = replace(solver_cfg, record_times=merged)
         # Keep the echoed config faithful to the run actually executed.
-        setup.echo["solver.record_times"] = ",".join(_fmt(t) for t in merged)
+        setup.echo[_RECORD_TIMES.name] = _show(merged)
 
     monitors = _make_monitors(setup)
     cert = monitors.certificate if monitors and monitors.certificate else analysis.bound_certificate(
@@ -617,22 +570,9 @@ def cmd_threshold(args: argparse.Namespace) -> int:
 
     confirmations = {}
     if result.status == "bracketed":
-        def confirm(value: float) -> str:
-            if args.target == "sigma":
-                init = setup.init.with_sigma(value)
-                _, cls = simulate(p, resp, init, setup.solver)
-            else:
-                _, cls = simulate(p.with_(mu=value), resp, setup.init, setup.solver)
-            return cls.verdict.value
-
-        endpoints = [result.lo, result.hi]
-        workers = _threads()
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=min(2, workers)) as pool:
-                lo_v, hi_v = pool.map(confirm, endpoints)
-        else:
-            lo_v, hi_v = (confirm(v) for v in endpoints)
-        confirmations = {"lo": lo_v, "hi": hi_v}
+        # Each bracket end is a probed value; report the verdict its probe reached.
+        verdicts = {r.value: r.verdict.value for r in result.probes}
+        confirmations = {"lo": verdicts[result.lo], "hi": verdicts[result.hi]}
 
     payload = {
         "target": result.target,
@@ -676,8 +616,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
     param_grid = [p.with_(mu=mu, d=d) for d in ds for mu in mus]
     init_grid = [setup.init.with_sigma(s) for s in sigmas]
-    cells = threshold.sweep(param_grid, setup.resp, init_grid, setup.solver,
-                            max_workers=_threads())
+    cells = threshold.sweep(param_grid, setup.resp, init_grid, setup.solver)
 
     lines = ["d,mu,sigma,verdict,criterion,trigger_time,final_width,error"]
     for cell in cells:

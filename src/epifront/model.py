@@ -96,6 +96,29 @@ class InfectionResponse:
         resp.a21 = a21
         return resp
 
+    @classmethod
+    def table(cls, z: Sequence[float], g: Sequence[float]) -> "InfectionResponse":
+        """Piecewise-linear response through the samples (z_i, G(z_i)).
+
+        Needs at least 3 samples starting at (0, 0) with z strictly
+        increasing; G' is the finite-difference slope of the samples.
+        """
+        z_arr = np.asarray(z, dtype=float)
+        g_arr = np.asarray(g, dtype=float)
+        if z_arr.shape != g_arr.shape or z_arr.size < 3:
+            raise DomainError("need >= 3 matching z/g samples")
+        if z_arr[0] != 0.0 or g_arr[0] != 0.0:
+            raise DomainError("table must start at (0, 0)")
+        if np.any(np.diff(z_arr) <= 0):
+            raise DomainError("z samples must be strictly increasing")
+        slopes = np.gradient(g_arr, z_arr)
+        return cls(
+            g=lambda x: np.interp(x, z_arr, g_arr),
+            g_prime=lambda x: np.interp(x, z_arr, slopes),
+            deriv_at_zero=float(slopes[0]),
+            kind="table",
+        )
+
     def __repr__(self) -> str:
         return f"InfectionResponse(kind={self.kind!r}, deriv_at_zero={self.deriv_at_zero!r})"
 
@@ -132,7 +155,7 @@ class InitialData:
         return InitialData(sigma=sigma, phi=shape, psi=shape)
 
     @staticmethod
-    def skewed_cosine(sigma: float, h0: float, skew: float = 0.5) -> "InitialData":
+    def skewed_cosine(sigma: float, h0: float, skew: float) -> "InitialData":
         """Asymmetric hump cos(pi x/(2 h0)) * (1 + skew * sin(pi x/h0))."""
         if not abs(skew) < 1.0:
             raise DomainError("skew magnitude must be < 1 to keep the shape nonnegative")

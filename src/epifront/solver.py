@@ -28,103 +28,42 @@ from .model import (
     free_boundary_reproduction_number,
 )
 
-try:
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is an optional accelerator
-    _HAVE_NUMBA = False
-
 _TIME_SNAP = 1e-9  # relative tolerance for landing on a requested time
+EARLY_STOP_MODES = ("both", "vanishing", "spreading", "none")
 
 
-def _advance_fields_py(w, z, gw, y, dy, dt, width, g_speed, h_speed,
-                       h0, d, a11, a12, a22, w_new, z_new):
-    """One field update (upwind advection, implicit diffusion, explicit
-    reactions, clipping); returns the clipped node sum.  Vectorized
-    fallback for environments without numba."""
+def _advance_fields(w, z, gw, a_coef, b_coef, dy, dt, a11, a12, a22):
+    """One field update: upwind advection with coefficient A(y), implicit
+    diffusion with coefficient B, explicit reactions, then clipping at zero.
+
+    Returns (w_new, z_new, clipped node sum).
+    """
     n = w.shape[0] - 1
-    dif = h_speed - g_speed
-    tot = h_speed + g_speed
-    a_coef = (y * dif + h0 * tot) / width
-
     grad_w = np.diff(w) / dy
     grad_z = np.diff(z) / dy
     up = a_coef[1:-1] > 0.0
     adv_w = np.where(up, grad_w[1:], grad_w[:-1]) * a_coef[1:-1]
     adv_z = np.where(up, grad_z[1:], grad_z[:-1]) * a_coef[1:-1]
 
+    w_new = np.zeros_like(w)
+    z_new = np.zeros_like(z)
     w_new[1:-1] = w[1:-1] + dt * (adv_w - a11 * w[1:-1] + a12 * z[1:-1])
     z_new[1:-1] = z[1:-1] + dt * (adv_z - a22 * z[1:-1] + gw[1:-1])
-    w_new[0] = w_new[n] = 0.0
-    z_new[0] = z_new[n] = 0.0
 
-    b_coef = 4.0 * h0 * h0 * d / (width * width)
+    # Backward Euler diffusion with Dirichlet ends: the matrix is the
+    # constant-coefficient tridiag(-r, 1 + 2r, -r), diagonally dominant.
     r = dt * b_coef / (dy * dy)
     ab = np.zeros((3, n + 1))
     ab[1, :] = 1.0 + 2.0 * r
     ab[1, 0] = ab[1, n] = 1.0
     ab[0, 2:] = -r
     ab[2, : n - 1] = -r
-    w_new[:] = solve_banded((1, 1), ab, w_new, check_finite=False,
-                            overwrite_ab=True)
+    w_new = solve_banded((1, 1), ab, w_new, check_finite=False, overwrite_ab=True)
 
     clipped = -(w_new[w_new < 0.0].sum() + z_new[z_new < 0.0].sum())
     np.maximum(w_new, 0.0, out=w_new)
     np.maximum(z_new, 0.0, out=z_new)
-    return clipped
-
-
-if _HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _advance_fields(w, z, gw, y, dy, dt, width, g_speed, h_speed,
-                        h0, d, a11, a12, a22, w_new, z_new):  # pragma: no cover
-        n = w.shape[0] - 1
-        dif = h_speed - g_speed
-        tot = h_speed + g_speed
-        for i in range(1, n):
-            a_i = (y[i] * dif + h0 * tot) / width
-            if a_i > 0.0:
-                adv_w = a_i * (w[i + 1] - w[i]) / dy
-                adv_z = a_i * (z[i + 1] - z[i]) / dy
-            else:
-                adv_w = a_i * (w[i] - w[i - 1]) / dy
-                adv_z = a_i * (z[i] - z[i - 1]) / dy
-            w_new[i] = w[i] + dt * (adv_w - a11 * w[i] + a12 * z[i])
-            z_new[i] = z[i] + dt * (adv_z - a22 * z[i] + gw[i])
-        w_new[0] = 0.0
-        w_new[n] = 0.0
-        z_new[0] = 0.0
-        z_new[n] = 0.0
-
-        # Thomas solve of (I - dt B D2) with Dirichlet ends; the matrix is
-        # constant-coefficient tridiag(-r, 1 + 2r, -r), diagonally dominant.
-        b_coef = 4.0 * h0 * h0 * d / (width * width)
-        r = dt * b_coef / (dy * dy)
-        beta = 1.0 + 2.0 * r
-        cp = np.empty(n)
-        cp[1] = -r / beta
-        w_new[1] = w_new[1] / beta
-        for i in range(2, n):
-            m = beta + r * cp[i - 1]
-            cp[i] = -r / m
-            w_new[i] = (w_new[i] + r * w_new[i - 1]) / m
-        for i in range(n - 2, 0, -1):
-            w_new[i] = w_new[i] - cp[i] * w_new[i + 1]
-
-        clipped = 0.0
-        for i in range(n + 1):
-            if w_new[i] < 0.0:
-                clipped -= w_new[i]
-                w_new[i] = 0.0
-            if z_new[i] < 0.0:
-                clipped -= z_new[i]
-                z_new[i] = 0.0
-        return clipped
-
-else:  # pragma: no cover
-    _advance_fields = _advance_fields_py
+    return w_new, z_new, clipped
 
 
 @dataclass(frozen=True)
@@ -160,7 +99,7 @@ class SolverConfig:
                 raise DomainError(f"{name} must be > 0 when given (got {value})")
         if self.frame_stride < 1 or self.classify_stride < 1:
             raise DomainError("frame_stride and classify_stride must be >= 1")
-        if self.early_stop not in ("both", "vanishing", "spreading", "none"):
+        if self.early_stop not in EARLY_STOP_MODES:
             raise DomainError(f"unknown early_stop {self.early_stop!r}")
 
     def resolved(self, p: ModelParams) -> "SolverConfig":
@@ -327,11 +266,9 @@ def step(
     h_new = state.h + dt * h_speed
 
     gw = np.asarray(resp(w), dtype=float)
-    w_new = np.empty_like(w)
-    z_new = np.empty_like(z)
-    clipped_nodes = _advance_fields(
-        w, z, gw, y, dy, dt, h_new - g_new, g_speed, h_speed,
-        state.h0, p.d, p.a11, p.a12, p.a22, w_new, z_new,
+    a_coef, b_coef = transform_coefficients(p, g_new, h_new, g_speed, h_speed, y)
+    w_new, z_new, clipped_nodes = _advance_fields(
+        w, z, gw, a_coef, b_coef, dy, dt, p.a11, p.a12, p.a22
     )
     clipped = clipped_nodes * dy * (h_new - g_new) / (2.0 * state.h0)
 

@@ -10,7 +10,6 @@ then counted on the vanishing side of the bracket.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
@@ -265,34 +264,23 @@ def sweep(
     resp: InfectionResponse,
     init_grid: Sequence[InitialData],
     sim_config: SolverConfig | None = None,
-    max_workers: int | None = None,
 ) -> list[SweepCell]:
     """Classify every (params, initial-data) pair of the cross product.
 
-    Cells run independently (optionally in a thread pool); per-cell
-    failures are recorded in the cell rather than aborting the sweep.
+    Cells run independently, one after another; per-cell failures are
+    recorded in the cell rather than aborting the sweep.
     """
-    cells = [
-        (i, j, params, init)
-        for i, params in enumerate(param_grid)
-        for j, init in enumerate(init_grid)
-    ]
-
-    def run_cell(item) -> SweepCell:
-        i, j, params, init = item
+    cells = []
+    for i, params in enumerate(param_grid):
         cfg = (sim_config or SolverConfig()).resolved(params)
-        try:
-            _, cls = simulate(params, resp, init, cfg)
-        except Exception as exc:  # noqa: BLE001 - recorded, sweep continues
-            return SweepCell(i, j, params, init.sigma, None, "error", math.nan, math.nan,
-                             error=f"{type(exc).__name__}: {exc}")
-        ev = cls.evidence
-        return SweepCell(i, j, params, init.sigma, cls.verdict, ev.criterion, ev.time,
-                         ev.final_width)
-
-    if max_workers is not None and max_workers > 1 and len(cells) > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            results = list(pool.map(run_cell, cells))
-    else:
-        results = [run_cell(c) for c in cells]
-    return results
+        for j, init in enumerate(init_grid):
+            try:
+                _, cls = simulate(params, resp, init, cfg)
+            except Exception as exc:  # noqa: BLE001 - recorded, sweep continues
+                cells.append(SweepCell(i, j, params, init.sigma, None, "error", math.nan,
+                                       math.nan, error=f"{type(exc).__name__}: {exc}"))
+                continue
+            ev = cls.evidence
+            cells.append(SweepCell(i, j, params, init.sigma, cls.verdict, ev.criterion,
+                                   ev.time, ev.final_width))
+    return cells

@@ -1,11 +1,13 @@
 import json
+import math
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from epifront import BlowUpError, ConfigError
-from epifront.cli import build_setup, main, parse_config_text
+from epifront.cli import SCHEMA, build_setup, main, parse_config_text
 
 FAST = """
 model.h0 = 1.0
@@ -63,6 +65,44 @@ class TestConfigParsing:
         text = "response.kind = table\nresponse.z_values = 0,1\nresponse.g_values = 0,1\n"
         with pytest.raises(ConfigError):
             build_setup(parse_config_text(text))
+
+    @pytest.mark.parametrize("text, key", [
+        ("response.kind = table\nresponse.a21 = 2\n"
+         "response.z_values = 0,1,2\nresponse.g_values = 0,1,1.5\n", "response.a21"),
+        ("response.kind = monod\nresponse.z_values = 0,1,2\n", "response.z_values"),
+        ("init.shape = cosine\ninit.skew = 0.3\n", "init.skew"),
+    ])
+    def test_key_outside_its_scope_is_unknown(self, text, key):
+        with pytest.raises(ConfigError, match=f"line 2: unknown key '{key}'"):
+            build_setup(parse_config_text(text))
+
+
+def readme_config_table() -> dict[str, str]:
+    """Key -> default cell of the README "Configuration format" table, with
+    the shorthand rows (`a.b` / `.c`) expanded."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Configuration format", 1)[1].split("\n## ", 1)[0]
+    table = {}
+    for line in section.splitlines():
+        if not line.startswith("| `"):
+            continue
+        keys, default, _ = (cell.strip() for cell in line.strip("|").split("|"))
+        first, *rest = (key.strip(" `") for key in keys.split("/"))
+        prefix = first.split(".")[0]
+        for key in (first, *(prefix + tail for tail in rest)):
+            table[key] = default.strip("`")
+    return table
+
+
+def test_readme_table_matches_schema():
+    readme = readme_config_table()
+    schema = {key.name: key for key in SCHEMA}
+    assert readme.keys() == schema.keys()
+    for name, text in readme.items():
+        key = schema[name]
+        if key.default in (None, ()):  # derived or empty defaults are described in words
+            continue
+        assert key.read({name: (text, 1)}) == key.default, name
 
 
 class TestRunCommand:
@@ -177,6 +217,24 @@ class TestThresholdCommand:
         assert payload["status"] == "degenerate"
         assert payload["bracket"] == [0.0, 0.0]
 
+    def test_bracketed_confirmations_are_probe_verdicts(self, tmp_path, monkeypatch):
+        from epifront import cli as cli_mod
+
+        def no_rerun(*args, **kwargs):
+            raise AssertionError("threshold must not simulate the bracket ends again")
+
+        monkeypatch.setattr(cli_mod, "simulate", no_rerun)
+        cfg = write(tmp_path, f"model.h0 = {0.4 * math.pi!r}\nsolver.n_cells = 64\n"
+                              "solver.dt_max = 0.04\nsolver.t_max = 60\nthreshold.tol = 0.1\n")
+        out = tmp_path / "out"
+        assert main(["threshold", "--config", cfg, "--out", str(out), "--target", "sigma"]) == 0
+        payload = json.loads((out / "threshold.json").read_text())
+        assert payload["status"] == "bracketed"
+        verdicts = {probe["value"]: probe["verdict"] for probe in payload["probes"]}
+        lo, hi = payload["bracket"]
+        assert payload["confirmations"] == {"lo": verdicts[lo], "hi": verdicts[hi]}
+        assert payload["confirmations"]["hi"] == "spreading"
+
     def test_no_threshold_outcome(self, tmp_path):
         cfg = write(tmp_path, "response.a21 = 0.8\n")
         out = tmp_path / "out"
@@ -195,8 +253,7 @@ class TestSweepCommand:
         assert len(lines) == 1
         assert lines[0].startswith("d,mu,sigma,verdict")
 
-    def test_grid_rows_and_heatmap(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("EPIFRONT_THREADS", "2")
+    def test_grid_rows_and_heatmap(self, tmp_path):
         cfg = write(tmp_path, FAST + "sweep.sigma = 0.5,1.0\nsweep.mu = 0.5,1.0\n")
         out = tmp_path / "out"
         assert main(["sweep", "--config", cfg, "--out", str(out), "--svg"]) == 0

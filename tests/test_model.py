@@ -283,3 +283,23 @@ class TestInitialData:
     def test_skew_magnitude_capped(self):
         with pytest.raises(DomainError):
             InitialData.skewed_cosine(1.0, 1.0, 1.5)
+
+
+class TestTableResponse:
+    def test_interpolates_samples(self):
+        resp = InfectionResponse.table([0.0, 1.0, 2.0, 4.0], [0.0, 0.5, 0.8, 1.0])
+        assert resp.kind == "table"
+        assert resp(1.0) == pytest.approx(0.5)
+        assert resp(3.0) == pytest.approx(0.9)
+        assert resp.deriv_at_zero == pytest.approx(0.5)
+        assert validate_response(params_with()[0], resp).passed
+
+    @pytest.mark.parametrize("z, g, message", [
+        ([0.0, 1.0], [0.0, 1.0], "need >= 3"),
+        ([0.0, 1.0, 2.0], [0.0, 1.0], "need >= 3"),
+        ([1.0, 2.0, 3.0], [0.0, 1.0, 2.0], "start at"),
+        ([0.0, 2.0, 1.0], [0.0, 1.0, 2.0], "strictly increasing"),
+    ])
+    def test_rejects_bad_samples(self, z, g, message):
+        with pytest.raises(DomainError, match=message):
+            InfectionResponse.table(z, g)

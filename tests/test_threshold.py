@@ -126,10 +126,3 @@ class TestSweep:
         assert cells[0].verdict is None
         assert "DomainError" in cells[0].error
         assert cells[1].verdict is Verdict.VANISHING
-
-    def test_parallel_matches_serial(self, monod2):
-        inits = [InitialData.cosine(s, P_SUB.h0) for s in (0.01, 1.0)]
-        serial = sweep([P_SUB], monod2, inits, FAST_SIM, max_workers=1)
-        parallel = sweep([P_SUB], monod2, inits, FAST_SIM, max_workers=2)
-        assert [c.verdict for c in serial] == [c.verdict for c in parallel]
-        assert [c.final_width for c in serial] == [c.final_width for c in parallel]
