@@ -150,6 +150,7 @@ class ConfigKey:
 
 
 _POSITIVE = (lambda v: math.isfinite(v) and v > 0, "must be a finite positive number")
+_FINITE = (math.isfinite, "must be a finite number")
 _KIND = ConfigKey("response.kind", str, "monod", choices=("monod", "table"))
 _Z_VALUES = ConfigKey("response.z_values", tuple, attr="z", when=(_KIND, "table"))
 _G_VALUES = ConfigKey("response.g_values", tuple, attr="g", when=(_KIND, "table"))
@@ -166,33 +167,35 @@ SCHEMA: tuple[ConfigKey, ...] = (
     ConfigKey("model.mu", float, 1.0, check=_POSITIVE),
     ConfigKey("model.h0", float, 1.0, check=_POSITIVE),
     _KIND,
-    ConfigKey("response.a21", float, 2.0, check=(lambda v: v > 0, "must be > 0"),
-              when=(_KIND, "monod")),
+    ConfigKey("response.a21", float, 2.0, check=_POSITIVE, when=(_KIND, "monod")),
     _Z_VALUES,
     _G_VALUES,
-    ConfigKey("init.sigma", float, 1.0, check=(lambda v: not v < 0, "must be >= 0")),
+    ConfigKey("init.sigma", float, 1.0,
+              check=(lambda v: math.isfinite(v) and v >= 0, "must be a finite number >= 0")),
     _SHAPE,
     ConfigKey("init.skew", float, 0.5, check=(lambda v: abs(v) < 1.0, "magnitude must be < 1"),
               when=(_SHAPE, "skewed_cosine")),
     ConfigKey("solver.n_cells", int, SolverConfig),
-    ConfigKey("solver.dt_max", float, SolverConfig),
-    ConfigKey("solver.cfl_adv", float, SolverConfig),
-    ConfigKey("solver.front_cfl", float, SolverConfig),
-    ConfigKey("solver.t_max", float, SolverConfig),
+    ConfigKey("solver.dt_max", float, SolverConfig, check=_POSITIVE),
+    ConfigKey("solver.cfl_adv", float, SolverConfig, check=_POSITIVE),
+    ConfigKey("solver.front_cfl", float, SolverConfig, check=_POSITIVE),
+    ConfigKey("solver.t_max", float, SolverConfig, check=_POSITIVE),
     ConfigKey("solver.frame_stride", int, SolverConfig),
     _RECORD_TIMES,
     ConfigKey("solver.early_stop", str, SolverConfig, choices=EARLY_STOP_MODES),
     ConfigKey("monitors.bounds", bool, analysis.Monitors),
     ConfigKey("monitors.symmetry", bool, analysis.Monitors),
     ConfigKey("monitors.speed", bool, analysis.Monitors),
-    ConfigKey("classify.r0f_margin", float, analysis.ClassifyThresholds),
-    ConfigKey("classify.width_factor", float, analysis.ClassifyThresholds),
-    ConfigKey("classify.interior_factor", float, analysis.ClassifyThresholds),
-    ConfigKey("classify.vanish_ratio", float, analysis.ClassifyThresholds),
-    ConfigKey("classify.plateau_ratio", float, analysis.ClassifyThresholds),
-    ConfigKey("classify.trailing_fraction", float, analysis.ClassifyThresholds),
-    ConfigKey("threshold.tol", float, threshold.BisectConfig, attr="rel_tol"),
-    ConfigKey("threshold.hi_factor", float, threshold.BisectConfig, attr="hi_seed_factor"),
+    ConfigKey("classify.r0f_margin", float, analysis.ClassifyThresholds, check=_FINITE),
+    ConfigKey("classify.width_factor", float, analysis.ClassifyThresholds, check=_FINITE),
+    ConfigKey("classify.interior_factor", float, analysis.ClassifyThresholds, check=_FINITE),
+    ConfigKey("classify.vanish_ratio", float, analysis.ClassifyThresholds, check=_FINITE),
+    ConfigKey("classify.plateau_ratio", float, analysis.ClassifyThresholds, check=_FINITE),
+    ConfigKey("classify.trailing_fraction", float, analysis.ClassifyThresholds, check=_FINITE),
+    ConfigKey("threshold.tol", float, threshold.BisectConfig, attr="rel_tol",
+              check=(lambda v: 0 < v < 1, "must be in (0, 1)")),
+    ConfigKey("threshold.hi_factor", float, threshold.BisectConfig, attr="hi_seed_factor",
+              check=_POSITIVE),
     ConfigKey("sweep.sigma", tuple),
     ConfigKey("sweep.mu", tuple),
     ConfigKey("sweep.d", tuple),

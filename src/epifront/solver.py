@@ -29,7 +29,15 @@ from .model import (
 )
 
 _TIME_SNAP = 1e-9  # relative tolerance for landing on a requested time
-EARLY_STOP_MODES = ("both", "vanishing", "spreading", "none")
+_CLASSIFY_STRIDE = 8  # recorded frames between classifier checks
+# early_stop mode -> the verdicts that end the run before t_max
+_STOP_VERDICTS = {
+    "both": (analysis.Verdict.SPREADING, analysis.Verdict.VANISHING),
+    "vanishing": (analysis.Verdict.VANISHING,),
+    "spreading": (analysis.Verdict.SPREADING,),
+    "none": (),
+}
+EARLY_STOP_MODES = tuple(_STOP_VERDICTS)
 
 
 def _advance_fields(w, z, gw, a_coef, b_coef, dy, dt, a11, a12, a22):
@@ -85,7 +93,6 @@ class SolverConfig:
     frame_stride: int = 50
     record_times: tuple[float, ...] = ()
     early_stop: str = "both"
-    classify_stride: int = 8
 
     def __post_init__(self) -> None:
         if self.n_cells < 16 or self.n_cells % 2:
@@ -97,8 +104,8 @@ class SolverConfig:
             value = getattr(self, name)
             if value is not None and not value > 0:
                 raise DomainError(f"{name} must be > 0 when given (got {value})")
-        if self.frame_stride < 1 or self.classify_stride < 1:
-            raise DomainError("frame_stride and classify_stride must be >= 1")
+        if self.frame_stride < 1:
+            raise DomainError("frame_stride must be >= 1")
         if self.early_stop not in EARLY_STOP_MODES:
             raise DomainError(f"unknown early_stop {self.early_stop!r}")
 
@@ -352,6 +359,7 @@ def simulate(
     targets = sorted({float(s) for s in config.record_times if 0.0 < s <= config.t_max})
     targets.append(config.t_max)
 
+    stop_verdicts = _STOP_VERDICTS[config.early_stop]
     clipped_mark = 0.0
 
     def record(st: SolverState) -> None:
@@ -387,19 +395,10 @@ def simulate(
                 record(state)
                 steps_since_frame = 0
                 frames_since_classify += 1
-                if config.early_stop != "none" and frames_since_classify >= config.classify_stride:
+                if stop_verdicts and frames_since_classify >= _CLASSIFY_STRIDE:
                     frames_since_classify = 0
                     partial = analysis.classify(traj, p, resp, thresholds)
-                    if partial.verdict is analysis.Verdict.SPREADING and config.early_stop in (
-                        "both",
-                        "spreading",
-                    ):
-                        verdict_stop = partial
-                        break
-                    if partial.verdict is analysis.Verdict.VANISHING and config.early_stop in (
-                        "both",
-                        "vanishing",
-                    ):
+                    if partial.verdict in stop_verdicts:
                         verdict_stop = partial
                         break
 

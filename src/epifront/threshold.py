@@ -2,9 +2,9 @@
 
 The initial-data scale sigma and the front-response coefficient mu both
 admit sharp spreading/vanishing thresholds; comparison monotonicity
-makes plain bisection on the verdict sound.  Probes that stay
-undetermined at the horizon are retried once with a doubled horizon and
-then counted on the vanishing side of the bracket.
+makes plain bisection on the verdict sound.  Each probe is one
+simulation to twice the solver horizon; a probe still undetermined there
+counts on the vanishing side of the bracket.
 """
 
 from __future__ import annotations
@@ -27,18 +27,21 @@ from .model import (
 )
 from .solver import SolverConfig, simulate
 
+_MAX_EXPAND = 40   # doublings of hi, then halvings of lo, before giving up
+_MAX_ITER = 80     # bisection steps once both sides are found
+
 
 @dataclass(frozen=True)
 class BisectConfig:
     rel_tol: float = 1e-2
     hi_seed_factor: float = 10.0   # initial hi scale: sup u0 = factor * u_star
-    max_expand: int = 40
-    max_iter: int = 80
-    extend_horizon: bool = True
 
 
 @dataclass(frozen=True)
 class ProbeRecord:
+    """One probe: its value, verdict and evidence.  ``extended`` is true when
+    the verdict came after the solver horizon t_max, or never came."""
+
     value: float
     verdict: Verdict
     criterion: str
@@ -62,9 +65,21 @@ class ThresholdResult:
     lo: float
     hi: float
     probes: list[ProbeRecord] = field(default_factory=list)
-    n_sims: int = 0
-    monotone: bool = True
     config: dict = field(default_factory=dict)
+
+    @property
+    def n_sims(self) -> int:
+        return len(self.probes)
+
+    @property
+    def monotone(self) -> bool:
+        seen_spreading = False
+        for rec in sorted(self.probes, key=lambda r: r.value):
+            if rec.verdict is Verdict.SPREADING:
+                seen_spreading = True
+            elif seen_spreading and rec.verdict is Verdict.VANISHING:
+                return False
+        return True
 
     @property
     def midpoint(self) -> float:
@@ -75,74 +90,55 @@ class ThresholdResult:
         return (self.hi - self.lo) / self.hi if self.hi > 0 else 0.0
 
 
-def _probe(
-    run: Callable[[float, float | None], Classification],
-    value: float,
-    sim_config: SolverConfig,
-    bisect: BisectConfig,
-    probes: list[ProbeRecord],
-    cache: dict[float, Verdict],
-) -> Verdict:
-    if value in cache:
-        return cache[value]
-    cls = run(value, None)
-    extended = False
-    if cls.verdict is Verdict.UNDETERMINED and bisect.extend_horizon:
-        assert sim_config.t_max is not None
-        cls = run(value, 2.0 * sim_config.t_max)
-        extended = True
-    probes.append(
-        ProbeRecord(
-            value=value,
-            verdict=cls.verdict,
-            criterion=cls.evidence.criterion,
-            time=cls.evidence.time,
-            final_width=cls.evidence.final_width,
-            extended=extended,
-        )
-    )
-    cache[value] = cls.verdict
-    return cls.verdict
-
-
-def _verdicts_monotone(probes: Sequence[ProbeRecord]) -> bool:
-    ordered = sorted(probes, key=lambda r: r.value)
-    seen_spreading = False
-    for rec in ordered:
-        if rec.verdict is Verdict.SPREADING:
-            seen_spreading = True
-        elif seen_spreading and rec.verdict is Verdict.VANISHING:
-            return False
-    return True
-
-
-def _bisect_threshold(
+def _find_threshold(
     target: str,
-    run: Callable[[float, float | None], Classification],
-    hi_seed: float,
-    sim_config: SolverConfig,
-    bisect: BisectConfig,
-    config_echo: dict,
+    p: ModelParams,
+    resp: InfectionResponse,
+    sim_config: SolverConfig | None,
+    bisect: BisectConfig | None,
+    run: Callable[[float, SolverConfig], Classification],
+    hi_seed: Callable[[BisectConfig], float],
 ) -> ThresholdResult:
-    probes: list[ProbeRecord] = []
-    cache: dict[float, Verdict] = {}
-    result = ThresholdResult(target=target, status="inconclusive", lo=0.0, hi=hi_seed,
-                             probes=probes, config=config_echo)
+    """Bisect on the verdict of ``run(value, config)``, starting from ``hi_seed(bisect)``."""
+    if basic_reproduction_number(p, resp) <= 1.0:
+        raise ThresholdUndefinedError(f"R0 <= 1: vanishing for every {target}, no threshold")
+    sim_config = (sim_config or SolverConfig()).resolved(p)
+    bisect = bisect or BisectConfig()
+    echo = {"target": target, "rel_tol": bisect.rel_tol, "n_cells": sim_config.n_cells,
+            "t_max": sim_config.t_max, "dt_max": sim_config.dt_max}
+    result = ThresholdResult(target=target, status="inconclusive", lo=0.0, hi=0.0, config=echo)
 
-    hi = hi_seed
-    for _ in range(bisect.max_expand):
-        if _probe(run, hi, sim_config, bisect, probes, cache) is Verdict.SPREADING:
+    if free_boundary_reproduction_number(p, resp, 2.0 * p.h0) >= 1.0:
+        # A super-critical habitat spreads for every sigma > 0 and every mu > 0.
+        result.status = "degenerate"
+        return result
+
+    horizon = replace(sim_config, t_max=2.0 * sim_config.t_max)
+    verdicts: dict[float, Verdict] = {}
+
+    def probe(value: float) -> Verdict:
+        if value not in verdicts:
+            cls = run(value, horizon)
+            ev = cls.evidence
+            result.probes.append(ProbeRecord(
+                value=value, verdict=cls.verdict, criterion=ev.criterion, time=ev.time,
+                final_width=ev.final_width, extended=bool(ev.time > sim_config.t_max),
+            ))
+            verdicts[value] = cls.verdict
+        return verdicts[value]
+
+    hi = hi_seed(bisect)
+    for _ in range(_MAX_EXPAND):
+        if probe(hi) is Verdict.SPREADING:
             break
         hi *= 2.0
     else:
         result.hi = hi
-        result.n_sims = len(probes)
-        result.monotone = _verdicts_monotone(probes)
         return result
 
     lo = hi / 2.0
-    for _ in range(bisect.max_expand):
-        verdict = _probe(run, lo, sim_config, bisect, probes, cache)
+    for _ in range(_MAX_EXPAND):
+        verdict = probe(lo)
         if verdict is Verdict.VANISHING:
             break
         if verdict is Verdict.SPREADING:
@@ -150,23 +146,19 @@ def _bisect_threshold(
         lo /= 2.0
     else:
         result.lo, result.hi = lo, hi
-        result.n_sims = len(probes)
-        result.monotone = _verdicts_monotone(probes)
         return result
 
-    for _ in range(bisect.max_iter):
+    for _ in range(_MAX_ITER):
         if hi - lo <= bisect.rel_tol * hi:
             break
         mid = 0.5 * (lo + hi)
-        if _probe(run, mid, sim_config, bisect, probes, cache) is Verdict.SPREADING:
+        if probe(mid) is Verdict.SPREADING:
             hi = mid
         else:
             lo = mid
 
     result.status = "bracketed" if hi - lo <= bisect.rel_tol * hi else "inconclusive"
     result.lo, result.hi = lo, hi
-    result.n_sims = len(probes)
-    result.monotone = _verdicts_monotone(probes)
     return result
 
 
@@ -185,30 +177,20 @@ def find_sigma_star(
     threshold is exactly 0 and a degenerate bracket is returned without
     simulating.
     """
-    if basic_reproduction_number(p, resp) <= 1.0:
-        raise ThresholdUndefinedError("R0 <= 1: vanishing for every sigma, no threshold")
-    sim_config = (sim_config or SolverConfig()).resolved(p)
-    bisect = bisect or BisectConfig()
-    echo = {"target": "sigma", "rel_tol": bisect.rel_tol, "n_cells": sim_config.n_cells,
-            "t_max": sim_config.t_max, "dt_max": sim_config.dt_max}
 
-    if free_boundary_reproduction_number(p, resp, 2.0 * p.h0) >= 1.0:
-        return ThresholdResult(target="sigma", status="degenerate", lo=0.0, hi=0.0,
-                               config=echo)
+    def run(sigma: float, config: SolverConfig) -> Classification:
+        return simulate(p, resp, InitialData(sigma=sigma, phi=phi, psi=psi), config)[1]
 
-    def run(sigma: float, t_max: float | None) -> Classification:
-        cfg = sim_config if t_max is None else replace(sim_config, t_max=t_max)
-        _, cls = simulate(p, resp, InitialData(sigma=sigma, phi=phi, psi=psi), cfg)
-        return cls
+    def hi_seed(bisect: BisectConfig) -> float:
+        equilibrium = endemic_equilibrium(p, resp)
+        assert equilibrium is not None
+        x = np.linspace(-p.h0, p.h0, 513)
+        sup_phi = float(np.max(np.asarray(phi(x), dtype=float)))
+        if not sup_phi > 0:
+            raise DomainError("phi must be positive somewhere on (-h0, h0)")
+        return bisect.hi_seed_factor * equilibrium[0] / sup_phi
 
-    equilibrium = endemic_equilibrium(p, resp)
-    assert equilibrium is not None
-    x = np.linspace(-p.h0, p.h0, 513)
-    sup_phi = float(np.max(np.asarray(phi(x), dtype=float)))
-    if not sup_phi > 0:
-        raise DomainError("phi must be positive somewhere on (-h0, h0)")
-    hi_seed = bisect.hi_seed_factor * equilibrium[0] / sup_phi
-    return _bisect_threshold("sigma", run, hi_seed, sim_config, bisect, echo)
+    return _find_threshold("sigma", p, resp, sim_config, bisect, run, hi_seed)
 
 
 def find_mu_star(
@@ -223,23 +205,11 @@ def find_mu_star(
     Monotonicity in mu is not proved here, only cited; the result's
     ``monotone`` flag records whether the probes respected it.
     """
-    if basic_reproduction_number(p, resp) <= 1.0:
-        raise ThresholdUndefinedError("R0 <= 1: vanishing for every mu, no threshold")
-    sim_config = (sim_config or SolverConfig()).resolved(p)
-    bisect = bisect or BisectConfig()
-    echo = {"target": "mu", "rel_tol": bisect.rel_tol, "n_cells": sim_config.n_cells,
-            "t_max": sim_config.t_max, "dt_max": sim_config.dt_max}
 
-    if free_boundary_reproduction_number(p, resp, 2.0 * p.h0) >= 1.0:
-        # Super-critical habitat spreads for every mu > 0.
-        return ThresholdResult(target="mu", status="degenerate", lo=0.0, hi=0.0, config=echo)
+    def run(mu: float, config: SolverConfig) -> Classification:
+        return simulate(p.with_(mu=mu), resp, init, config)[1]
 
-    def run(mu: float, t_max: float | None) -> Classification:
-        cfg = sim_config if t_max is None else replace(sim_config, t_max=t_max)
-        _, cls = simulate(p.with_(mu=mu), resp, init, cfg)
-        return cls
-
-    return _bisect_threshold("mu", run, 2.0 * p.mu, sim_config, bisect, echo)
+    return _find_threshold("mu", p, resp, sim_config, bisect, run, lambda _: 2.0 * p.mu)
 
 
 # ---------------------------------------------------------------------------

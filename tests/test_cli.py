@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from epifront import BlowUpError, ConfigError
+from epifront import BlowUpError, ConfigError, simulate
 from epifront.cli import SCHEMA, build_setup, main, parse_config_text
 
 FAST = """
@@ -42,11 +42,24 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="model.zzz"):
             build_setup(parse_config_text("model.zzz = 1\n"))
 
-    def test_bad_value_names_key_and_line(self):
-        with pytest.raises(ConfigError, match="model.a11"):
-            build_setup(parse_config_text("model.a11 = -1\n"))
-        with pytest.raises(ConfigError, match="line 1"):
-            build_setup(parse_config_text("model.a11 = -1\n"))
+    @pytest.mark.parametrize("line", [
+        "model.a11 = -1",
+        "response.a21 = inf",
+        "init.sigma = nan",
+        "init.sigma = inf",
+        "solver.t_max = inf",
+        "solver.dt_max = nan",
+        "solver.cfl_adv = 0",
+        "threshold.tol = -1",
+        "threshold.tol = nan",
+        "threshold.hi_factor = inf",
+        "classify.vanish_ratio = nan",
+    ])
+    def test_bad_value_names_key_and_line(self, line, tmp_path, capsys):
+        key = line.split(" = ")[0]
+        cfg = write(tmp_path, f"model.d = 1.0\n{line}\n")
+        assert main(["validate", "--config", cfg]) == 2
+        assert f"line 2: {key}: " in capsys.readouterr().err
 
     def test_defaults_resolve(self):
         setup = build_setup({})
@@ -219,11 +232,19 @@ class TestThresholdCommand:
 
     def test_bracketed_confirmations_are_probe_verdicts(self, tmp_path, monkeypatch):
         from epifront import cli as cli_mod
+        from epifront import threshold as threshold_mod
 
         def no_rerun(*args, **kwargs):
             raise AssertionError("threshold must not simulate the bracket ends again")
 
+        sims = []
+
+        def counted(*args, **kwargs):
+            sims.append(args)
+            return simulate(*args, **kwargs)
+
         monkeypatch.setattr(cli_mod, "simulate", no_rerun)
+        monkeypatch.setattr(threshold_mod, "simulate", counted)
         cfg = write(tmp_path, f"model.h0 = {0.4 * math.pi!r}\nsolver.n_cells = 64\n"
                               "solver.dt_max = 0.04\nsolver.t_max = 60\nthreshold.tol = 0.1\n")
         out = tmp_path / "out"
@@ -234,6 +255,9 @@ class TestThresholdCommand:
         lo, hi = payload["bracket"]
         assert payload["confirmations"] == {"lo": verdicts[lo], "hi": verdicts[hi]}
         assert payload["confirmations"]["hi"] == "spreading"
+        # Each probe is one simulation, and some probes ran past solver.t_max.
+        assert len(sims) == len(payload["probes"])
+        assert any(probe["extended"] is True for probe in payload["probes"])
 
     def test_no_threshold_outcome(self, tmp_path):
         cfg = write(tmp_path, "response.a21 = 0.8\n")

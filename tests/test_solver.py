@@ -205,6 +205,21 @@ class TestSimulate:
         assert np.all(u_small <= u_big + 1e-3)
         assert np.all(v_small <= v_big + 1e-3)
 
+    @pytest.mark.parametrize("mode", ["both", "vanishing", "spreading", "none"])
+    def test_early_stop_modes(self, unit_params, monod2, mode):
+        wide = unit_params.with_(h0=0.6 * math.pi)
+        runs = {
+            "spreading": (wide, InitialData.cosine(1.0, wide.h0)),
+            "vanishing": (unit_params, InitialData.cosine(0.0, unit_params.h0)),
+        }
+        cfg = SolverConfig(n_cells=64, t_max=1.0, frame_stride=5, early_stop=mode)
+        for verdict, (p, init) in runs.items():
+            traj, cls = simulate(p, monod2, init, cfg)
+            assert cls.verdict.value == verdict
+            stopped = mode in ("both", verdict)
+            assert traj.terminated_by == (f"classifier:{verdict}" if stopped else "t_max")
+            assert (traj.final.t < cfg.t_max) == stopped
+
     def test_rejects_shape_not_vanishing_at_ends(self, unit_params, monod2):
         bad = InitialData(1.0, phi=lambda x: np.ones_like(np.asarray(x, dtype=float)),
                           psi=lambda x: 0.0 * x)
