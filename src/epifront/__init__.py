@@ -16,7 +16,6 @@ from .analysis import (
     bound_certificate,
     classify,
     equilibrium_convergence,
-    make_monitors,
     mass_balance_residual,
     symmetry_band_check,
 )

@@ -16,13 +16,7 @@ import numpy as np
 from scipy.integrate import cumulative_trapezoid
 
 from .errors import CertificateError, DomainError, MonitorViolation
-from .model import (
-    InfectionResponse,
-    InitialData,
-    ModelParams,
-    critical_width,
-    endemic_equilibrium,
-)
+from .model import InfectionResponse, InitialData, ModelParams, endemic_equilibrium
 
 if TYPE_CHECKING:  # pragma: no cover
     from .solver import Frame, Trajectory
@@ -57,15 +51,14 @@ class Classification:
 class ClassifyThresholds:
     """Numeric margins for the verdict rules.
 
-    The habitat reproduction trigger uses a small positive margin because
-    the exact-arithmetic statement is R0F >= 1; the vanishing rule pairs a
-    relative sup-norm decay test with a width-plateau test over the
-    trailing fraction of frames.
+    Spreading is the paper's theorem: R0F(t0) >= 1 at some t0 implies
+    spreading.  Its trigger carries a small positive margin so that a
+    frame with R0F = 1 up to rounding does not fire.  The vanishing rule
+    pairs a relative sup-norm decay test with a width-plateau test over
+    the trailing fraction of frames.
     """
 
     r0f_margin: float = 1e-6
-    width_factor: float = 10.0
-    interior_factor: float = 0.5
     vanish_ratio: float = 1e-6
     plateau_ratio: float = 1e-6
     trailing_fraction: float = 0.1
@@ -79,10 +72,11 @@ def classify(
 ) -> Classification:
     """Spreading / vanishing / undetermined with the evidence that fired.
 
-    Spreading: some frame has R0F >= 1 + margin, or the width blew past
-    width_factor * h_star with a substantial interior level.  Vanishing:
-    sup norms decayed below vanish_ratio of their initial sum while the
-    width stalled.  Otherwise undetermined at the horizon.
+    Spreading: some frame has R0F >= 1 + margin, which by the theorem
+    (R0F(t0) >= 1 for some t0 implies spreading) decides the run; the
+    first such frame is the evidence.  Vanishing: sup norms decayed below
+    vanish_ratio of their initial sum while the width stalled.  Otherwise
+    undetermined at the horizon.
     """
     th = thresholds or ClassifyThresholds()
     frames = traj.frames
@@ -109,28 +103,6 @@ def classify(
             Verdict.SPREADING,
             evidence("r0f_threshold", frames[k].t, float(r0f[k]), margin=th.r0f_margin),
         )
-
-    h_star = critical_width(p, resp)
-    equilibrium = endemic_equilibrium(p, resp)
-    if h_star is not None and equilibrium is not None:
-        widths = traj.widths
-        sup_w = traj.column("sup_w")
-        big = np.nonzero(
-            (widths > th.width_factor * h_star)
-            & (sup_w > th.interior_factor * equilibrium[0])
-        )[0]
-        if big.size:
-            k = int(big[0])
-            return Classification(
-                Verdict.SPREADING,
-                evidence(
-                    "width_blowout",
-                    frames[k].t,
-                    float(r0f[k]),
-                    width=float(widths[k]),
-                    sup_u=float(sup_w[k]),
-                ),
-            )
 
     initial_sup = frames[0].sup_w + frames[0].sup_z
     tail_start = int(math.floor((len(frames) - 1) * (1.0 - th.trailing_fraction)))
@@ -274,6 +246,11 @@ def equilibrium_convergence(
 # Runtime monitors
 # ---------------------------------------------------------------------------
 
+_BOUND_SLACK = 1e-8  # absolute slack on sup u <= C1 and sup v <= C2
+_SPEED_MARGIN = 1.1  # front speeds may exceed C3 by this factor
+_CLIP_RATIO = 1e-8  # clipped mass allowed per frame, relative to the mass
+
+
 @dataclass
 class Monitors:
     """Per-frame hard checks on the analytic invariants.
@@ -283,26 +260,23 @@ class Monitors:
     :class:`MonitorViolation`, aborting the run with a diagnostic.
     """
 
-    certificate: BoundCertificate | None = None
+    certificate: BoundCertificate
     bounds: bool = True
     symmetry: bool = True
     speed: bool = True
-    bound_slack: float = 1e-8
-    speed_margin: float = 1.1
-    clip_ratio: float = 1e-8
 
     def on_frame(self, frame: "Frame", traj: "Trajectory") -> None:
-        if self.bounds and self.certificate is not None:
-            if frame.sup_w > self.certificate.c1 + self.bound_slack:
+        if self.bounds:
+            if frame.sup_w > self.certificate.c1 + _BOUND_SLACK:
                 raise MonitorViolation(
                     "bounds", frame.t, f"sup u = {frame.sup_w!r} > C1 = {self.certificate.c1!r}"
                 )
-            if frame.sup_z > self.certificate.c2 + self.bound_slack:
+            if frame.sup_z > self.certificate.c2 + _BOUND_SLACK:
                 raise MonitorViolation(
                     "bounds", frame.t, f"sup v = {frame.sup_z!r} > C2 = {self.certificate.c2!r}"
                 )
             mass_scale = frame.mass + 1e-9 * traj.frames[0].mass + 1e-300
-            if frame.clipped > self.clip_ratio * mass_scale:
+            if frame.clipped > _CLIP_RATIO * mass_scale:
                 raise MonitorViolation(
                     "bounds", frame.t, f"clipped mass {frame.clipped!r} vs mass {frame.mass!r}"
                 )
@@ -312,8 +286,8 @@ class Monitors:
                 raise MonitorViolation(
                     "symmetry", frame.t, f"|g + h| = {abs(frame.g + frame.h)!r} >= 2 h0"
                 )
-        if self.speed and self.certificate is not None:
-            cap = self.certificate.c3 * self.speed_margin
+        if self.speed:
+            cap = self.certificate.c3 * _SPEED_MARGIN
             if frame.h_speed > cap or -frame.g_speed > cap:
                 raise MonitorViolation(
                     "speed",
@@ -321,16 +295,3 @@ class Monitors:
                     f"front speeds ({frame.g_speed!r}, {frame.h_speed!r}) exceed C3 = "
                     f"{self.certificate.c3!r}",
                 )
-
-
-def make_monitors(
-    p: ModelParams,
-    resp: InfectionResponse,
-    init: InitialData,
-    bounds: bool = True,
-    symmetry: bool = True,
-    speed: bool = True,
-) -> Monitors:
-    """Monitors wired to a freshly computed bound certificate."""
-    cert = bound_certificate(p, resp, init) if (bounds or speed) else None
-    return Monitors(certificate=cert, bounds=bounds, symmetry=symmetry, speed=speed)

@@ -150,7 +150,15 @@ class ConfigKey:
 
 
 _POSITIVE = (lambda v: math.isfinite(v) and v > 0, "must be a finite positive number")
+_NONNEGATIVE = (lambda v: math.isfinite(v) and v >= 0, "must be a finite number >= 0")
 _FINITE = (math.isfinite, "must be a finite number")
+
+
+def _each(check: tuple[Callable[[Any], bool], str]) -> tuple[Callable[[Any], bool], str]:
+    """``check`` applied to every value of a list key."""
+    return (lambda values: all(map(check[0], values)), f"every value {check[1]}")
+
+
 _KIND = ConfigKey("response.kind", str, "monod", choices=("monod", "table"))
 _Z_VALUES = ConfigKey("response.z_values", tuple, attr="z", when=(_KIND, "table"))
 _G_VALUES = ConfigKey("response.g_values", tuple, attr="g", when=(_KIND, "table"))
@@ -170,35 +178,34 @@ SCHEMA: tuple[ConfigKey, ...] = (
     ConfigKey("response.a21", float, 2.0, check=_POSITIVE, when=(_KIND, "monod")),
     _Z_VALUES,
     _G_VALUES,
-    ConfigKey("init.sigma", float, 1.0,
-              check=(lambda v: math.isfinite(v) and v >= 0, "must be a finite number >= 0")),
+    ConfigKey("init.sigma", float, 1.0, check=_NONNEGATIVE),
     _SHAPE,
     ConfigKey("init.skew", float, 0.5, check=(lambda v: abs(v) < 1.0, "magnitude must be < 1"),
               when=(_SHAPE, "skewed_cosine")),
-    ConfigKey("solver.n_cells", int, SolverConfig),
+    ConfigKey("solver.n_cells", int, SolverConfig,
+              check=(lambda v: v >= 16 and v % 2 == 0, "must be even and >= 16")),
     ConfigKey("solver.dt_max", float, SolverConfig, check=_POSITIVE),
     ConfigKey("solver.cfl_adv", float, SolverConfig, check=_POSITIVE),
     ConfigKey("solver.front_cfl", float, SolverConfig, check=_POSITIVE),
     ConfigKey("solver.t_max", float, SolverConfig, check=_POSITIVE),
-    ConfigKey("solver.frame_stride", int, SolverConfig),
+    ConfigKey("solver.frame_stride", int, SolverConfig, check=(lambda v: v >= 1, "must be >= 1")),
     _RECORD_TIMES,
     ConfigKey("solver.early_stop", str, SolverConfig, choices=EARLY_STOP_MODES),
     ConfigKey("monitors.bounds", bool, analysis.Monitors),
     ConfigKey("monitors.symmetry", bool, analysis.Monitors),
     ConfigKey("monitors.speed", bool, analysis.Monitors),
-    ConfigKey("classify.r0f_margin", float, analysis.ClassifyThresholds, check=_FINITE),
-    ConfigKey("classify.width_factor", float, analysis.ClassifyThresholds, check=_FINITE),
-    ConfigKey("classify.interior_factor", float, analysis.ClassifyThresholds, check=_FINITE),
+    ConfigKey("classify.r0f_margin", float, analysis.ClassifyThresholds, check=_NONNEGATIVE),
     ConfigKey("classify.vanish_ratio", float, analysis.ClassifyThresholds, check=_FINITE),
     ConfigKey("classify.plateau_ratio", float, analysis.ClassifyThresholds, check=_FINITE),
-    ConfigKey("classify.trailing_fraction", float, analysis.ClassifyThresholds, check=_FINITE),
+    ConfigKey("classify.trailing_fraction", float, analysis.ClassifyThresholds,
+              check=(lambda v: 0 < v <= 1, "must be in (0, 1]")),
     ConfigKey("threshold.tol", float, threshold.BisectConfig, attr="rel_tol",
               check=(lambda v: 0 < v < 1, "must be in (0, 1)")),
     ConfigKey("threshold.hi_factor", float, threshold.BisectConfig, attr="hi_seed_factor",
               check=_POSITIVE),
-    ConfigKey("sweep.sigma", tuple),
-    ConfigKey("sweep.mu", tuple),
-    ConfigKey("sweep.d", tuple),
+    ConfigKey("sweep.sigma", tuple, check=_each(_NONNEGATIVE)),
+    ConfigKey("sweep.mu", tuple, check=_each(_POSITIVE)),
+    ConfigKey("sweep.d", tuple, check=_each(_POSITIVE)),
 )
 
 
@@ -470,13 +477,6 @@ def svg_heatmap(path: Path, title: str, xlabel: str, ylabel: str,
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def _make_monitors(setup: RunSetup) -> analysis.Monitors | None:
-    toggles = setup.monitor_toggles
-    if not any(toggles.values()):
-        return None
-    return analysis.make_monitors(setup.params, setup.resp, setup.init, **toggles)
-
-
 def _write_partial(traj: Trajectory | None, setup: RunSetup, out: Path) -> Path | None:
     if traj is None or not traj.frames:
         return None
@@ -503,14 +503,12 @@ def cmd_run(args: argparse.Namespace) -> int:
         # Keep the echoed config faithful to the run actually executed.
         setup.echo[_RECORD_TIMES.name] = _show(merged)
 
-    monitors = _make_monitors(setup)
-    cert = monitors.certificate if monitors and monitors.certificate else analysis.bound_certificate(
-        setup.params, setup.resp, setup.init
-    )
+    cert = analysis.bound_certificate(setup.params, setup.resp, setup.init)
     try:
         traj, cls = simulate(
             setup.params, setup.resp, setup.init, solver_cfg,
-            monitors=monitors, thresholds=setup.thresholds,
+            monitors=analysis.Monitors(cert, **setup.monitor_toggles),
+            thresholds=setup.thresholds,
         )
     except (BlowUpError, MonitorViolation) as exc:
         path = _write_partial(getattr(exc, "trajectory", None), setup, out)

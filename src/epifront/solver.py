@@ -14,6 +14,7 @@ Stefan conditions, with a CFL limiter on the per-step displacement.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -97,13 +98,12 @@ class SolverConfig:
     def __post_init__(self) -> None:
         if self.n_cells < 16 or self.n_cells % 2:
             raise DomainError(f"n_cells must be even and >= 16 (got {self.n_cells})")
-        for name in ("cfl_adv", "front_cfl"):
-            if not getattr(self, name) > 0:
-                raise DomainError(f"{name} must be > 0")
-        for name in ("dt_max", "t_max"):
+        for name in ("dt_max", "cfl_adv", "front_cfl", "t_max"):
             value = getattr(self, name)
-            if value is not None and not value > 0:
-                raise DomainError(f"{name} must be > 0 when given (got {value})")
+            if value is None and name in ("dt_max", "t_max"):
+                continue  # resolved() derives it from the model
+            if not (math.isfinite(value) and value > 0):
+                raise DomainError(f"{name} must be finite and > 0 (got {value!r})")
         if self.frame_stride < 1:
             raise DomainError("frame_stride must be >= 1")
         if self.early_stop not in EARLY_STOP_MODES:
@@ -390,8 +390,9 @@ def simulate(
             hit_target = abs(state.t - target) <= _TIME_SNAP * max(1.0, target)
             if hit_target:
                 state = replace(state, t=target)
-            done = state.t >= config.t_max * (1.0 - 1e-14)
-            if hit_target or done or steps_since_frame >= config.frame_stride:
+            # Every step is capped at target - t and the last target is t_max,
+            # so the step that reaches t_max hits its target and is recorded.
+            if hit_target or steps_since_frame >= config.frame_stride:
                 record(state)
                 steps_since_frame = 0
                 frames_since_classify += 1
@@ -401,9 +402,6 @@ def simulate(
                     if partial.verdict in stop_verdicts:
                         verdict_stop = partial
                         break
-
-        if traj.frames[-1].t < state.t:
-            record(state)
     except Exception as exc:
         # Attach the surviving frames so callers can dump the last good state.
         exc.trajectory = traj

@@ -15,6 +15,7 @@ from epifront import (
     InfectionResponse,
     InitialData,
     ModelParams,
+    Monitors,
     SolverConfig,
     Verdict,
     bound_certificate,
@@ -22,7 +23,6 @@ from epifront import (
     eigen_check,
     equilibrium_convergence,
     find_sigma_star,
-    make_monitors,
     ode_solve,
     refinement_study,
     sample_physical,
@@ -54,7 +54,7 @@ def check(num: int, name: str, ok: bool, detail: str = "") -> None:
 @pytest.fixture(scope="session")
 def vanishing_run():
     init = InitialData.cosine(1.0, UNIT.h0)
-    monitors = make_monitors(UNIT, MONOD08, init)
+    monitors = Monitors(bound_certificate(UNIT, MONOD08, init))
     traj, cls = simulate(UNIT, MONOD08, init, SolverConfig(t_max=100.0), monitors=monitors)
     return traj, cls, monitors.certificate
 
@@ -62,7 +62,7 @@ def vanishing_run():
 @pytest.fixture(scope="session")
 def spreading_run():
     init = InitialData.cosine(1.0, P_SUPER.h0)
-    monitors = make_monitors(P_SUPER, MONOD2, init)
+    monitors = Monitors(bound_certificate(P_SUPER, MONOD2, init))
     cfg = SolverConfig(t_max=80.0, dt_max=2e-3, early_stop="vanishing")
     traj, cls = simulate(P_SUPER, MONOD2, init, cfg, monitors=monitors)
     return traj, cls, monitors.certificate

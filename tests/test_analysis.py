@@ -18,7 +18,6 @@ from epifront import (
     classify,
     critical_width,
     equilibrium_convergence,
-    make_monitors,
     mass_balance_residual,
     simulate,
     symmetry_band_check,
@@ -128,6 +127,7 @@ class TestClassify:
                              SolverConfig(t_max=30.0))
         assert traj.frames[0].r0f == pytest.approx(1.0, abs=1e-12)
         assert cls.verdict is Verdict.SPREADING
+        assert cls.evidence.criterion == "r0f_threshold"
         assert cls.evidence.time > 0.0
 
     def test_tiny_data_vanishes_below_critical_width(self, unit_params, monod2):
@@ -181,22 +181,27 @@ class TestEquilibriumConvergence:
 class TestMonitors:
     def test_clean_run_passes_all(self, unit_params, monod2):
         init = InitialData.cosine(1.0, 1.0)
-        monitors = make_monitors(unit_params, monod2, init)
+        monitors = Monitors(bound_certificate(unit_params, monod2, init))
         traj, _ = simulate(unit_params, monod2, init,
                            SolverConfig(t_max=3.0, early_stop="none"), monitors=monitors)
         assert len(traj.frames) > 10
 
     def test_bound_violation_detected(self, unit_params, monod2):
         init = InitialData.cosine(1.0, 1.0)
-        monitors = make_monitors(unit_params, monod2, init)
+        monitors = Monitors(bound_certificate(unit_params, monod2, init))
         traj, _ = simulate(unit_params, monod2, init, SolverConfig(t_max=0.1))
-        doctored = dataclasses.replace(traj.frames[-1], sup_w=monitors.certificate.c1 * 2)
-        with pytest.raises(MonitorViolation, match="bounds"):
-            monitors.on_frame(doctored, traj)
+        frame = traj.frames[-1]
+        # Twice the certified bound on sup u and sup v; clipped mass equal to the mass.
+        for field, value, breach in (("sup_w", 2 * monitors.certificate.c1, "sup u"),
+                                     ("sup_z", 2 * monitors.certificate.c2, "sup v"),
+                                     ("clipped", frame.mass, "clipped mass")):
+            doctored = dataclasses.replace(frame, **{field: value})
+            with pytest.raises(MonitorViolation, match=f"'bounds'.*{breach}"):
+                monitors.on_frame(doctored, traj)
 
     def test_symmetry_violation_detected(self, unit_params, monod2):
         init = InitialData.cosine(1.0, 1.0)
-        monitors = Monitors()
+        monitors = Monitors(bound_certificate(unit_params, monod2, init))
         traj, _ = simulate(unit_params, monod2, init, SolverConfig(t_max=0.1))
         doctored = dataclasses.replace(traj.frames[-1], g=1.5, h=2.6)
         with pytest.raises(MonitorViolation, match="symmetry"):
@@ -204,7 +209,7 @@ class TestMonitors:
 
     def test_speed_violation_detected(self, unit_params, monod2):
         init = InitialData.cosine(1.0, 1.0)
-        monitors = make_monitors(unit_params, monod2, init)
+        monitors = Monitors(bound_certificate(unit_params, monod2, init))
         traj, _ = simulate(unit_params, monod2, init, SolverConfig(t_max=0.1))
         doctored = dataclasses.replace(traj.frames[-1], h_speed=monitors.certificate.c3 * 2)
         with pytest.raises(MonitorViolation, match="speed"):

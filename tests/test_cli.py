@@ -6,7 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from epifront import BlowUpError, ConfigError, simulate
+from epifront import BlowUpError, ConfigError, Monitors, MonitorViolation, simulate
+from epifront import solver as solver_mod
 from epifront.cli import SCHEMA, build_setup, main, parse_config_text
 
 FAST = """
@@ -39,8 +40,10 @@ class TestConfigParsing:
             parse_config_text("model.d = 1\nmodel.d = 2\n")
 
     def test_unknown_key_named(self):
-        with pytest.raises(ConfigError, match="model.zzz"):
-            build_setup(parse_config_text("model.zzz = 1\n"))
+        # classify.width_factor is not a key: spreading is decided by R0F alone.
+        for key in ("model.zzz", "classify.width_factor"):
+            with pytest.raises(ConfigError, match=f"line 1: unknown key '{key}'"):
+                build_setup(parse_config_text(f"{key} = 10\n"))
 
     @pytest.mark.parametrize("line", [
         "model.a11 = -1",
@@ -54,12 +57,25 @@ class TestConfigParsing:
         "threshold.tol = nan",
         "threshold.hi_factor = inf",
         "classify.vanish_ratio = nan",
+        "solver.n_cells = 15",
+        "solver.frame_stride = 0",
+        "sweep.mu = 0",
+        "sweep.d = nan",
+        "sweep.sigma = -1",
+        "classify.r0f_margin = -0.5",
+        "classify.trailing_fraction = 5",
     ])
     def test_bad_value_names_key_and_line(self, line, tmp_path, capsys):
         key = line.split(" = ")[0]
         cfg = write(tmp_path, f"model.d = 1.0\n{line}\n")
         assert main(["validate", "--config", cfg]) == 2
         assert f"line 2: {key}: " in capsys.readouterr().err
+
+    def test_derived_solver_value_invalid(self, tmp_path, capsys):
+        # The default dt_max = 1e-3 h0^2/d overflows to inf.
+        cfg = write(tmp_path, "model.h0 = 1e200\nmodel.d = 1e-200\n")
+        assert main(["validate", "--config", cfg]) == 2
+        assert "solver configuration invalid: dt_max must be finite" in capsys.readouterr().err
 
     def test_defaults_resolve(self):
         setup = build_setup({})
@@ -195,6 +211,33 @@ class TestRunCommand:
         cfg = write(tmp_path, FAST)
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
         assert "synthetic blow-up" in capsys.readouterr().err
+
+    # FAST records a frame every 20 steps: the 100th step fails after 5 frames, the
+    # 5th monitor check on the 5th frame, and the 1st step leaves only the initial frame.
+    @pytest.mark.parametrize("target, name, calls, error, code, frames", [
+        (solver_mod, "step", 100, lambda: BlowUpError("synthetic blow-up", 0.0, -1.0, 1.0), 3, 5),
+        (Monitors, "on_frame", 5, lambda: MonitorViolation("bounds", 0.0, "synthetic"), 4, 5),
+        (solver_mod, "step", 1, lambda: BlowUpError("synthetic blow-up", 0.0, -1.0, 1.0), 3, 1),
+    ])
+    def test_failure_mid_run_writes_last_good_frames(self, tmp_path, monkeypatch, capsys,
+                                                     target, name, calls, error, code, frames):
+        real = getattr(target, name)
+        seen = []
+
+        def failing(*args, **kwargs):
+            seen.append(None)
+            if len(seen) == calls:
+                raise error()
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(target, name, failing)
+        cfg = write(tmp_path, FAST)
+        out = tmp_path / "o"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == code
+        assert f"last good frames in {out / 'trajectory.csv'}" in capsys.readouterr().err
+        rows = (out / "trajectory.csv").read_text().splitlines()
+        assert rows[0].startswith("t,g,h,width,")
+        assert len(rows) == 1 + frames
 
 
 class TestValidateCommand:

@@ -269,8 +269,15 @@ class TestSolverConfig:
             SolverConfig(n_cells=17)
         with pytest.raises(DomainError):
             SolverConfig(dt_max=-1.0)
+        with pytest.raises(DomainError, match="frame_stride"):
+            SolverConfig(frame_stride=0)
         with pytest.raises(DomainError):
             SolverConfig(early_stop="sometimes")
+
+    @pytest.mark.parametrize("name", ["dt_max", "cfl_adv", "front_cfl", "t_max"])
+    def test_infinite_value_rejected(self, name):
+        with pytest.raises(DomainError, match=name):
+            SolverConfig(**{name: math.inf})
 
     def test_resolved_defaults(self, unit_params):
         cfg = SolverConfig().resolved(unit_params)
