@@ -3,13 +3,12 @@
 Simulates the coupled bacteria/infective system on an expanding habitat
 whose fronts obey Stefan conditions, classifies runs as spreading or
 vanishing via the habitat-dependent reproduction number, and brackets
-the sharp initial-size and front-response thresholds by bisection.
+the sharp threshold in initial size and in front response by bisection.
 """
 
 from .analysis import (
     BoundCertificate,
     Classification,
-    ClassifyThresholds,
     Evidence,
     Monitors,
     Verdict,

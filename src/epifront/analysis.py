@@ -47,38 +47,25 @@ class Classification:
     evidence: Evidence
 
 
-@dataclass(frozen=True)
-class ClassifyThresholds:
-    """Numeric margins for the verdict rules.
-
-    Spreading is the paper's theorem: R0F(t0) >= 1 at some t0 implies
-    spreading.  Its trigger carries a small positive margin so that a
-    frame with R0F = 1 up to rounding does not fire.  The vanishing rule
-    pairs a relative sup-norm decay test with a width-plateau test over
-    the trailing fraction of frames.
-    """
-
-    r0f_margin: float = 1e-6
-    vanish_ratio: float = 1e-6
-    plateau_ratio: float = 1e-6
-    trailing_fraction: float = 0.1
+# The verdict rules' tolerances.  The margin keeps a frame whose R0F is 1
+# up to rounding from firing the spreading theorem; the vanishing fallback
+# asks that the sup norms decayed to a tiny fraction of their initial sum
+# and that the width stalled over the trailing fraction of frames.
+_R0F_MARGIN = 1e-6
+_VANISH_RATIO = 1e-6
+_PLATEAU_RATIO = 1e-6  # width growth cap, times h0
+_TRAILING_FRACTION = 0.1
 
 
-def classify(
-    traj: "Trajectory",
-    p: ModelParams,
-    resp: InfectionResponse,
-    thresholds: ClassifyThresholds | None = None,
-) -> Classification:
+def classify(traj: "Trajectory") -> Classification:
     """Spreading / vanishing / undetermined with the evidence that fired.
 
     Spreading: some frame has R0F >= 1 + margin, which by the theorem
     (R0F(t0) >= 1 for some t0 implies spreading) decides the run; the
     first such frame is the evidence.  Vanishing: sup norms decayed below
-    vanish_ratio of their initial sum while the width stalled.  Otherwise
-    undetermined at the horizon.
+    a tiny fraction of their initial sum while the width stalled.
+    Otherwise undetermined at the horizon.
     """
-    th = thresholds or ClassifyThresholds()
     frames = traj.frames
     if not frames:
         raise DomainError("cannot classify an empty trajectory")
@@ -96,19 +83,19 @@ def classify(
         )
 
     r0f = traj.column("r0f")
-    hot = np.nonzero(r0f >= 1.0 + th.r0f_margin)[0]
+    hot = np.nonzero(r0f >= 1.0 + _R0F_MARGIN)[0]
     if hot.size:
         k = int(hot[0])
         return Classification(
             Verdict.SPREADING,
-            evidence("r0f_threshold", frames[k].t, float(r0f[k]), margin=th.r0f_margin),
+            evidence("r0f_threshold", frames[k].t, float(r0f[k]), margin=_R0F_MARGIN),
         )
 
     initial_sup = frames[0].sup_w + frames[0].sup_z
-    tail_start = int(math.floor((len(frames) - 1) * (1.0 - th.trailing_fraction)))
+    tail_start = int(math.floor((len(frames) - 1) * (1.0 - _TRAILING_FRACTION)))
     growth = last.width - frames[tail_start].width
-    decayed = last.sup_w + last.sup_z <= th.vanish_ratio * initial_sup
-    stalled = growth < th.plateau_ratio * traj.h0
+    decayed = last.sup_w + last.sup_z <= _VANISH_RATIO * initial_sup
+    stalled = growth < _PLATEAU_RATIO * traj.h0
     if decayed and stalled:
         return Classification(
             Verdict.VANISHING,
@@ -146,17 +133,18 @@ class BoundCertificate:
 
 
 _CERT_MAX_DOUBLINGS = 60
+_CERT_SAMPLES = 2049  # points of [-h0, h0] where the initial data is sampled
 
 
 def bound_certificate(
-    p: ModelParams, resp: InfectionResponse, init: InitialData, n_samples: int = 2049
+    p: ModelParams, resp: InfectionResponse, init: InitialData
 ) -> BoundCertificate:
     """Search outward for a valid (C1, C2) pair by doubling C1.
 
     Failure to find one within the doubling budget signals that the
     response violates the (A2) slope cap.
     """
-    x = np.linspace(-p.h0, p.h0, n_samples)
+    x = np.linspace(-p.h0, p.h0, _CERT_SAMPLES)
     u0 = np.asarray(init.u0(x), dtype=float)
     v0 = np.asarray(init.v0(x), dtype=float)
     sup_u0 = float(np.max(u0, initial=0.0))
@@ -187,9 +175,7 @@ def bound_certificate(
 # Conservation and symmetry diagnostics
 # ---------------------------------------------------------------------------
 
-def mass_balance_residual(
-    traj: "Trajectory", p: ModelParams, resp: InfectionResponse
-) -> np.ndarray:
+def mass_balance_residual(traj: "Trajectory", p: ModelParams) -> np.ndarray:
     """Per-frame residual of the integrated balance law.
 
     The exact identity relates the weighted mass, the habitat growth

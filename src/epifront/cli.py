@@ -16,7 +16,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Any, Callable
 
@@ -151,7 +151,6 @@ class ConfigKey:
 
 _POSITIVE = (lambda v: math.isfinite(v) and v > 0, "must be a finite positive number")
 _NONNEGATIVE = (lambda v: math.isfinite(v) and v >= 0, "must be a finite number >= 0")
-_FINITE = (math.isfinite, "must be a finite number")
 
 
 def _each(check: tuple[Callable[[Any], bool], str]) -> tuple[Callable[[Any], bool], str]:
@@ -194,11 +193,6 @@ SCHEMA: tuple[ConfigKey, ...] = (
     ConfigKey("monitors.bounds", bool, analysis.Monitors),
     ConfigKey("monitors.symmetry", bool, analysis.Monitors),
     ConfigKey("monitors.speed", bool, analysis.Monitors),
-    ConfigKey("classify.r0f_margin", float, analysis.ClassifyThresholds, check=_NONNEGATIVE),
-    ConfigKey("classify.vanish_ratio", float, analysis.ClassifyThresholds, check=_FINITE),
-    ConfigKey("classify.plateau_ratio", float, analysis.ClassifyThresholds, check=_FINITE),
-    ConfigKey("classify.trailing_fraction", float, analysis.ClassifyThresholds,
-              check=(lambda v: 0 < v <= 1, "must be in (0, 1]")),
     ConfigKey("threshold.tol", float, threshold.BisectConfig, attr="rel_tol",
               check=(lambda v: 0 < v < 1, "must be in (0, 1)")),
     ConfigKey("threshold.hi_factor", float, threshold.BisectConfig, attr="hi_seed_factor",
@@ -217,7 +211,6 @@ class RunSetup:
     resp: InfectionResponse
     init: InitialData
     solver: SolverConfig
-    thresholds: analysis.ClassifyThresholds
     monitor_toggles: dict[str, bool]
     bisect: threshold.BisectConfig
     sweep_sigma: tuple[float, ...] | None
@@ -274,7 +267,6 @@ def build_setup(entries: dict[str, tuple[str, int]]) -> RunSetup:
         resp=resp,
         init=init,
         solver=solver_cfg,
-        thresholds=analysis.ClassifyThresholds(**_section(values, "classify")),
         monitor_toggles=_section(values, "monitors"),
         bisect=threshold.BisectConfig(**_section(values, "threshold")),
         sweep_sigma=sweep["sigma"],
@@ -314,15 +306,24 @@ def write_trajectory_csv(path: Path, traj: Trajectory, residuals: np.ndarray) ->
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def write_profiles_csv(path: Path, traj: Trajectory, times: list[float]) -> None:
+def write_profiles_csv(path: Path, traj: Trajectory, times: list[float]) -> list[float]:
+    """Write the profile of each requested time that has a frame; return
+    the times the run never reached.  ``simulate`` snaps every record time
+    to its exact value, so the lookup is exact."""
     y = traj.y_grid()
+    by_time = {f.t: f for f in traj.frames}
     lines = ["t,x,u,v"]
+    missing = []
     for target in times:
-        frame = min(traj.frames, key=lambda f: abs(f.t - target))
+        frame = by_time.get(target)
+        if frame is None:
+            missing.append(target)
+            continue
         x = (y * frame.width + traj.h0 * (frame.h + frame.g)) / (2.0 * traj.h0)
         for xi, ui, vi in zip(x, frame.w, frame.z):
             lines.append(",".join(_fmt(v) for v in (frame.t, xi, ui, vi)))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return missing
 
 
 def _summary_payload(setup: RunSetup, traj: Trajectory, cls: analysis.Classification,
@@ -333,20 +334,12 @@ def _summary_payload(setup: RunSetup, traj: Trajectory, cls: analysis.Classifica
     last = traj.final
     return {
         "verdict": cls.verdict.value,
-        "evidence": {
-            "criterion": cls.evidence.criterion,
-            "time": cls.evidence.time,
-            "r0f": cls.evidence.r0f,
-            "final_width": cls.evidence.final_width,
-            "final_sup_u": cls.evidence.final_sup_u,
-            "final_sup_v": cls.evidence.final_sup_v,
-            "details": cls.evidence.details,
-        },
+        "evidence": asdict(cls.evidence),
         "r0": model.basic_reproduction_number(p, resp),
         "r0f_initial": model.free_boundary_reproduction_number(p, resp, 2.0 * p.h0),
         "h_star": h_star,
         "equilibrium": None if equilibrium is None else {"u": equilibrium[0], "v": equilibrium[1]},
-        "certificate": {"c1": cert.c1, "c2": cert.c2, "c3": cert.c3, "m": cert.m},
+        "certificate": asdict(cert),
         "run": {
             "n_steps": traj.n_steps,
             "n_frames": len(traj.frames),
@@ -482,7 +475,7 @@ def _write_partial(traj: Trajectory | None, setup: RunSetup, out: Path) -> Path 
         return None
     path = out / "trajectory.csv"
     residuals = (
-        analysis.mass_balance_residual(traj, setup.params, setup.resp)
+        analysis.mass_balance_residual(traj, setup.params)
         if len(traj.frames) >= 2
         else np.zeros(len(traj.frames))
     )
@@ -508,7 +501,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         traj, cls = simulate(
             setup.params, setup.resp, setup.init, solver_cfg,
             monitors=analysis.Monitors(cert, **setup.monitor_toggles),
-            thresholds=setup.thresholds,
         )
     except (BlowUpError, MonitorViolation) as exc:
         path = _write_partial(getattr(exc, "trajectory", None), setup, out)
@@ -516,14 +508,17 @@ def cmd_run(args: argparse.Namespace) -> int:
         print(f"error: {exc}{where}", file=sys.stderr)
         return 3 if isinstance(exc, BlowUpError) else 4
 
-    residuals = analysis.mass_balance_residual(traj, setup.params, setup.resp)
+    residuals = analysis.mass_balance_residual(traj, setup.params)
     write_trajectory_csv(out / "trajectory.csv", traj, residuals)
 
     payload = _summary_payload(setup, traj, cls, cert)
     (out / "summary.json").write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
     if profile_times:
-        write_profiles_csv(out / "profiles.csv", traj, profile_times)
+        missing = write_profiles_csv(out / "profiles.csv", traj, profile_times)
+        if missing:
+            print(f"profiles: no frame at t = {', '.join(f'{t:.6g}' for t in missing)} "
+                  f"(run ended at t = {traj.final.t:.6g})", file=sys.stderr)
 
     if args.svg:
         t = traj.times
@@ -583,17 +578,7 @@ def cmd_threshold(args: argparse.Namespace) -> int:
         "rel_width": result.rel_width,
         "n_sims": result.n_sims,
         "monotone_verdicts": result.monotone,
-        "probes": [
-            {
-                "value": r.value,
-                "verdict": r.verdict.value,
-                "criterion": r.criterion,
-                "time": r.time,
-                "final_width": r.final_width,
-                "extended": r.extended,
-            }
-            for r in result.probes
-        ],
+        "probes": [asdict(r) for r in result.probes],
         "confirmations": confirmations,
         "bisect": result.config,
         "config": setup.echo,

@@ -200,10 +200,9 @@ class ResponseReport:
         return [c for c in self.checks if not c.passed]
 
 
-def default_probe_grid(scale: float = 1.0) -> np.ndarray:
-    """Log-spaced probes from 1e-6 to 1e6 times the unit scale."""
-    s = max(1.0, float(scale))
-    return np.logspace(-6.0, math.log10(SLOPE_PROBE_SCALE * s), 121)
+def default_probe_grid() -> np.ndarray:
+    """Log-spaced probes from 1e-6 to the slope probe scale."""
+    return np.logspace(-6.0, math.log10(SLOPE_PROBE_SCALE), 121)
 
 
 def validate_response(
@@ -392,12 +391,11 @@ class SpreadingBound:
 def small_data_vanishing_bound(
     p: ModelParams,
     resp: InfectionResponse,
-    delta_cap: float = 1.0,
     deriv_trend: str = "decreasing",
 ) -> SmallDataBound | None:
     """Compute the extinction certificate (delta, eps), or None if R0F(0) >= 1.
 
-    delta is the largest value in (0, delta_cap] satisfying both scalar
+    delta is the largest value in (0, 1] satisfying both scalar
     comparison inequalities, found by predicate bisection; eps follows
     as delta^2 h0^2 (1 + delta) / (mu pi) from the eigenfunction slope
     psi'(h0) = -pi/(2 h0).
@@ -427,7 +425,7 @@ def small_data_vanishing_bound(
     def admissible(delta: float) -> bool:
         return decay_ok(delta) and recovery_ok(delta)
 
-    delta = _largest_satisfying(admissible, delta_cap)
+    delta = _largest_satisfying(admissible, 1.0)
     if delta is None:
         return None
     eps = eps_of(delta)

@@ -147,7 +147,7 @@ def refinement_study(
         traj, _ = simulate(p, resp, init, cfg)
         n_cells.append(cfg.n_cells)
         final_h.append(traj.final.h)
-        residuals.append(abs(float(mass_balance_residual(traj, p, resp)[-1])))
+        residuals.append(abs(float(mass_balance_residual(traj, p)[-1])))
 
     diffs = [abs(final_h[k + 1] - final_h[k]) for k in range(levels - 1)]
     front_orders = tuple(

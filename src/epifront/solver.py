@@ -344,7 +344,6 @@ def simulate(
     init: InitialData,
     config: SolverConfig | None = None,
     monitors: "analysis.Monitors | None" = None,
-    thresholds: "analysis.ClassifyThresholds | None" = None,
 ):
     """Integrate to t_max or until the classifier reaches a verdict.
 
@@ -398,7 +397,7 @@ def simulate(
                 frames_since_classify += 1
                 if stop_verdicts and frames_since_classify >= _CLASSIFY_STRIDE:
                     frames_since_classify = 0
-                    partial = analysis.classify(traj, p, resp, thresholds)
+                    partial = analysis.classify(traj)
                     if partial.verdict in stop_verdicts:
                         verdict_stop = partial
                         break
@@ -406,7 +405,7 @@ def simulate(
         # Attach the surviving frames so callers can dump the last good state.
         exc.trajectory = traj
         raise
-    classification = verdict_stop or analysis.classify(traj, p, resp, thresholds)
+    classification = verdict_stop or analysis.classify(traj)
     traj.terminated_by = (
         f"classifier:{classification.verdict.value}" if verdict_stop is not None else "t_max"
     )

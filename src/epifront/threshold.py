@@ -1,7 +1,7 @@
 """Sharp-threshold location by monotone bisection.
 
-The initial-data scale sigma and the front-response coefficient mu both
-admit sharp spreading/vanishing thresholds; comparison monotonicity
+The initial-data scale sigma and the front-response coefficient mu each
+admit a sharp spreading/vanishing threshold; comparison monotonicity
 makes plain bisection on the verdict sound.  Each probe is one
 simulation to twice the solver horizon; a probe still undetermined there
 counts on the vanishing side of the bracket.
@@ -56,8 +56,11 @@ class ThresholdResult:
 
     ``status`` is "bracketed" for a converged bisection, "degenerate"
     when the threshold is 0 (the habitat already super-critical), or
-    "inconclusive" when the probe budget ran out.  ``monotone`` records
-    whether the observed verdicts were monotone in the probed parameter.
+    "inconclusive" when the probe budget ran out.  ``monotone`` is false
+    when a spreading probe lies below a vanishing one.  The bisection
+    cannot produce such a list: it keeps every spreading probe at or above
+    ``hi`` and every vanishing probe at or below ``lo``, so the flag reads
+    true on every result it returns.
     """
 
     target: str
@@ -202,8 +205,9 @@ def find_mu_star(
 ) -> ThresholdResult:
     """Bracket the critical front-response coefficient mu*.
 
-    Monotonicity in mu is not proved here, only cited; the result's
-    ``monotone`` flag records whether the probes respected it.
+    Monotonicity in mu is not proved here, only cited.  The bisection
+    assumes it and cannot observe a violation, so the result's
+    ``monotone`` flag is no check of it (see :class:`ThresholdResult`).
     """
 
     def run(mu: float, config: SolverConfig) -> Classification:
@@ -218,8 +222,6 @@ def find_mu_star(
 
 @dataclass(frozen=True)
 class SweepCell:
-    param_index: int
-    init_index: int
     params: ModelParams
     sigma: float
     verdict: Verdict | None
@@ -241,16 +243,16 @@ def sweep(
     recorded in the cell rather than aborting the sweep.
     """
     cells = []
-    for i, params in enumerate(param_grid):
+    for params in param_grid:
         cfg = (sim_config or SolverConfig()).resolved(params)
-        for j, init in enumerate(init_grid):
+        for init in init_grid:
             try:
                 _, cls = simulate(params, resp, init, cfg)
             except Exception as exc:  # noqa: BLE001 - recorded, sweep continues
-                cells.append(SweepCell(i, j, params, init.sigma, None, "error", math.nan,
+                cells.append(SweepCell(params, init.sigma, None, "error", math.nan,
                                        math.nan, error=f"{type(exc).__name__}: {exc}"))
                 continue
             ev = cls.evidence
-            cells.append(SweepCell(i, j, params, init.sigma, cls.verdict, ev.criterion,
+            cells.append(SweepCell(params, init.sigma, cls.verdict, ev.criterion,
                                    ev.time, ev.final_width))
     return cells

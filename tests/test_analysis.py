@@ -65,7 +65,7 @@ class TestMassBalance:
             unit_params, monod2, InitialData.cosine(0.0, 1.0),
             SolverConfig(t_max=1.0, early_stop="none"),
         )
-        res = mass_balance_residual(traj, unit_params, monod2)
+        res = mass_balance_residual(traj, unit_params)
         assert np.all(res == 0.0)
 
     def test_needs_two_frames(self, unit_params, monod2):
@@ -76,7 +76,7 @@ class TestMassBalance:
         short = dataclasses.replace(traj) if False else traj
         short.frames = traj.frames[:1]
         with pytest.raises(DomainError):
-            mass_balance_residual(short, unit_params, monod2)
+            mass_balance_residual(short, unit_params)
 
     def test_subthreshold_width_bound(self, unit_params, quiet_vanishing_run):
         # the integral identity caps the habitat: (d/mu) width <= M(0) + (d/mu) 2 h0
@@ -146,7 +146,7 @@ class TestClassify:
         from epifront.solver import Trajectory
 
         with pytest.raises(DomainError):
-            classify(Trajectory(h0=1.0, n_cells=64), unit_params, monod2)
+            classify(Trajectory(h0=1.0, n_cells=64))
 
     def test_undetermined_at_short_horizon(self, unit_params, monod2):
         _, cls = simulate(unit_params, monod2, InitialData.cosine(0.05, 1.0),

@@ -40,8 +40,9 @@ class TestConfigParsing:
             parse_config_text("model.d = 1\nmodel.d = 2\n")
 
     def test_unknown_key_named(self):
-        # classify.width_factor is not a key: spreading is decided by R0F alone.
-        for key in ("model.zzz", "classify.width_factor"):
+        # No classify.* key exists: spreading is decided by R0F alone, and the
+        # classifier's tolerances are constants.
+        for key in ("model.zzz", "classify.width_factor", "classify.r0f_margin"):
             with pytest.raises(ConfigError, match=f"line 1: unknown key '{key}'"):
                 build_setup(parse_config_text(f"{key} = 10\n"))
 
@@ -56,14 +57,11 @@ class TestConfigParsing:
         "threshold.tol = -1",
         "threshold.tol = nan",
         "threshold.hi_factor = inf",
-        "classify.vanish_ratio = nan",
         "solver.n_cells = 15",
         "solver.frame_stride = 0",
         "sweep.mu = 0",
         "sweep.d = nan",
         "sweep.sigma = -1",
-        "classify.r0f_margin = -0.5",
-        "classify.trailing_fraction = 5",
     ])
     def test_bad_value_names_key_and_line(self, line, tmp_path, capsys):
         key = line.split(" = ")[0]
@@ -183,6 +181,16 @@ class TestRunCommand:
         rows = (out / "profiles.csv").read_text().splitlines()
         times = {row.split(",")[0] for row in rows[1:]}
         assert times == {"0.5", "1.5"}
+
+    def test_unreached_profile_times_reported(self, tmp_path, capsys):
+        # FAST is stopped by the classifier at t = 1.28, before 1.9 and 100.
+        cfg = write(tmp_path, FAST)
+        out = tmp_path / "out"
+        assert main(["run", "--config", cfg, "--out", str(out), "--profiles", "0.5,1.9,100"]) == 0
+        err = capsys.readouterr().err
+        assert "profiles: no frame at t = 1.9, 100 (run ended at t = 1.28)" in err
+        rows = (out / "profiles.csv").read_text().splitlines()
+        assert {row.split(",")[0] for row in rows[1:]} == {"0.5"}
 
     def test_svg_is_wellformed(self, tmp_path):
         cfg = write(tmp_path, FAST)

@@ -5,10 +5,14 @@ import pytest
 
 from epifront import (
     BisectConfig,
+    Classification,
+    Evidence,
     InfectionResponse,
     InitialData,
     ModelParams,
+    ProbeRecord,
     SolverConfig,
+    ThresholdResult,
     ThresholdUndefinedError,
     Verdict,
     find_mu_star,
@@ -16,6 +20,7 @@ from epifront import (
     simulate,
     sweep,
 )
+from epifront.threshold import _MAX_EXPAND, _find_threshold
 
 # A habitat at 80% of the critical width: R0F(0) < 1 < R0, thresholds exist
 # and the near-critical transients stay short enough for coarse probing.
@@ -92,6 +97,49 @@ class TestMuStar:
         _, cls = simulate(p, monod2, InitialData.cosine(0.5, P_SUB.h0),
                           SolverConfig(n_cells=64, dt_max=5e-3, t_max=150.0))
         assert cls.verdict is Verdict.VANISHING
+
+
+def synthetic_search(spreads, seed):
+    """``_find_threshold`` on P_SUB with ``spreads(value)`` in place of a simulation."""
+
+    def run(value, config):
+        verdict = Verdict.SPREADING if spreads(value) else Verdict.VANISHING
+        return Classification(verdict, Evidence("synthetic", 0.0, 0.0, 0.0, 0.0, 0.0))
+
+    return _find_threshold("sigma", P_SUB, InfectionResponse.monod(2.0), FAST_SIM, COARSE,
+                           run, lambda bisect: seed)
+
+
+class TestBracketSearch:
+    def test_hi_doubles_up_to_the_step(self):
+        result = synthetic_search(lambda v: v >= 5.0, seed=0.1)
+        assert result.status == "bracketed"
+        assert result.lo < 5.0 <= result.hi
+        assert result.rel_width <= COARSE.rel_tol
+        assert 6.4 in {r.value for r in result.probes}  # 0.1 doubled six times
+        assert result.monotone
+
+    def test_always_spreading_exhausts_lo_halvings(self):
+        result = synthetic_search(lambda v: True, seed=1.0)
+        assert result.status == "inconclusive"
+        assert result.n_sims == 1 + _MAX_EXPAND
+        assert all(r.verdict is Verdict.SPREADING for r in result.probes)
+
+    def test_never_spreading_exhausts_hi_doublings(self):
+        result = synthetic_search(lambda v: False, seed=1.0)
+        assert result.status == "inconclusive"
+        assert result.n_sims == _MAX_EXPAND == 40
+        assert result.hi == 2.0**_MAX_EXPAND
+
+    def test_monotone_false_when_spreading_below_vanishing(self):
+        def probe(value, verdict):
+            return ProbeRecord(value, verdict, "synthetic", 0.0, 0.0)
+
+        def monotone(*probes):
+            return ThresholdResult("sigma", "bracketed", 1.0, 2.0, list(probes)).monotone
+
+        assert not monotone(probe(2.0, Verdict.VANISHING), probe(1.0, Verdict.SPREADING))
+        assert monotone(probe(2.0, Verdict.SPREADING), probe(1.0, Verdict.VANISHING))
 
 
 class TestSweep:
