@@ -55,6 +55,7 @@ from .solver import (
     initial_state,
     sample_physical,
     simulate,
+    simulate_batch,
     step,
     transform_coefficients,
 )

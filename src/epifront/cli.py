@@ -32,7 +32,7 @@ from .errors import (
     ThresholdUndefinedError,
 )
 from .model import InfectionResponse, InitialData, ModelParams
-from .solver import EARLY_STOP_MODES, SolverConfig, Trajectory, simulate
+from .solver import EARLY_STOP_MODES, Frame, SolverConfig, Trajectory, simulate
 
 # epifront no longer reads this variable; the name stays importable for
 # scripts that still set it.
@@ -307,18 +307,21 @@ def write_trajectory_csv(path: Path, traj: Trajectory, residuals: np.ndarray) ->
 
 
 def write_profiles_csv(path: Path, traj: Trajectory, times: list[float]) -> list[float]:
-    """Write the profile of each requested time that has a frame; return
-    the times the run never reached.  ``simulate`` snaps every record time
-    to its exact value, so the lookup is exact."""
+    """Write the profile of each requested time that has a frame, once per
+    frame; return the times the run never reached.  Each time is looked up
+    with :meth:`Trajectory.frame_at`, the tolerance within which
+    ``simulate`` lands on a record time."""
     y = traj.y_grid()
-    by_time = {f.t: f for f in traj.frames}
-    lines = ["t,x,u,v"]
+    found: dict[float, Frame] = {}
     missing = []
     for target in times:
-        frame = by_time.get(target)
+        frame = traj.frame_at(target)
         if frame is None:
             missing.append(target)
-            continue
+        else:
+            found.setdefault(frame.t, frame)
+    lines = ["t,x,u,v"]
+    for frame in found.values():
         x = (y * frame.width + traj.h0 * (frame.h + frame.g)) / (2.0 * traj.h0)
         for xi, ui, vi in zip(x, frame.w, frame.z):
             lines.append(",".join(_fmt(v) for v in (frame.t, xi, ui, vi)))
@@ -517,7 +520,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     if profile_times:
         missing = write_profiles_csv(out / "profiles.csv", traj, profile_times)
         if missing:
-            print(f"profiles: no frame at t = {', '.join(f'{t:.6g}' for t in missing)} "
+            print(f"profiles: no frame at t = {', '.join(map(repr, missing))} "
                   f"(run ended at t = {traj.final.t:.6g})", file=sys.stderr)
 
     if args.svg:

@@ -25,7 +25,7 @@ from .model import (
     endemic_equilibrium,
     free_boundary_reproduction_number,
 )
-from .solver import SolverConfig, simulate
+from .solver import SolverConfig, simulate, simulate_batch
 
 _MAX_EXPAND = 40   # doublings of hi, then halvings of lo, before giving up
 _MAX_ITER = 80     # bisection steps once both sides are found
@@ -239,20 +239,18 @@ def sweep(
 ) -> list[SweepCell]:
     """Classify every (params, initial-data) pair of the cross product.
 
-    Cells run independently, one after another; per-cell failures are
-    recorded in the cell rather than aborting the sweep.
+    All cells run as one lockstep batch (:func:`simulate_batch`), each
+    leaving it at its own verdict or horizon; a cell that fails is recorded
+    as an error cell rather than aborting the sweep.
     """
+    members = [(params, resp, init) for params in param_grid for init in init_grid]
     cells = []
-    for params in param_grid:
-        cfg = (sim_config or SolverConfig()).resolved(params)
-        for init in init_grid:
-            try:
-                _, cls = simulate(params, resp, init, cfg)
-            except Exception as exc:  # noqa: BLE001 - recorded, sweep continues
-                cells.append(SweepCell(params, init.sigma, None, "error", math.nan,
-                                       math.nan, error=f"{type(exc).__name__}: {exc}"))
-                continue
-            ev = cls.evidence
-            cells.append(SweepCell(params, init.sigma, cls.verdict, ev.criterion,
-                                   ev.time, ev.final_width))
+    for (params, _, init), (_, outcome) in zip(members, simulate_batch(members, sim_config)):
+        if isinstance(outcome, Exception):
+            cells.append(SweepCell(params, init.sigma, None, "error", math.nan, math.nan,
+                                   error=f"{type(outcome).__name__}: {outcome}"))
+            continue
+        ev = outcome.evidence
+        cells.append(SweepCell(params, init.sigma, outcome.verdict, ev.criterion,
+                               ev.time, ev.final_width))
     return cells

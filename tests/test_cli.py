@@ -188,9 +188,20 @@ class TestRunCommand:
         out = tmp_path / "out"
         assert main(["run", "--config", cfg, "--out", str(out), "--profiles", "0.5,1.9,100"]) == 0
         err = capsys.readouterr().err
-        assert "profiles: no frame at t = 1.9, 100 (run ended at t = 1.28)" in err
+        assert "profiles: no frame at t = 1.9, 100.0 (run ended at t = 1.28)" in err
         rows = (out / "profiles.csv").read_text().splitlines()
         assert {row.split(",")[0] for row in rows[1:]} == {"0.5"}
+
+    def test_profile_time_next_to_another_is_merged(self, tmp_path, capsys):
+        # The second time lies within the run's landing tolerance of the
+        # first: both are served by the one frame at t = 1.
+        cfg = write(tmp_path, FAST + "solver.early_stop = none\n")
+        out = tmp_path / "out"
+        assert main(["run", "--config", cfg, "--out", str(out),
+                     "--profiles", "1.0,1.00000000000001"]) == 0
+        assert "no frame" not in capsys.readouterr().err
+        rows = (out / "profiles.csv").read_text().splitlines()
+        assert [row.split(",")[0] for row in rows[1:]] == ["1"] * 65
 
     def test_svg_is_wellformed(self, tmp_path):
         cfg = write(tmp_path, FAST)
@@ -222,10 +233,13 @@ class TestRunCommand:
 
     # FAST records a frame every 20 steps: the 100th step fails after 5 frames, the
     # 5th monitor check on the 5th frame, and the 1st step leaves only the initial frame.
+    # A run is a batch of one member, so each call of the stepper is one step.
     @pytest.mark.parametrize("target, name, calls, error, code, frames", [
-        (solver_mod, "step", 100, lambda: BlowUpError("synthetic blow-up", 0.0, -1.0, 1.0), 3, 5),
+        (solver_mod, "_step_batch", 100,
+         lambda: BlowUpError("synthetic blow-up", 0.0, -1.0, 1.0), 3, 5),
         (Monitors, "on_frame", 5, lambda: MonitorViolation("bounds", 0.0, "synthetic"), 4, 5),
-        (solver_mod, "step", 1, lambda: BlowUpError("synthetic blow-up", 0.0, -1.0, 1.0), 3, 1),
+        (solver_mod, "_step_batch", 1,
+         lambda: BlowUpError("synthetic blow-up", 0.0, -1.0, 1.0), 3, 1),
     ])
     def test_failure_mid_run_writes_last_good_frames(self, tmp_path, monkeypatch, capsys,
                                                      target, name, calls, error, code, frames):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from epifront import (
     BlowUpError,
     DomainError,
+    Frame,
     InfectionResponse,
     InitialData,
     ModelParams,
@@ -15,7 +17,9 @@ from epifront import (
     initial_state,
     sample_physical,
     simulate,
+    simulate_batch,
     step,
+    sweep,
     transform_coefficients,
 )
 from conftest import zero_response
@@ -103,6 +107,11 @@ class TestStep:
             centers[n] = frame.w[n // 2]
             assert np.all(frame.z == 0.0)
         assert abs(centers[64] - centers[512]) / centers[512] < 0.01
+
+    def test_non_positive_step_rejected(self, unit_params, monod2):
+        state = initial_state(unit_params, InitialData.cosine(1.0, 1.0), 64)
+        with pytest.raises(DomainError, match="non-positive step size"):
+            step(state, unit_params, monod2, SolverConfig(n_cells=64), dt_cap=0.0)
 
     def test_blow_up_detected(self, unit_params):
         diverging = InfectionResponse(
@@ -230,6 +239,83 @@ class TestSimulate:
         bad = InitialData(1.0, phi=lambda x: -np.cos(np.pi * x / 2), psi=lambda x: 0.0 * x)
         with pytest.raises(DomainError, match="nonnegative"):
             simulate(unit_params, monod2, bad, SolverConfig(t_max=1.0))
+
+
+def assert_same_run(got, solo):
+    """``got`` equals the solo run ``solo`` exactly: every Frame field (the
+    w/z arrays included), the step count, the stop reason and the verdict."""
+    (traj, cls), (traj_solo, cls_solo) = got, solo
+    assert (traj.n_steps, traj.terminated_by) == (traj_solo.n_steps, traj_solo.terminated_by)
+    assert cls == cls_solo
+    assert len(traj.frames) == len(traj_solo.frames)
+    for frame, frame_solo in zip(traj.frames, traj_solo.frames):
+        for name in (f.name for f in dataclasses.fields(Frame)):
+            assert np.array_equal(getattr(frame, name), getattr(frame_solo, name)), name
+
+
+class TestSimulateBatch:
+    P = ModelParams(d=1.0, a11=1.0, a12=1.0, a22=1.0, mu=1.0, h0=0.4 * math.pi)
+
+    def test_members_equal_solo_runs(self, monod2):
+        # The perfbench sweep_grid grid, shortened, plus a member with another d;
+        # dt_max is left to each member's own resolution (1e-3 h0^2 / d).
+        members = [(self.P.with_(mu=mu), monod2, InitialData.cosine(sigma, self.P.h0))
+                   for mu in (0.5, 1.0) for sigma in (0.02, 0.05, 0.1, 0.2, 0.5, 1.0, 2.0, 5.0)]
+        members.append((self.P.with_(d=0.6), monod2, InitialData.cosine(0.3, self.P.h0)))
+        cfg = SolverConfig(n_cells=64, t_max=2.0, record_times=(0.7,))
+        results = simulate_batch(members, cfg)
+        assert len(results) == len(members)
+        for member, got in zip(members, results):
+            assert_same_run(got, simulate(*member, cfg))
+        steps = {traj.n_steps for traj, _ in results}
+        assert len(steps) > 1  # members left the batch at different steps
+        assert all(np.any(traj.times == 0.7) for traj, _ in results if traj.final.t > 0.7)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf - inf in the bad row
+    def test_failure_stays_in_its_member(self, monod2):
+        # The second member's infinite bacteria make its explicit update non-finite
+        # at the first step; the stacked solve must not carry that to the others.
+        h0 = self.P.h0
+        bad = InitialData(1.0, phi=lambda x: np.cos(np.pi * x / (2 * h0)),
+                          psi=lambda x: np.where(np.abs(x) < 0.5, np.inf, 0.0))
+        inits = [InitialData.cosine(s, h0) for s in (0.5, 1.0, 2.0)]
+        inits.insert(1, bad)
+        members = [(self.P, monod2, init) for init in inits]
+        cfg = SolverConfig(n_cells=64, dt_max=0.005, t_max=1.0)
+        results = simulate_batch(members, cfg)
+        traj, err = results[1]
+        assert isinstance(err, BlowUpError)
+        assert (err.t, err.g, err.h) == (0.0, -h0, h0)
+        assert len(traj.frames) == 1
+        for i in (0, 2, 3):
+            assert_same_run(results[i], simulate(*members[i], cfg))
+        cells = sweep([self.P], monod2, inits, cfg)
+        assert cells[1].verdict is None
+        assert cells[1].error.startswith("BlowUpError: non-finite field values")
+        assert [cells[i].verdict for i in (0, 2, 3)] == [results[i][1].verdict for i in (0, 2, 3)]
+
+    def test_singular_solve_ends_every_member(self, monod2, monkeypatch):
+        from epifront import solver as solver_mod
+
+        real = solver_mod.dgtsv
+
+        def singular(*args, **kwargs):
+            *out, _ = real(*args, **kwargs)
+            return (*out, 5)
+
+        monkeypatch.setattr(solver_mod, "dgtsv", singular)
+        members = [(self.P, monod2, InitialData.cosine(s, self.P.h0)) for s in (0.5, 1.0)]
+        for traj, outcome in simulate_batch(members, SolverConfig(n_cells=64, t_max=1.0)):
+            assert isinstance(outcome, np.linalg.LinAlgError)
+            assert len(traj.frames) == 1
+
+    def test_members_must_share_the_response(self, monod2):
+        init = InitialData.cosine(1.0, self.P.h0)
+        with pytest.raises(DomainError, match="share one InfectionResponse"):
+            simulate_batch([(self.P, monod2, init), (self.P, InfectionResponse.monod(2.0), init)])
+
+    def test_empty_batch(self):
+        assert simulate_batch([]) == []
 
 
 class TestSamplePhysical:

@@ -18,6 +18,7 @@ from epifront import (
     find_mu_star,
     find_sigma_star,
     simulate,
+    simulate_batch,
     sweep,
 )
 from epifront.threshold import _MAX_EXPAND, _find_threshold
@@ -164,6 +165,23 @@ class TestSweep:
     def test_empty_grid(self, unit_params, monod2):
         assert sweep([], monod2, [], FAST_SIM) == []
         assert sweep([unit_params], monod2, [], FAST_SIM) == []
+
+    def test_grid_is_one_batch(self, monod2, monkeypatch):
+        from epifront import threshold as threshold_mod
+
+        calls = []
+
+        def counted(members, config=None, monitors=None):
+            calls.append(len(members))
+            return simulate_batch(members, config, monitors)
+
+        monkeypatch.setattr(threshold_mod, "simulate_batch", counted)
+        params = [P_SUB.with_(mu=mu) for mu in (0.5, 1.0)]
+        inits = [InitialData.cosine(s, P_SUB.h0) for s in (0.1, 1.0)]
+        cells = sweep(params, monod2, inits, SolverConfig(n_cells=64, dt_max=5e-3, t_max=1.0))
+        assert calls == [4]
+        assert [(c.params.mu, c.sigma) for c in cells] == [(0.5, 0.1), (0.5, 1.0),
+                                                          (1.0, 0.1), (1.0, 1.0)]
 
     def test_cell_error_recorded_not_fatal(self, unit_params, monod2):
         bad = InitialData(1.0, phi=lambda x: np.ones_like(np.asarray(x, dtype=float)),
