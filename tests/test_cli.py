@@ -235,11 +235,13 @@ class TestRunCommand:
     # 5th monitor check on the 5th frame, and the 1st step leaves only the initial frame.
     # A run is a batch of one member, so each call of the stepper is one step.
     @pytest.mark.parametrize("target, name, calls, error, code, frames", [
-        (solver_mod, "_step_batch", 100,
-         lambda: BlowUpError("synthetic blow-up", 0.0, -1.0, 1.0), 3, 5),
+        pytest.param(solver_mod, "_step_batch", 100,
+                     lambda: BlowUpError("synthetic blow-up", 0.0, -1.0, 1.0), 3, 5,
+                     id="epifront.solver-step-100-<lambda>-3-5"),
         (Monitors, "on_frame", 5, lambda: MonitorViolation("bounds", 0.0, "synthetic"), 4, 5),
-        (solver_mod, "_step_batch", 1,
-         lambda: BlowUpError("synthetic blow-up", 0.0, -1.0, 1.0), 3, 1),
+        pytest.param(solver_mod, "_step_batch", 1,
+                     lambda: BlowUpError("synthetic blow-up", 0.0, -1.0, 1.0), 3, 1,
+                     id="epifront.solver-step-1-<lambda>-3-1"),
     ])
     def test_failure_mid_run_writes_last_good_frames(self, tmp_path, monkeypatch, capsys,
                                                      target, name, calls, error, code, frames):
