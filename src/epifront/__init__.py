@@ -57,7 +57,6 @@ from .solver import (
     simulate,
     simulate_batch,
     step,
-    transform_coefficients,
 )
 from .threshold import (
     BisectConfig,

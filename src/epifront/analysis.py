@@ -214,10 +214,9 @@ def equilibrium_convergence(
     if equilibrium is None:
         raise DomainError("no endemic equilibrium: R0 <= 1")
     u_star, v_star = equilibrium
-    y = traj.y_grid()
     errs = np.empty(len(traj.frames))
     for k, f in enumerate(traj.frames):
-        x = (y * f.width + traj.h0 * (f.h + f.g)) / (2.0 * traj.h0)
+        x = traj.x_grid(f)
         inside = (x >= -half_width) & (x <= half_width)
         err = 0.0
         if inside.any():

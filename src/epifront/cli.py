@@ -311,7 +311,6 @@ def write_profiles_csv(path: Path, traj: Trajectory, times: list[float]) -> list
     frame; return the times the run never reached.  Each time is looked up
     with :meth:`Trajectory.frame_at`, the tolerance within which
     ``simulate`` lands on a record time."""
-    y = traj.y_grid()
     found: dict[float, Frame] = {}
     missing = []
     for target in times:
@@ -322,8 +321,7 @@ def write_profiles_csv(path: Path, traj: Trajectory, times: list[float]) -> list
             found.setdefault(frame.t, frame)
     lines = ["t,x,u,v"]
     for frame in found.values():
-        x = (y * frame.width + traj.h0 * (frame.h + frame.g)) / (2.0 * traj.h0)
-        for xi, ui, vi in zip(x, frame.w, frame.z):
+        for xi, ui, vi in zip(traj.x_grid(frame), frame.w, frame.z):
             lines.append(",".join(_fmt(v) for v in (frame.t, xi, ui, vi)))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return missing
@@ -473,7 +471,9 @@ def svg_heatmap(path: Path, title: str, xlabel: str, ylabel: str,
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def _write_partial(traj: Trajectory | None, setup: RunSetup, out: Path) -> Path | None:
+def _write_trajectory(traj: Trajectory | None, setup: RunSetup, out: Path) -> Path | None:
+    """Write trajectory.csv, or nothing when no frame was recorded.  The mass
+    balance needs two frames, so a run that failed before then reports zeros."""
     if traj is None or not traj.frames:
         return None
     path = out / "trajectory.csv"
@@ -506,13 +506,12 @@ def cmd_run(args: argparse.Namespace) -> int:
             monitors=analysis.Monitors(cert, **setup.monitor_toggles),
         )
     except (BlowUpError, MonitorViolation) as exc:
-        path = _write_partial(getattr(exc, "trajectory", None), setup, out)
+        path = _write_trajectory(getattr(exc, "trajectory", None), setup, out)
         where = f"; last good frames in {path}" if path else ""
         print(f"error: {exc}{where}", file=sys.stderr)
         return 3 if isinstance(exc, BlowUpError) else 4
 
-    residuals = analysis.mass_balance_residual(traj, setup.params)
-    write_trajectory_csv(out / "trajectory.csv", traj, residuals)
+    _write_trajectory(traj, setup, out)
 
     payload = _summary_payload(setup, traj, cls, cert)
     (out / "summary.json").write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")

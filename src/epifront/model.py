@@ -87,14 +87,12 @@ class InfectionResponse:
         """Saturating response G(z) = a21 z / (1 + z)."""
         if not (math.isfinite(a21) and a21 > 0):
             raise DomainError(f"a21 must be finite and > 0 (got {a21!r})")
-        resp = cls(
+        return cls(
             g=lambda z: a21 * z / (1.0 + z),
             g_prime=lambda z: a21 / (1.0 + z) ** 2,
             deriv_at_zero=a21,
             kind="monod",
         )
-        resp.a21 = a21
-        return resp
 
     @classmethod
     def table(cls, z: Sequence[float], g: Sequence[float]) -> "InfectionResponse":
@@ -183,13 +181,11 @@ class CheckResult:
     name: str
     passed: bool
     detail: str
-    witness: float | None = None
 
 
 @dataclass(frozen=True)
 class ResponseReport:
     checks: tuple[CheckResult, ...]
-    slope_cap: float
     deriv_trend: str  # "decreasing" | "increasing" | "mixed"
 
     @property
@@ -233,9 +229,7 @@ def validate_response(
     checks: list[CheckResult] = []
 
     tol0 = 1e-12 * max(1.0, abs(resp.deriv_at_zero))
-    checks.append(
-        CheckResult("zero_at_origin", abs(g0) <= tol0, f"G(0) = {g0!r}", witness=0.0)
-    )
+    checks.append(CheckResult("zero_at_origin", abs(g0) <= tol0, f"G(0) = {g0!r}"))
 
     pos = derivs > 0
     bad = None if bool(pos.all()) and resp.deriv_at_zero > 0 else float(probes[np.argmin(pos)])
@@ -244,7 +238,6 @@ def validate_response(
             "derivative_positive",
             bad is None,
             "G' > 0 at all probes" if bad is None else f"G'({bad!r}) <= 0",
-            witness=bad,
         )
     )
 
@@ -257,7 +250,6 @@ def validate_response(
             "ratio_nonincreasing",
             wit is None,
             "G(z)/z non-increasing" if wit is None else f"G(z)/z increases at z={wit!r}",
-            witness=wit,
         )
     )
 
@@ -268,7 +260,6 @@ def validate_response(
             "asymptotic_slope",
             tail < slope_cap,
             f"G(z)/z = {tail:.6g} at z = {probes[-1]:.3g} vs cap {slope_cap:.6g}",
-            witness=float(probes[-1]),
         )
     )
 
@@ -277,7 +268,7 @@ def validate_response(
     nonfalling = bool(np.all(derivs[1:] >= derivs[:-1] - dslack))
     trend = "decreasing" if nonrising else ("increasing" if nonfalling else "mixed")
 
-    return ResponseReport(checks=tuple(checks), slope_cap=slope_cap, deriv_trend=trend)
+    return ResponseReport(checks=tuple(checks), deriv_trend=trend)
 
 
 # ---------------------------------------------------------------------------
@@ -359,10 +350,10 @@ class SmallDataBound:
 
     Initial data lying below eps * psi pointwise (and below
     v_factor * eps * psi in the second component), with
-    psi(x) = cos(pi x / (2 h0)), must vanish.  ``sup_u_threshold`` and
-    ``sup_v_threshold`` are the cruder sup-norm versions of the same
-    guarantee.  ``endpoint_check_rigorous`` is False when G' is not
-    monotone, in which case the certificate is heuristic.
+    psi(x) = cos(pi x / (2 h0)), must vanish.  ``sup_u_threshold`` is the
+    cruder sup-norm version of the same guarantee for u.
+    ``endpoint_check_rigorous`` is False when G' is not monotone, in which
+    case the certificate is heuristic.
     """
 
     delta: float
@@ -370,7 +361,6 @@ class SmallDataBound:
     lambda0: float
     v_factor: float
     sup_u_threshold: float
-    sup_v_threshold: float
     endpoint_check_rigorous: bool = True
 
 
@@ -437,7 +427,6 @@ def small_data_vanishing_bound(
         lambda0=lam0,
         v_factor=v_factor,
         sup_u_threshold=eps * crest,
-        sup_v_threshold=eps * crest * v_factor,
         endpoint_check_rigorous=(deriv_trend != "mixed"),
     )
 

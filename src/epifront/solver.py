@@ -22,8 +22,10 @@ first and last rows are identity rows, so every member gets exactly the
 numbers it would get solved alone.  The run loop (``simulate_batch``)
 owns, per member, the record times, the frame stride, the classifier
 cadence, early stopping and failures, and drops a member from the batch
-once it is done.  ``simulate`` is its one-member case and ``step`` the
-stepper's.
+once it is done.  One ``_Run`` record per member holds both the scalars
+the stepper advances and the run loop's bookkeeping, and builds the
+member's frames.  ``simulate`` is the run loop's one-member case and
+``step`` the stepper's.
 """
 
 from __future__ import annotations
@@ -173,26 +175,9 @@ class Trajectory:
     def y_grid(self) -> np.ndarray:
         return np.linspace(-self.h0, self.h0, self.n_cells + 1)
 
-
-def transform_coefficients(
-    p: ModelParams,
-    g: float,
-    h: float,
-    g_speed: float,
-    h_speed: float,
-    y: np.ndarray | float,
-):
-    """Advection coefficient A(y) and diffusion coefficient B of the fixed-grid system.
-
-    The stepper evaluates the same expressions, member by member, on its
-    blocks.
-    """
-    width = h - g
-    if not width > 0:
-        raise DomainError(f"degenerate domain: h - g = {width!r}")
-    a = (y * (h_speed - g_speed) + p.h0 * (h_speed + g_speed)) / width
-    b = 4.0 * p.h0 * p.h0 * p.d / (width * width)
-    return a, b
+    def x_grid(self, frame: Frame) -> np.ndarray:
+        """Physical positions x(y) of the y-grid nodes at ``frame``."""
+        return (self.y_grid() * frame.width + self.h0 * (frame.h + frame.g)) / (2.0 * self.h0)
 
 
 def front_speeds(state: SolverState, p: ModelParams) -> tuple[float, float]:
@@ -235,8 +220,9 @@ def initial_state(p: ModelParams, init: InitialData, n_cells: int) -> SolverStat
 
 
 @dataclass(eq=False)
-class _Member:
-    """The scalars of one batch member that the stepper reads and advances."""
+class _Run:
+    """One member of a batch: the scalars the stepper reads and advances,
+    then the run loop's bookkeeping, which a bare ``step`` leaves unset."""
 
     p: ModelParams
     config: SolverConfig  # resolved
@@ -244,9 +230,67 @@ class _Member:
     g: float
     h: float
     clipped_total: float = 0.0
+    index: int = 0  # position in the members of simulate_batch
+    resp: InfectionResponse | None = None
+    monitors: "analysis.Monitors | None" = None
+    traj: Trajectory | None = None
+    targets: list[float] = field(default_factory=list)
+    target_idx: int = 0
+    steps_since_frame: int = 0
+    frames_since_classify: int = 0
+    clipped_mark: float = 0.0
+
+    def record(self, w: np.ndarray, z: np.ndarray) -> None:
+        """Append the frame of the fields w, z (this member's rows) at the current t."""
+        p = self.p
+        dy = 2.0 * p.h0 / self.config.n_cells
+        width = self.h - self.g
+        jac = width / (2.0 * p.h0)
+        mass = float(np.trapezoid(w + (p.a12 / p.a22) * z, dx=dy)) * jac
+        reaction = float(np.trapezoid(-p.a11 * w + (p.a12 / p.a22) * self.resp(w), dx=dy)) * jac
+        g_speed, h_speed = _stefan_speeds(*w[_EDGE_NODES], dy, 2.0 * p.h0 * p.mu / width)
+        frame = Frame(
+            t=self.t, g=self.g, h=self.h, width=width, sup_w=float(w.max()),
+            sup_z=float(z.max()), mass=mass,
+            r0f=free_boundary_reproduction_number(p, self.resp, width),
+            g_speed=g_speed, h_speed=h_speed, reaction=reaction,
+            clipped=self.clipped_total - self.clipped_mark, w=w.copy(), z=z.copy(),
+        )
+        self.clipped_mark = self.clipped_total
+        self.traj.frames.append(frame)
+        if self.monitors is not None:
+            self.monitors.on_frame(frame, self.traj)
+
+    def after_step(self, w: np.ndarray, z: np.ndarray) -> "analysis.Classification | None":
+        """Land on the record time, record and classify after one step of
+        this member; return the classification once its run is over."""
+        self.traj.n_steps += 1
+        self.steps_since_frame += 1
+        target = self.targets[self.target_idx]
+        hit_target = abs(self.t - target) <= _TIME_SNAP * max(1.0, target)
+        if hit_target:
+            self.t = target
+            self.target_idx += 1
+        # Every step is capped at target - t and the last target is t_max,
+        # so the step that reaches t_max hits its target and is recorded.
+        if hit_target or self.steps_since_frame >= self.config.frame_stride:
+            self.record(w, z)
+            self.steps_since_frame = 0
+            self.frames_since_classify += 1
+            stop_verdicts = _STOP_VERDICTS[self.config.early_stop]
+            if stop_verdicts and self.frames_since_classify >= _CLASSIFY_STRIDE:
+                self.frames_since_classify = 0
+                partial = analysis.classify(self.traj)
+                if partial.verdict in stop_verdicts:
+                    self.traj.terminated_by = f"classifier:{partial.verdict.value}"
+                    return partial
+        if self.t < self.config.t_max * (1.0 - 1e-14):
+            return None
+        self.traj.terminated_by = "t_max"
+        return analysis.classify(self.traj)
 
 
-def _blow_up(m: _Member, dt: float) -> BlowUpError:
+def _blow_up(m: _Run, dt: float) -> BlowUpError:
     return BlowUpError(f"non-finite field values at t={m.t + dt:.6g}", m.t, m.g, m.h)
 
 
@@ -262,7 +306,7 @@ _IDLE_ROW = (0.0, 1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0)
 
 
 def _step_batch(
-    members: list[_Member],
+    members: list[_Run],
     resp: InfectionResponse,
     w: np.ndarray,
     z: np.ndarray,
@@ -395,7 +439,7 @@ def step(
     """
     if config.dt_max is None:
         config = config.resolved(p)
-    m = _Member(p, config, state.t, state.g, state.h, state.clipped_total)
+    m = _Run(p, config, state.t, state.g, state.h, state.clipped_total)
     w, z, failed = _step_batch([m], resp, state.w[None], state.z[None], state.y[None], [dt_cap])
     if failed:
         raise failed[0]
@@ -417,34 +461,6 @@ def sample_physical(state: SolverState, x):
     return u, v
 
 
-def _make_frame(
-    state: SolverState, p: ModelParams, resp: InfectionResponse, clipped_prev: float
-) -> Frame:
-    dy = 2.0 * state.h0 / state.n_cells
-    jac = state.width / (2.0 * state.h0)
-    mass = float(np.trapezoid(state.w + (p.a12 / p.a22) * state.z, dx=dy)) * jac
-    reaction = (
-        float(np.trapezoid(-p.a11 * state.w + (p.a12 / p.a22) * resp(state.w), dx=dy)) * jac
-    )
-    g_speed, h_speed = front_speeds(state, p)
-    return Frame(
-        t=state.t,
-        g=state.g,
-        h=state.h,
-        width=state.width,
-        sup_w=float(state.w.max()),
-        sup_z=float(state.z.max()),
-        mass=mass,
-        r0f=free_boundary_reproduction_number(p, resp, state.width),
-        g_speed=g_speed,
-        h_speed=h_speed,
-        reaction=reaction,
-        clipped=state.clipped_total - clipped_prev,
-        w=state.w.copy(),
-        z=state.z.copy(),
-    )
-
-
 def _record_targets(config: SolverConfig) -> list[float]:
     """The times a run lands on: its record times in (0, t_max], then t_max.
 
@@ -457,62 +473,6 @@ def _record_targets(config: SolverConfig) -> list[float]:
         if not targets or s > targets[-1] * (1.0 + _TIME_SNAP):
             targets.append(s)
     return targets + [config.t_max]
-
-
-@dataclass(eq=False)
-class _Run:
-    """The run loop's bookkeeping for one member of a batch."""
-
-    index: int  # position in the members of simulate_batch
-    member: _Member
-    resp: InfectionResponse
-    monitors: "analysis.Monitors | None"
-    traj: Trajectory
-    targets: list[float]
-    target_idx: int = 0
-    steps_since_frame: int = 0
-    frames_since_classify: int = 0
-    clipped_mark: float = 0.0
-
-    def record(self, w: np.ndarray, z: np.ndarray, y: np.ndarray) -> None:
-        m = self.member
-        state = SolverState(t=m.t, g=m.g, h=m.h, w=w, z=z, y=y, h0=m.p.h0,
-                            clipped_total=m.clipped_total)
-        frame = _make_frame(state, m.p, self.resp, self.clipped_mark)
-        self.clipped_mark = m.clipped_total
-        self.traj.frames.append(frame)
-        if self.monitors is not None:
-            self.monitors.on_frame(frame, self.traj)
-
-    def after_step(self, w: np.ndarray, z: np.ndarray,
-                   y: np.ndarray) -> "analysis.Classification | None":
-        """Land on the record time, record and classify after one step of
-        this member; return the classification once its run is over."""
-        m = self.member
-        self.traj.n_steps += 1
-        self.steps_since_frame += 1
-        target = self.targets[self.target_idx]
-        hit_target = abs(m.t - target) <= _TIME_SNAP * max(1.0, target)
-        if hit_target:
-            m.t = target
-            self.target_idx += 1
-        # Every step is capped at target - t and the last target is t_max,
-        # so the step that reaches t_max hits its target and is recorded.
-        if hit_target or self.steps_since_frame >= m.config.frame_stride:
-            self.record(w, z, y)
-            self.steps_since_frame = 0
-            self.frames_since_classify += 1
-            stop_verdicts = _STOP_VERDICTS[m.config.early_stop]
-            if stop_verdicts and self.frames_since_classify >= _CLASSIFY_STRIDE:
-                self.frames_since_classify = 0
-                partial = analysis.classify(self.traj)
-                if partial.verdict in stop_verdicts:
-                    self.traj.terminated_by = f"classifier:{partial.verdict.value}"
-                    return partial
-        if m.t < m.config.t_max * (1.0 - 1e-14):
-            return None
-        self.traj.terminated_by = "t_max"
-        return analysis.classify(self.traj)
 
 
 def simulate_batch(
@@ -548,10 +508,10 @@ def simulate_batch(
         except Exception as exc:  # noqa: BLE001 - the member's outcome
             results[index] = (None, exc)
             continue
-        run = _Run(index, _Member(p, cfg, state.t, state.g, state.h), resp, mon,
-                   Trajectory(h0=p.h0, n_cells=cfg.n_cells), _record_targets(cfg))
+        run = _Run(p, cfg, state.t, state.g, state.h, index=index, resp=resp, monitors=mon,
+                   traj=Trajectory(h0=p.h0, n_cells=cfg.n_cells), targets=_record_targets(cfg))
         try:
-            run.record(state.w, state.z, state.y)
+            run.record(state.w, state.z)
         except Exception as exc:  # noqa: BLE001 - the member's outcome
             results[index] = (run.traj, exc)
             continue
@@ -562,9 +522,9 @@ def simulate_batch(
     y = np.array([state.y for state in states])
 
     while runs:
-        caps = [run.targets[run.target_idx] - run.member.t for run in runs]
+        caps = [run.targets[run.target_idx] - run.t for run in runs]
         try:
-            w, z, failed = _step_batch([run.member for run in runs], runs[0].resp, w, z, y, caps)
+            w, z, failed = _step_batch(runs, runs[0].resp, w, z, y, caps)
         except Exception as exc:  # noqa: BLE001 - not tied to one member, so it ends all
             for run in runs:
                 results[run.index] = (run.traj, exc)
@@ -574,7 +534,7 @@ def simulate_batch(
             outcome = failed.get(i)
             if outcome is None:
                 try:
-                    outcome = run.after_step(w[i], z[i], y[i])
+                    outcome = run.after_step(w[i], z[i])
                 except Exception as exc:  # noqa: BLE001 - the member's outcome
                     outcome = exc
             if outcome is None:

@@ -36,6 +36,13 @@ class BisectConfig:
     rel_tol: float = 1e-2
     hi_seed_factor: float = 10.0   # initial hi scale: sup u0 = factor * u_star
 
+    def __post_init__(self) -> None:
+        if not 0.0 < self.rel_tol < 1.0:
+            raise DomainError(f"rel_tol must be in (0, 1) (got {self.rel_tol!r})")
+        if not (math.isfinite(self.hi_seed_factor) and self.hi_seed_factor > 0):
+            raise DomainError(f"hi_seed_factor must be finite and > 0 "
+                              f"(got {self.hi_seed_factor!r})")
+
 
 @dataclass(frozen=True)
 class ProbeRecord:

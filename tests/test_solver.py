@@ -20,32 +20,8 @@ from epifront import (
     simulate_batch,
     step,
     sweep,
-    transform_coefficients,
 )
 from conftest import zero_response
-
-
-class TestTransformCoefficients:
-    def test_identity_at_start(self, unit_params):
-        y = np.linspace(-1.0, 1.0, 9)
-        a, b = transform_coefficients(unit_params, -1.0, 1.0, 0.0, 0.0, y)
-        assert np.all(a == 0.0)
-        assert b == pytest.approx(unit_params.d)
-
-    def test_substitution_example(self, unit_params):
-        a, b = transform_coefficients(unit_params, -2.0, 2.0, -1.0, 1.0, 1.0)
-        assert a == pytest.approx(0.5)
-        assert b == pytest.approx(unit_params.d / 4.0)
-
-    def test_symmetric_fronts_give_odd_coefficient(self, unit_params):
-        y = np.linspace(-1.0, 1.0, 33)
-        a, _ = transform_coefficients(unit_params, -3.0, 3.0, -0.7, 0.7, y)
-        assert a[16] == 0.0
-        assert np.allclose(a + a[::-1], 0.0, atol=1e-15)
-
-    def test_degenerate_domain(self, unit_params):
-        with pytest.raises(DomainError):
-            transform_coefficients(unit_params, 1.0, 1.0, 0.0, 0.0, 0.0)
 
 
 class TestFrontSpeeds:
@@ -65,6 +41,16 @@ class TestFrontSpeeds:
             errors.append(abs(h_speed - exact))
         orders = [math.log2(errors[k] / errors[k + 1]) for k in range(2)]
         assert min(orders) > 1.7
+
+    def test_first_frame_matches_initial_state(self, monod2):
+        # The run loop computes a frame's speeds itself; they must stay front_speeds'.
+        p = ModelParams(d=1.0, a11=1.0, a12=1.0, a22=1.0, mu=1.3, h0=0.7)
+        init = InitialData.skewed_cosine(1.0, p.h0, 0.4)
+        traj, _ = simulate(p, monod2, init, SolverConfig(n_cells=64, t_max=0.01))
+        first = traj.frames[0]
+        speeds = front_speeds(initial_state(p, init, 64), p)
+        assert (first.g_speed, first.h_speed) == speeds
+        assert speeds[0] < 0.0 < speeds[1] and speeds[0] != -speeds[1]
 
     def test_signs_once_positive(self, unit_params, monod2):
         traj, _ = simulate(

@@ -3,7 +3,10 @@
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "epifront"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "epifront"
+# Dataclasses the cli writes out whole with ``asdict``: every field reaches a file.
+SERIALIZED = {"Evidence", "BoundCertificate", "ProbeRecord"}
 
 
 def unread_parameters(source: str) -> list[str]:
@@ -23,6 +26,40 @@ def unread_parameters(source: str) -> list[str]:
     return found
 
 
+def dataclass_fields(source: str) -> list[tuple[str, str]]:
+    """(class, field) for every field of every ``@dataclass`` class."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ClassDef) and any(
+            getattr(d.func if isinstance(d, ast.Call) else d, "id", None) == "dataclass"
+            for d in node.decorator_list
+        ):
+            found += [(node.name, stmt.target.id) for stmt in node.body
+                      if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)]
+    return found
+
+
+def read_names(source: str) -> set[str]:
+    """Names loaded as ``obj.name`` or passed as ``obj.column("name")``."""
+    read = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            read.add(node.attr)
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr == "column" and node.args
+              and isinstance(node.args[0], ast.Constant)):
+            read.add(node.args[0].value)
+    return read
+
+
+def unread_fields(checked: list[str], readers: list[str], serialized=frozenset()) -> list[str]:
+    """``Class.field`` for every dataclass field of the ``checked`` sources
+    that no source in ``readers`` reads, outside the ``serialized`` classes."""
+    read = set().union(*map(read_names, readers))
+    return [f"{cls}.{name}" for source in checked for cls, name in dataclass_fields(source)
+            if cls not in serialized and name not in read]
+
+
 def test_scan_flags_unread_parameter():
     source = "def f(a, b, *rest, c=1, **kw):\n    def g(x):\n        return a + x\n    return g\n"
     assert unread_parameters(source) == ["f(b)", "f(c)", "f(rest)", "f(kw)"]
@@ -32,3 +69,22 @@ def test_no_unread_parameters():
     dead = [f"{path.name}: {name}" for path in sorted(SRC.glob("*.py"))
             for name in unread_parameters(path.read_text(encoding="utf-8"))]
     assert dead == []
+
+
+def test_scan_flags_unread_field():
+    source = (
+        "@dataclass(frozen=True)\nclass A:\n    x: int\n    y: int\n    z: int = 0\n"
+        "    def f(self):\n        self.z = 1\n        return self.x\n\n"
+        "@dataclass\nclass S:\n    kept: int\n\n"
+        "@functools.total_ordering\nclass Plain:\n    ignored: int\n"
+    )
+    reader = "def g(traj):\n    return traj.column('y')\n"
+    assert unread_fields([source], [source]) == ["A.y", "A.z", "S.kept"]
+    assert unread_fields([source], [source, reader], {"S"}) == ["A.z"]
+
+
+def test_no_unread_dataclass_fields():
+    sources = [path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))]
+    tests = [path.read_text(encoding="utf-8") for path in sorted((ROOT / "tests").glob("*.py"))
+             if path.name != Path(__file__).name]  # this file's ast attributes are no readers
+    assert unread_fields(sources, sources + tests, SERIALIZED) == []

@@ -6,6 +6,7 @@ import pytest
 from epifront import (
     BisectConfig,
     Classification,
+    DomainError,
     Evidence,
     InfectionResponse,
     InitialData,
@@ -131,6 +132,17 @@ class TestBracketSearch:
         assert result.status == "inconclusive"
         assert result.n_sims == _MAX_EXPAND == 40
         assert result.hi == 2.0**_MAX_EXPAND
+
+    @pytest.mark.parametrize("name, value", [
+        ("rel_tol", 0.0), ("rel_tol", -1.0), ("rel_tol", math.nan), ("rel_tol", 1.0),
+        ("rel_tol", 1.5), ("hi_seed_factor", 0.0), ("hi_seed_factor", -2.0),
+        ("hi_seed_factor", math.inf), ("hi_seed_factor", math.nan),
+    ])
+    def test_config_rejects_values_the_search_cannot_use(self, name, value):
+        # rel_tol <= 0 or nan never converges (58 probes, inconclusive) and
+        # rel_tol >= 1 reports any doubling as bracketed.
+        with pytest.raises(DomainError, match=name):
+            BisectConfig(**{name: value})
 
     def test_monotone_false_when_spreading_below_vanishing(self):
         def probe(value, verdict):
