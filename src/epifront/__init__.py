@@ -37,7 +37,6 @@ from .model import (
     SpreadingBound,
     basic_reproduction_number,
     critical_width,
-    default_probe_grid,
     endemic_equilibrium,
     free_boundary_reproduction_number,
     principal_eigenvalue,

@@ -18,7 +18,7 @@ import math
 import sys
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, Iterable
 
 import numpy as np
 
@@ -159,10 +159,14 @@ def _each(check: tuple[Callable[[Any], bool], str]) -> tuple[Callable[[Any], boo
 
 
 _KIND = ConfigKey("response.kind", str, "monod", choices=("monod", "table"))
-_Z_VALUES = ConfigKey("response.z_values", tuple, attr="z", when=(_KIND, "table"))
-_G_VALUES = ConfigKey("response.g_values", tuple, attr="g", when=(_KIND, "table"))
+_Z_VALUES = ConfigKey("response.z_values", tuple, attr="z", check=_each(_NONNEGATIVE),
+                      when=(_KIND, "table"))
+_G_VALUES = ConfigKey("response.g_values", tuple, attr="g", check=_each(_NONNEGATIVE),
+                      when=(_KIND, "table"))
 _SHAPE = ConfigKey("init.shape", str, "cosine", choices=("cosine", "skewed_cosine"))
-_RECORD_TIMES = ConfigKey("solver.record_times", tuple, SolverConfig)
+_RECORD_TIMES = ConfigKey("solver.record_times", tuple, SolverConfig, check=_each(_NONNEGATIVE))
+# ``run --profiles``: times read with the rule of solver.record_times, which they join.
+_PROFILES = ConfigKey("--profiles", tuple, (), check=_RECORD_TIMES.check)
 
 # Every config key, in echo order.  Model values carry no dataclass
 # default, so theirs are written here.
@@ -295,15 +299,22 @@ def load_setup(path: str | None) -> RunSetup:
 # Output writers
 # ---------------------------------------------------------------------------
 
-def write_trajectory_csv(path: Path, traj: Trajectory, residuals: np.ndarray) -> None:
-    columns = ("t", "g", "h", "width", "sup_u", "sup_v", "mass", "mass_residual",
-               "r0f", "g_speed", "h_speed")
-    lines = [",".join(columns)]
-    for k, f in enumerate(traj.frames):
-        row = (f.t, f.g, f.h, f.width, f.sup_w, f.sup_z, f.mass, float(residuals[k]),
-               f.r0f, f.g_speed, f.h_speed)
-        lines.append(",".join(_fmt(v) for v in row))
+def _write_csv(path: Path, header: str, rows: Iterable[tuple]) -> None:
+    """One line per row; text cells as they are, numbers through :func:`_fmt`."""
+    lines = [header]
+    lines += [",".join(v if isinstance(v, str) else _fmt(v) for v in row) for row in rows]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def _write_json(path: Path, payload: dict) -> None:
+    path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+
+
+def write_trajectory_csv(path: Path, traj: Trajectory, residuals: np.ndarray) -> None:
+    _write_csv(path, "t,g,h,width,sup_u,sup_v,mass,mass_residual,r0f,g_speed,h_speed", (
+        (f.t, f.g, f.h, f.width, f.sup_w, f.sup_z, f.mass, float(residuals[k]),
+         f.r0f, f.g_speed, f.h_speed)
+        for k, f in enumerate(traj.frames)))
 
 
 def write_profiles_csv(path: Path, traj: Trajectory, times: list[float]) -> list[float]:
@@ -319,11 +330,10 @@ def write_profiles_csv(path: Path, traj: Trajectory, times: list[float]) -> list
             missing.append(target)
         else:
             found.setdefault(frame.t, frame)
-    lines = ["t,x,u,v"]
-    for frame in found.values():
-        for xi, ui, vi in zip(traj.x_grid(frame), frame.w, frame.z):
-            lines.append(",".join(_fmt(v) for v in (frame.t, xi, ui, vi)))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_csv(path, "t,x,u,v", (
+        (frame.t, xi, ui, vi)
+        for frame in found.values()
+        for xi, ui, vi in zip(traj.x_grid(frame), frame.w, frame.z)))
     return missing
 
 
@@ -354,14 +364,25 @@ def _summary_payload(setup: RunSetup, traj: Trajectory, cls: analysis.Classifica
     }
 
 
-def _svg_header(title: str) -> list[str]:
-    return [
+def _write_svg(path: Path, title: str, xlabel: str, ylabel: str, x_mid: float, y_mid: float,
+               before: list[str], after: list[str]) -> None:
+    """One 800x500 SVG page: the title, the ``before`` elements, the axis
+    labels centred on (x_mid, y_mid), then the ``after`` elements."""
+    page = [
         '<svg xmlns="http://www.w3.org/2000/svg" width="800" height="500" '
         'viewBox="0 0 800 500">',
         '<rect width="800" height="500" fill="white"/>',
         f'<text x="400" y="24" text-anchor="middle" font-family="sans-serif" '
         f'font-size="16">{title}</text>',
+        *before,
+        f'<text x="{x_mid}" y="485" text-anchor="middle" '
+        f'font-family="sans-serif" font-size="13">{xlabel}</text>',
+        f'<text x="16" y="{y_mid}" text-anchor="middle" font-family="sans-serif" '
+        f'font-size="13" transform="rotate(-90 16 {y_mid})">{ylabel}</text>',
+        *after,
+        "</svg>",
     ]
+    path.write_text("\n".join(page) + "\n", encoding="utf-8")
 
 
 def svg_line_plot(path: Path, title: str, xlabel: str, ylabel: str,
@@ -385,11 +406,10 @@ def svg_line_plot(path: Path, title: str, xlabel: str, ylabel: str,
     def sy(y: float) -> float:
         return bottom - (y - y_lo) / (y_hi - y_lo) * (bottom - top)
 
-    parts = _svg_header(title)
-    parts.append(
-        f'<line x1="{left}" y1="{bottom}" x2="{right}" y2="{bottom}" stroke="black"/>'
-    )
-    parts.append(f'<line x1="{left}" y1="{top}" x2="{left}" y2="{bottom}" stroke="black"/>')
+    parts = [
+        f'<line x1="{left}" y1="{bottom}" x2="{right}" y2="{bottom}" stroke="black"/>',
+        f'<line x1="{left}" y1="{top}" x2="{left}" y2="{bottom}" stroke="black"/>',
+    ]
     for tick in np.linspace(x_lo, x_hi, 5):
         px = sx(tick)
         parts.append(f'<line x1="{px:.2f}" y1="{bottom}" x2="{px:.2f}" y2="{bottom + 5}" '
@@ -402,22 +422,18 @@ def svg_line_plot(path: Path, title: str, xlabel: str, ylabel: str,
                      'stroke="black"/>')
         parts.append(f'<text x="{left - 8}" y="{py + 4:.2f}" text-anchor="end" '
                      f'font-family="sans-serif" font-size="11">{tick:.4g}</text>')
-    parts.append(f'<text x="{(left + right) / 2}" y="485" text-anchor="middle" '
-                 f'font-family="sans-serif" font-size="13">{xlabel}</text>')
-    parts.append(f'<text x="16" y="{(top + bottom) / 2}" text-anchor="middle" '
-                 f'font-family="sans-serif" font-size="13" '
-                 f'transform="rotate(-90 16 {(top + bottom) / 2})">{ylabel}</text>')
+    traces = []
     for idx, (label, xs, ys, color) in enumerate(series):
         points = " ".join(f"{sx(float(x)):.2f},{sy(float(y)):.2f}" for x, y in zip(xs, ys))
-        parts.append(f'<polyline points="{points}" fill="none" stroke="{color}" '
-                     'stroke-width="1.5"/>')
+        traces.append(f'<polyline points="{points}" fill="none" stroke="{color}" '
+                      'stroke-width="1.5"/>')
         ly = top + 16 * (idx + 1)
-        parts.append(f'<line x1="{right - 130}" y1="{ly - 4}" x2="{right - 104}" y2="{ly - 4}" '
-                     f'stroke="{color}" stroke-width="2"/>')
-        parts.append(f'<text x="{right - 98}" y="{ly}" font-family="sans-serif" '
-                     f'font-size="12">{label}</text>')
-    parts.append("</svg>")
-    path.write_text("\n".join(parts) + "\n", encoding="utf-8")
+        traces.append(f'<line x1="{right - 130}" y1="{ly - 4}" x2="{right - 104}" y2="{ly - 4}" '
+                      f'stroke="{color}" stroke-width="2"/>')
+        traces.append(f'<text x="{right - 98}" y="{ly}" font-family="sans-serif" '
+                      f'font-size="12">{label}</text>')
+    _write_svg(path, title, xlabel, ylabel, (left + right) / 2, (top + bottom) / 2,
+               parts, traces)
 
 
 _VERDICT_COLORS = {
@@ -435,7 +451,7 @@ def svg_heatmap(path: Path, title: str, xlabel: str, ylabel: str,
     n_x, n_y = len(x_values), len(y_values)
     cell_w = (right - left) / max(1, n_x)
     cell_h = (bottom - top) / max(1, n_y)
-    parts = _svg_header(title)
+    parts = []
     for j in range(n_y):
         for i in range(n_x):
             color = _VERDICT_COLORS.get(verdicts[j][i], "#222222")
@@ -452,19 +468,15 @@ def svg_heatmap(path: Path, title: str, xlabel: str, ylabel: str,
         py = bottom - (j + 0.5) * cell_h
         parts.append(f'<text x="{left - 6}" y="{py + 3:.2f}" text-anchor="end" '
                      f'font-family="sans-serif" font-size="10">{v:.4g}</text>')
-    parts.append(f'<text x="{(left + right) / 2}" y="485" text-anchor="middle" '
-                 f'font-family="sans-serif" font-size="13">{xlabel}</text>')
-    parts.append(f'<text x="16" y="{(top + bottom) / 2}" text-anchor="middle" '
-                 f'font-family="sans-serif" font-size="13" '
-                 f'transform="rotate(-90 16 {(top + bottom) / 2})">{ylabel}</text>')
+    legend = []
     for idx, (name, color) in enumerate(_VERDICT_COLORS.items()):
         ly = top + 16 * (idx + 1)
-        parts.append(f'<rect x="{right + 10}" y="{ly - 10}" width="12" height="12" '
-                     f'fill="{color}"/>')
-        parts.append(f'<text x="{right + 28}" y="{ly}" font-family="sans-serif" '
-                     f'font-size="12">{name}</text>')
-    parts.append("</svg>")
-    path.write_text("\n".join(parts) + "\n", encoding="utf-8")
+        legend.append(f'<rect x="{right + 10}" y="{ly - 10}" width="12" height="12" '
+                      f'fill="{color}"/>')
+        legend.append(f'<text x="{right + 28}" y="{ly}" font-family="sans-serif" '
+                      f'font-size="12">{name}</text>')
+    _write_svg(path, title, xlabel, ylabel, (left + right) / 2, (top + bottom) / 2,
+               parts, legend)
 
 
 # ---------------------------------------------------------------------------
@@ -488,10 +500,10 @@ def _write_trajectory(traj: Trajectory | None, setup: RunSetup, out: Path) -> Pa
 
 def cmd_run(args: argparse.Namespace) -> int:
     setup = load_setup(args.config)
+    profile_times = _PROFILES.read({_PROFILES.name: (args.profiles or "", None)})
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    profile_times = [float(s) for s in args.profiles.split(",")] if args.profiles else []
     solver_cfg = setup.solver
     if profile_times:
         merged = tuple(sorted(set(solver_cfg.record_times) | set(profile_times)))
@@ -514,7 +526,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     _write_trajectory(traj, setup, out)
 
     payload = _summary_payload(setup, traj, cls, cert)
-    (out / "summary.json").write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    _write_json(out / "summary.json", payload)
 
     if profile_times:
         missing = write_profiles_csv(out / "profiles.csv", traj, profile_times)
@@ -561,33 +573,30 @@ def cmd_threshold(args: argparse.Namespace) -> int:
             "r0": model.basic_reproduction_number(p, resp),
             "config": setup.echo,
         }
-        (out / "threshold.json").write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-        print(f"no threshold: {exc}")
-        print(f"wrote {out / 'threshold.json'}")
-        return 0
-
-    confirmations = {}
-    if result.status == "bracketed":
-        # Each bracket end is a probed value; report the verdict its probe reached.
-        verdicts = {r.value: r.verdict.value for r in result.probes}
-        confirmations = {"lo": verdicts[result.lo], "hi": verdicts[result.hi]}
-
-    payload = {
-        "target": result.target,
-        "status": result.status,
-        "bracket": [result.lo, result.hi],
-        "midpoint": result.midpoint,
-        "rel_width": result.rel_width,
-        "n_sims": result.n_sims,
-        "monotone_verdicts": result.monotone,
-        "probes": [asdict(r) for r in result.probes],
-        "confirmations": confirmations,
-        "bisect": result.config,
-        "config": setup.echo,
-    }
-    (out / "threshold.json").write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-    print(f"{args.target}* in [{result.lo:.6g}, {result.hi:.6g}] ({result.status}, "
-          f"{result.n_sims} simulations)")
+        outcome = f"no threshold: {exc}"
+    else:
+        confirmations = {}
+        if result.status == "bracketed":
+            # Each bracket end is a probed value; report the verdict its probe reached.
+            verdicts = {r.value: r.verdict.value for r in result.probes}
+            confirmations = {"lo": verdicts[result.lo], "hi": verdicts[result.hi]}
+        payload = {
+            "target": result.target,
+            "status": result.status,
+            "bracket": [result.lo, result.hi],
+            "midpoint": result.midpoint,
+            "rel_width": result.rel_width,
+            "n_sims": result.n_sims,
+            "monotone_verdicts": result.monotone,
+            "probes": [asdict(r) for r in result.probes],
+            "confirmations": confirmations,
+            "bisect": result.config,
+            "config": setup.echo,
+        }
+        outcome = (f"{args.target}* in [{result.lo:.6g}, {result.hi:.6g}] ({result.status}, "
+                   f"{result.n_sims} simulations)")
+    _write_json(out / "threshold.json", payload)
+    print(outcome)
     print(f"wrote {out / 'threshold.json'}")
     return 0
 
@@ -606,27 +615,16 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     init_grid = [setup.init.with_sigma(s) for s in sigmas]
     cells = threshold.sweep(param_grid, setup.resp, init_grid, setup.solver)
 
-    lines = ["d,mu,sigma,verdict,criterion,trigger_time,final_width,error"]
-    for cell in cells:
-        verdict = cell.verdict.value if cell.verdict is not None else "error"
-        error = cell.error or ""
-        lines.append(",".join((
-            _fmt(cell.params.d), _fmt(cell.params.mu), _fmt(cell.sigma), verdict,
-            cell.criterion, _fmt(cell.time), _fmt(cell.final_width),
-            error.replace(",", ";"),
-        )))
-    (out / "phase.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    labels = [c.verdict.value if c.verdict is not None else "error" for c in cells]
+    _write_csv(out / "phase.csv", "d,mu,sigma,verdict,criterion,trigger_time,final_width,error", (
+        (c.params.d, c.params.mu, c.sigma, label, c.criterion, c.time, c.final_width,
+         (c.error or "").replace(",", ";"))
+        for c, label in zip(cells, labels)))
     print(f"wrote {out / 'phase.csv'} ({len(cells)} cells)")
 
     if args.svg and len(sigmas) > 1 and len(mus) > 1 and len(ds) == 1:
-        lookup = {(c.params.mu, c.sigma): c for c in cells}
-        verdicts = [
-            [
-                (lookup[(mu, s)].verdict.value if lookup[(mu, s)].verdict else "error")
-                for mu in mus
-            ]
-            for s in sigmas
-        ]
+        lookup = {(c.params.mu, c.sigma): label for c, label in zip(cells, labels)}
+        verdicts = [[lookup[(mu, s)] for mu in mus] for s in sigmas]
         svg_heatmap(out / "phase.svg", "phase diagram", "mu", "sigma", mus, sigmas, verdicts)
         print(f"wrote {out / 'phase.svg'}")
     return 0
@@ -643,30 +641,28 @@ def cmd_validate(args: argparse.Namespace) -> int:
         print(f"  [{mark}] {check.name}: {check.detail}")
     print(f"  G' trend across probes: {report.deriv_trend}")
 
-    r0 = model.basic_reproduction_number(p, resp)
-    r0f0 = model.free_boundary_reproduction_number(p, resp, 2.0 * p.h0)
     h_star = model.critical_width(p, resp)
     equilibrium = model.endemic_equilibrium(p, resp)
-    print(f"R0 = {r0:.12g}")
-    print(f"R0F(0) = {r0f0:.12g}")
+    print(f"R0 = {model.basic_reproduction_number(p, resp):.12g}")
+    print(f"R0F(0) = {model.free_boundary_reproduction_number(p, resp, 2.0 * p.h0):.12g}")
     print(f"h* = {'absent (R0 <= 1)' if h_star is None else format(h_star, '.12g')}")
     if equilibrium is None:
         print("equilibrium: absent (R0 <= 1)")
     else:
         print(f"equilibrium: u* = {equilibrium[0]:.12g}, v* = {equilibrium[1]:.12g}")
 
-    small = model.small_data_vanishing_bound(p, resp, deriv_trend=report.deriv_trend)
+    # Both certificates check G' at interval endpoints: rigorous for a monotone G' only.
+    note = " [heuristic: G' not monotone]" if report.deriv_trend == "mixed" else ""
+    small = model.small_data_vanishing_bound(p, resp)
     if small is None:
         print("small-data vanishing bound: absent (R0F(0) >= 1)")
     else:
-        note = "" if small.endpoint_check_rigorous else " [heuristic: G' not monotone]"
         print(f"small-data vanishing bound: delta = {small.delta:.12g}, "
               f"eps = {small.eps:.12g}{note}")
-    spread = model.spreading_subsolution_delta(p, resp, deriv_trend=report.deriv_trend)
+    spread = model.spreading_subsolution_delta(p, resp)
     if spread is None:
         print("spreading subsolution delta: absent (R0F(0) <= 1)")
     else:
-        note = "" if spread.endpoint_check_rigorous else " [heuristic: G' not monotone]"
         print(f"spreading subsolution delta: {spread.delta:.12g}{note}")
 
     print("resolved config:")
@@ -681,29 +677,27 @@ def main(argv: list[str] | None = None) -> int:
         description="two-front free-boundary epidemic invasion simulator",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--config", default=None, help="flat key=value config file")
+    common = argparse.ArgumentParser(add_help=False, parents=[config])
+    common.add_argument("--out", default="epifront-out", help="output directory")
+    common.add_argument("--svg", action="store_true", help="emit SVG plots")
 
-    def add_common(sp: argparse.ArgumentParser) -> None:
-        sp.add_argument("--config", default=None, help="flat key=value config file")
-        sp.add_argument("--out", default="epifront-out", help="output directory")
-        sp.add_argument("--svg", action="store_true", help="emit SVG plots")
-
-    sp_run = sub.add_parser("run", help="simulate and classify one scenario")
-    add_common(sp_run)
+    sp_run = sub.add_parser("run", parents=[common], help="simulate and classify one scenario")
     sp_run.add_argument("--profiles", default=None,
                         help="comma-separated times for profile snapshots CSV")
     sp_run.set_defaults(handler=cmd_run)
 
-    sp_thr = sub.add_parser("threshold", help="bracket the sharp threshold by bisection")
-    add_common(sp_thr)
+    sp_thr = sub.add_parser("threshold", parents=[common],
+                            help="bracket the sharp threshold by bisection")
     sp_thr.add_argument("--target", choices=("sigma", "mu"), default="sigma")
     sp_thr.set_defaults(handler=cmd_threshold)
 
-    sp_sweep = sub.add_parser("sweep", help="classify a parameter grid")
-    add_common(sp_sweep)
+    sp_sweep = sub.add_parser("sweep", parents=[common], help="classify a parameter grid")
     sp_sweep.set_defaults(handler=cmd_sweep)
 
-    sp_val = sub.add_parser("validate", help="check assumptions and print derived constants")
-    sp_val.add_argument("--config", default=None, help="flat key=value config file")
+    sp_val = sub.add_parser("validate", parents=[config],
+                            help="check assumptions and print derived constants")
     sp_val.set_defaults(handler=cmd_validate)
 
     args = parser.parse_args(argv)

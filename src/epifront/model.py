@@ -24,6 +24,10 @@ ROOT_MAX_ITER = 200
 # Probe for the asymptotic-slope test: the limit in (A2) is uncheckable
 # exactly, so the slope is sampled at this multiple of the unit scale.
 SLOPE_PROBE_SCALE = 1e6
+# The points at which validate_response checks (A1)/(A2): log-spaced from
+# 1e-6 to the slope probe scale.
+PROBE_GRID = np.logspace(-6.0, math.log10(SLOPE_PROBE_SCALE), 121)
+PROBE_GRID.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -60,21 +64,15 @@ class InfectionResponse:
 
     Instances are callable: ``resp(z)`` evaluates G(z) for scalars or
     numpy arrays.  ``resp.deriv(z)`` evaluates G'(z) and
-    ``resp.deriv_at_zero`` holds G'(0), which enters every reproduction
-    number.  Use :func:`validate_response` to check (A1)/(A2).
+    ``resp.deriv_at_zero`` holds G'(0) = ``g_prime(0.0)``, which enters
+    every reproduction number.  Use :func:`validate_response` to check
+    (A1)/(A2).
     """
 
-    def __init__(
-        self,
-        g: Callable,
-        g_prime: Callable,
-        deriv_at_zero: float,
-        kind: str = "custom",
-    ):
+    def __init__(self, g: Callable, g_prime: Callable):
         self._g = g
         self._g_prime = g_prime
-        self.deriv_at_zero = float(deriv_at_zero)
-        self.kind = kind
+        self.deriv_at_zero = float(g_prime(0.0))
 
     def __call__(self, z):
         return self._g(z)
@@ -90,21 +88,23 @@ class InfectionResponse:
         return cls(
             g=lambda z: a21 * z / (1.0 + z),
             g_prime=lambda z: a21 / (1.0 + z) ** 2,
-            deriv_at_zero=a21,
-            kind="monod",
         )
 
     @classmethod
     def table(cls, z: Sequence[float], g: Sequence[float]) -> "InfectionResponse":
         """Piecewise-linear response through the samples (z_i, G(z_i)).
 
-        Needs at least 3 samples starting at (0, 0) with z strictly
-        increasing; G' is the finite-difference slope of the samples.
+        Needs at least 3 finite, nonnegative samples starting at (0, 0)
+        with z strictly increasing; G' is the finite-difference slope of
+        the samples.
         """
         z_arr = np.asarray(z, dtype=float)
         g_arr = np.asarray(g, dtype=float)
         if z_arr.shape != g_arr.shape or z_arr.size < 3:
             raise DomainError("need >= 3 matching z/g samples")
+        if not (np.all(np.isfinite(z_arr)) and np.all(np.isfinite(g_arr))
+                and np.all(z_arr >= 0) and np.all(g_arr >= 0)):
+            raise DomainError("samples must be finite and >= 0")
         if z_arr[0] != 0.0 or g_arr[0] != 0.0:
             raise DomainError("table must start at (0, 0)")
         if np.any(np.diff(z_arr) <= 0):
@@ -113,12 +113,7 @@ class InfectionResponse:
         return cls(
             g=lambda x: np.interp(x, z_arr, g_arr),
             g_prime=lambda x: np.interp(x, z_arr, slopes),
-            deriv_at_zero=float(slopes[0]),
-            kind="table",
         )
-
-    def __repr__(self) -> str:
-        return f"InfectionResponse(kind={self.kind!r}, deriv_at_zero={self.deriv_at_zero!r})"
 
 
 @dataclass(frozen=True)
@@ -192,34 +187,18 @@ class ResponseReport:
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def failures(self) -> list[CheckResult]:
-        return [c for c in self.checks if not c.passed]
 
-
-def default_probe_grid() -> np.ndarray:
-    """Log-spaced probes from 1e-6 to the slope probe scale."""
-    return np.logspace(-6.0, math.log10(SLOPE_PROBE_SCALE), 121)
-
-
-def validate_response(
-    p: ModelParams,
-    resp: InfectionResponse,
-    probe_grid: Sequence[float] | None = None,
-) -> ResponseReport:
-    """Check (A1)/(A2) on a probe grid and report each condition.
+def validate_response(p: ModelParams, resp: InfectionResponse) -> ResponseReport:
+    """Check (A1)/(A2) on :data:`PROBE_GRID` and report each condition.
 
     Checks: G(0) = 0; G' > 0 at every probe; z -> G(z)/z non-increasing;
     and the sampled asymptotic slope below a11 a22 / a12.  The trend of
     G' across the grid is recorded because both comparison certificates
     reduce the pointwise condition on G'(xi) to interval endpoints,
-    which is only rigorous for monotone G'.
+    which is only rigorous for monotone G': a "mixed" trend makes them
+    heuristic.
     """
-    probes = np.asarray(probe_grid if probe_grid is not None else default_probe_grid(), dtype=float)
-    if probes.ndim != 1 or probes.size < 3:
-        raise DomainError("probe grid must be a 1-D sequence with at least 3 points")
-    if probes[0] <= 0 or np.any(np.diff(probes) <= 0):
-        raise DomainError("probe grid must be strictly increasing and start above 0")
-
+    probes = PROBE_GRID
     g0 = float(resp(0.0))
     values = np.asarray(resp(probes), dtype=float)
     derivs = np.asarray(resp.deriv(probes), dtype=float)
@@ -350,18 +329,13 @@ class SmallDataBound:
 
     Initial data lying below eps * psi pointwise (and below
     v_factor * eps * psi in the second component), with
-    psi(x) = cos(pi x / (2 h0)), must vanish.  ``sup_u_threshold`` is the
-    cruder sup-norm version of the same guarantee for u.
-    ``endpoint_check_rigorous`` is False when G' is not monotone, in which
-    case the certificate is heuristic.
+    psi(x) = cos(pi x / (2 h0)), must vanish.  Rigorous only for a
+    monotone G' (see :func:`small_data_vanishing_bound`).
     """
 
     delta: float
     eps: float
-    lambda0: float
     v_factor: float
-    sup_u_threshold: float
-    endpoint_check_rigorous: bool = True
 
 
 @dataclass(frozen=True)
@@ -369,26 +343,24 @@ class SpreadingBound:
     """Certified subsolution amplitude that forces invasion when R0F(0) > 1.
 
     Initial data dominating (delta * psi, v_factor * delta * psi) with
-    psi(x) = cos(pi x / (2 h0)) must spread.
+    psi(x) = cos(pi x / (2 h0)) must spread.  Rigorous only for a
+    monotone G' (see :func:`spreading_subsolution_delta`).
     """
 
     delta: float
-    lambda0: float
     v_factor: float
-    endpoint_check_rigorous: bool = True
 
 
-def small_data_vanishing_bound(
-    p: ModelParams,
-    resp: InfectionResponse,
-    deriv_trend: str = "decreasing",
-) -> SmallDataBound | None:
+def small_data_vanishing_bound(p: ModelParams, resp: InfectionResponse) -> SmallDataBound | None:
     """Compute the extinction certificate (delta, eps), or None if R0F(0) >= 1.
 
     delta is the largest value in (0, 1] satisfying both scalar
     comparison inequalities, found by predicate bisection; eps follows
     as delta^2 h0^2 (1 + delta) / (mu pi) from the eigenfunction slope
-    psi'(h0) = -pi/(2 h0).
+    psi'(h0) = -pi/(2 h0).  The condition on G'(xi) over [0, eps] is
+    checked at the two endpoints, which is rigorous only for a monotone
+    G': the caller checks ``validate_response(p, resp).deriv_trend``
+    and treats a "mixed" trend as heuristic.
     """
     width0 = 2.0 * p.h0
     if free_boundary_reproduction_number(p, resp, width0) >= 1.0:
@@ -418,55 +390,36 @@ def small_data_vanishing_bound(
     delta = _largest_satisfying(admissible, 1.0)
     if delta is None:
         return None
-    eps = eps_of(delta)
-    crest = math.cos(math.pi / (2.0 + delta))  # psi(h0 / (1 + delta/2))
     v_factor = g_prime0 / p.a22 + lam0 / (4.0 * p.a12)
-    return SmallDataBound(
-        delta=delta,
-        eps=eps,
-        lambda0=lam0,
-        v_factor=v_factor,
-        sup_u_threshold=eps * crest,
-        endpoint_check_rigorous=(deriv_trend != "mixed"),
-    )
+    return SmallDataBound(delta=delta, eps=eps_of(delta), v_factor=v_factor)
 
 
-def spreading_subsolution_delta(
-    p: ModelParams,
-    resp: InfectionResponse,
-    delta_cap: float | None = None,
-    deriv_trend: str = "decreasing",
-) -> SpreadingBound | None:
+def spreading_subsolution_delta(p: ModelParams, resp: InfectionResponse) -> SpreadingBound | None:
     """Compute the invasion certificate delta, or None unless R0F(0) > 1.
 
     Requires the strict case (negative eigenvalue); the marginal case
     R0F(0) = 1 spreads by waiting and carries no pointwise certificate.
     delta is the largest value with G'(0) - G'(delta) <= -a22 lambda0/(4 a12),
-    capped at the equilibrium scale so the subsolution stays below (u*, v*).
+    capped at u* so the subsolution stays below (u*, v*).  As for the
+    extinction certificate, the condition is checked at delta only, which
+    is rigorous only for a monotone G'.
     """
     lam0 = principal_eigenvalue(p, resp, 2.0 * p.h0)
     if lam0 >= 0.0:
         return None
-    if delta_cap is None:
-        equilibrium = endemic_equilibrium(p, resp)
-        assert equilibrium is not None  # lam0 < 0 implies R0F(0) > 1 < R0
-        delta_cap = equilibrium[0]
+    equilibrium = endemic_equilibrium(p, resp)
+    assert equilibrium is not None  # lam0 < 0 implies R0F(0) > 1 < R0
     slack = -p.a22 * lam0 / (4.0 * p.a12)
     g_prime0 = resp.deriv_at_zero
 
     def admissible(delta: float) -> bool:
         return g_prime0 - float(resp.deriv(delta)) <= slack
 
-    delta = _largest_satisfying(admissible, delta_cap)
+    delta = _largest_satisfying(admissible, equilibrium[0])
     if delta is None:
         return None
     v_factor = g_prime0 / p.a22 + lam0 / (4.0 * p.a12)
-    return SpreadingBound(
-        delta=delta,
-        lambda0=lam0,
-        v_factor=v_factor,
-        endpoint_check_rigorous=(deriv_trend != "mixed"),
-    )
+    return SpreadingBound(delta=delta, v_factor=v_factor)
 
 
 # ---------------------------------------------------------------------------

@@ -92,6 +92,8 @@ class SolverConfig:
             raise DomainError("frame_stride must be >= 1")
         if self.early_stop not in EARLY_STOP_MODES:
             raise DomainError(f"unknown early_stop {self.early_stop!r}")
+        if not all(math.isfinite(s) and s >= 0 for s in self.record_times):
+            raise DomainError(f"record_times must be finite and >= 0 (got {self.record_times!r})")
 
     def resolved(self, p: ModelParams) -> "SolverConfig":
         dt = self.dt_max if self.dt_max is not None else 1e-3 * p.h0 * p.h0 / p.d

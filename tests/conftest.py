@@ -22,8 +22,8 @@ def cosine_init(unit_params) -> InitialData:
 
 def zero_response() -> InfectionResponse:
     """G identically zero: decouples the bacteria equation in solver tests."""
-    return InfectionResponse(lambda z: 0.0 * z, lambda z: 0.0 * z, 0.0)
+    return InfectionResponse(lambda z: 0.0 * z, lambda z: 0.0 * z)
 
 
 def linear_response(slope: float) -> InfectionResponse:
-    return InfectionResponse(lambda z: slope * z, lambda z: slope * np.ones_like(np.asarray(z, dtype=float)), slope)
+    return InfectionResponse(lambda z: slope * z, lambda z: slope * np.ones_like(np.asarray(z, dtype=float)))

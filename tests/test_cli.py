@@ -62,12 +62,26 @@ class TestConfigParsing:
         "sweep.mu = 0",
         "sweep.d = nan",
         "sweep.sigma = -1",
+        "solver.record_times = 1,nan",
+        "solver.record_times = -1",
     ])
     def test_bad_value_names_key_and_line(self, line, tmp_path, capsys):
         key = line.split(" = ")[0]
         cfg = write(tmp_path, f"model.d = 1.0\n{line}\n")
         assert main(["validate", "--config", cfg]) == 2
         assert f"line 2: {key}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("z, g, key, line", [
+        ("0,1,inf", "0,1,2", "response.z_values", 4),
+        ("0,1,2", "0,nan,1", "response.g_values", 5),
+        ("0,1,2", "0,-1,1", "response.g_values", 5),
+    ])
+    def test_bad_table_sample_names_key_and_line(self, z, g, key, line, tmp_path, capsys):
+        cfg = write(tmp_path, "solver.t_max = 0.5\nsolver.n_cells = 32\nresponse.kind = table\n"
+                              f"response.z_values = {z}\nresponse.g_values = {g}\n")
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert f"line {line}: {key}: every value must be a finite number >= 0" in err
 
     def test_derived_solver_value_invalid(self, tmp_path, capsys):
         # The default dt_max = 1e-3 h0^2/d overflows to inf.
@@ -84,7 +98,6 @@ class TestConfigParsing:
     def test_table_response(self):
         text = "response.kind = table\nresponse.z_values = 0,1,2,4\nresponse.g_values = 0,0.5,0.8,1.0\n"
         setup = build_setup(parse_config_text(text))
-        assert setup.resp.kind == "table"
         assert setup.resp(1.0) == pytest.approx(0.5)
         assert setup.resp.deriv_at_zero > 0
 
@@ -202,6 +215,21 @@ class TestRunCommand:
         assert "no frame" not in capsys.readouterr().err
         rows = (out / "profiles.csv").read_text().splitlines()
         assert [row.split(",")[0] for row in rows[1:]] == ["1"] * 65
+
+    @pytest.mark.parametrize("times, message", [
+        ("abc", "expected comma-separated numbers"),
+        ("0.2,,0.3", "expected comma-separated numbers"),
+        ("nan", "every value must be a finite number >= 0"),
+        ("-1", "every value must be a finite number >= 0"),
+    ])
+    def test_bad_profile_times_rejected(self, times, message, tmp_path, capsys):
+        cfg = write(tmp_path, FAST)
+        out = tmp_path / "out"
+        assert main(["run", "--config", cfg, "--out", str(out), f"--profiles={times}"]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: --profiles: {message}" in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_svg_is_wellformed(self, tmp_path):
         cfg = write(tmp_path, FAST)

@@ -103,7 +103,6 @@ class TestStep:
         diverging = InfectionResponse(
             lambda z: np.full_like(np.asarray(z, dtype=float), np.inf),
             lambda z: np.ones_like(np.asarray(z, dtype=float)),
-            1.0,
         )
         state = initial_state(unit_params, InitialData.cosine(1.0, 1.0), 64)
         with pytest.raises(BlowUpError):

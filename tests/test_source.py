@@ -1,7 +1,17 @@
-"""Checks on the source text of the package itself."""
+"""Checks on the source text of the package itself, and on the names the
+benchmark in ``perfbench/`` patches.
+
+The unread-field scan matches fields by name: a field that shares its
+name with a field that is read somewhere cannot be seen
+(``SpreadingBound.lambda0`` hid behind ``SmallDataBound.lambda0`` that way).
+"""
 
 import ast
+import importlib.util
+import sys
 from pathlib import Path
+
+from epifront import cli, solver
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "epifront"
@@ -88,3 +98,44 @@ def test_no_unread_dataclass_fields():
     tests = [path.read_text(encoding="utf-8") for path in sorted((ROOT / "tests").glob("*.py"))
              if path.name != Path(__file__).name]  # this file's ast attributes are no readers
     assert unread_fields(sources, sources + tests, SERIALIZED) == []
+
+
+def load_perfbench_run():
+    """``perfbench/run.py`` as a module, executed from its file."""
+    bench = ROOT / "perfbench"
+    spec = importlib.util.spec_from_file_location("perfbench_run", bench / "run.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.path.insert(0, str(bench))  # for its sibling imports, spans and workloads
+    sys.modules[spec.name] = module  # its dataclasses look their module up there
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.path.remove(str(bench))
+        del sys.modules[spec.name]
+    return module
+
+
+def missing_probe_targets() -> list[str]:
+    """Names the traced benchmark needs that the package no longer defines:
+    each attribute ``install_probes`` patches must be defined on its own
+    module or class, since ``Tracer.patch`` reads ``vars(owner)[attr]``."""
+    missing = []
+
+    class CheckingTracer:
+        def patch(self, owner, attr, name, inspect=None):
+            if attr not in vars(owner):
+                missing.append(f"{owner.__name__}.{attr}")
+
+    load_perfbench_run().install_probes(CheckingTracer(), cli)
+    if not hasattr(cli, "THREADS_ENV"):
+        missing.append("epifront.cli.THREADS_ENV")
+    return missing
+
+
+def test_perfbench_patch_targets_exist():
+    assert missing_probe_targets() == []
+
+
+def test_missing_patch_target_is_flagged(monkeypatch):
+    monkeypatch.delattr(solver, "front_speeds")
+    assert missing_probe_targets() == ["epifront.solver.front_speeds"]
