@@ -8,6 +8,7 @@ pure; nothing here touches the integrator.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import TYPE_CHECKING
@@ -65,6 +66,10 @@ def classify(traj: "Trajectory") -> Classification:
     first such frame is the evidence.  Vanishing: sup norms decayed below
     a tiny fraction of their initial sum while the width stalled.
     Otherwise undetermined at the horizon.
+
+    Precondition: the frames of one run, in time order.  Its fronts only
+    move outward (h' >= 0 >= g'), so width and R0F never decrease: the last
+    frame decides spreading, and bisection finds the first past the margin.
     """
     frames = traj.frames
     if not frames:
@@ -82,13 +87,11 @@ def classify(traj: "Trajectory") -> Classification:
             details=details,
         )
 
-    r0f = traj.column("r0f")
-    hot = np.nonzero(r0f >= 1.0 + _R0F_MARGIN)[0]
-    if hot.size:
-        k = int(hot[0])
+    if last.r0f >= 1.0 + _R0F_MARGIN:
+        first = frames[bisect_left(frames, 1.0 + _R0F_MARGIN, key=lambda f: f.r0f)]
         return Classification(
             Verdict.SPREADING,
-            evidence("r0f_threshold", frames[k].t, float(r0f[k]), margin=_R0F_MARGIN),
+            evidence("r0f_threshold", first.t, first.r0f, margin=_R0F_MARGIN),
         )
 
     initial_sup = frames[0].sup_w + frames[0].sup_z
@@ -102,7 +105,7 @@ def classify(traj: "Trajectory") -> Classification:
             evidence(
                 "decay_plateau",
                 last.t,
-                float(r0f[-1]),
+                last.r0f,
                 trailing_width_growth=growth,
                 sup_ratio=(last.sup_w + last.sup_z) / initial_sup if initial_sup else 0.0,
             ),
@@ -110,7 +113,7 @@ def classify(traj: "Trajectory") -> Classification:
 
     return Classification(
         Verdict.UNDETERMINED,
-        evidence("horizon", last.t, float(r0f[-1]), trailing_width_growth=growth),
+        evidence("horizon", last.t, last.r0f, trailing_width_growth=growth),
     )
 
 

@@ -188,8 +188,6 @@ SCHEMA: tuple[ConfigKey, ...] = (
     ConfigKey("solver.n_cells", int, SolverConfig,
               check=(lambda v: v >= 16 and v % 2 == 0, "must be even and >= 16")),
     ConfigKey("solver.dt_max", float, SolverConfig, check=_POSITIVE),
-    ConfigKey("solver.cfl_adv", float, SolverConfig, check=_POSITIVE),
-    ConfigKey("solver.front_cfl", float, SolverConfig, check=_POSITIVE),
     ConfigKey("solver.t_max", float, SolverConfig, check=_POSITIVE),
     ConfigKey("solver.frame_stride", int, SolverConfig, check=(lambda v: v >= 1, "must be >= 1")),
     _RECORD_TIMES,
@@ -245,13 +243,13 @@ def build_setup(entries: dict[str, tuple[str, int]]) -> RunSetup:
     if kind == "monod":
         resp = InfectionResponse.monod(**response)
     elif None in response.values():
-        raise ConfigError(f"{_KIND.name} = table needs {_Z_VALUES.name} and {_G_VALUES.name}",
-                          key=_KIND.name)
+        raise _KIND.error(f"table needs {_Z_VALUES.name} and {_G_VALUES.name}", entries)
     else:
         try:
             resp = InfectionResponse.table(**response)
         except DomainError as exc:
-            raise _Z_VALUES.error(str(exc), entries) from None
+            at_fault = _G_VALUES if exc.field == _G_VALUES.attr else _Z_VALUES
+            raise at_fault.error(str(exc), entries) from None
 
     # init.shape names the InitialData constructor; the other init keys are its arguments.
     init_args = _section(values, "init")

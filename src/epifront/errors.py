@@ -6,7 +6,14 @@ class EpifrontError(Exception):
 
 
 class DomainError(EpifrontError, ValueError):
-    """An argument is outside the mathematical domain of an operation."""
+    """An argument is outside the mathematical domain of an operation.
+
+    ``field``, when given, names the argument at fault.
+    """
+
+    def __init__(self, message: str, field: str | None = None):
+        super().__init__(message)
+        self.field = field
 
 
 class InvalidResponseError(EpifrontError):

@@ -101,14 +101,15 @@ class InfectionResponse:
         z_arr = np.asarray(z, dtype=float)
         g_arr = np.asarray(g, dtype=float)
         if z_arr.shape != g_arr.shape or z_arr.size < 3:
-            raise DomainError("need >= 3 matching z/g samples")
-        if not (np.all(np.isfinite(z_arr)) and np.all(np.isfinite(g_arr))
-                and np.all(z_arr >= 0) and np.all(g_arr >= 0)):
-            raise DomainError("samples must be finite and >= 0")
-        if z_arr[0] != 0.0 or g_arr[0] != 0.0:
-            raise DomainError("table must start at (0, 0)")
+            raise DomainError("need >= 3 matching z/g samples",
+                              field="z" if z_arr.size < 3 else "g")
+        for name, arr in (("z", z_arr), ("g", g_arr)):
+            if not (np.all(np.isfinite(arr)) and np.all(arr >= 0)):
+                raise DomainError("samples must be finite and >= 0", field=name)
+            if arr[0] != 0.0:
+                raise DomainError("table must start at (0, 0)", field=name)
         if np.any(np.diff(z_arr) <= 0):
-            raise DomainError("z samples must be strictly increasing")
+            raise DomainError("z samples must be strictly increasing", field="z")
         slopes = np.gradient(g_arr, z_arr)
         return cls(
             g=lambda x: np.interp(x, z_arr, g_arr),

@@ -48,6 +48,10 @@ from .model import (
 )
 
 _TIME_SNAP = 1e-9  # relative tolerance for landing on a requested time
+# Largest front displacement per step, as a fraction of a cell.  |A| is
+# affine in y with its maximum 2 h0 max(h', -g')/width at a boundary node,
+# so this also bounds the advective Courant number max|A| dt/dy.
+_FRONT_CFL = 0.2
 _CLASSIFY_STRIDE = 8  # recorded frames between classifier checks
 # early_stop mode -> the verdicts that end the run before t_max
 _STOP_VERDICTS = {
@@ -72,8 +76,6 @@ class SolverConfig:
 
     n_cells: int = 256
     dt_max: float | None = None
-    cfl_adv: float = 0.5
-    front_cfl: float = 0.2
     t_max: float | None = None
     frame_stride: int = 50
     record_times: tuple[float, ...] = ()
@@ -82,9 +84,9 @@ class SolverConfig:
     def __post_init__(self) -> None:
         if self.n_cells < 16 or self.n_cells % 2:
             raise DomainError(f"n_cells must be even and >= 16 (got {self.n_cells})")
-        for name in ("dt_max", "cfl_adv", "front_cfl", "t_max"):
+        for name in ("dt_max", "t_max"):
             value = getattr(self, name)
-            if value is None and name in ("dt_max", "t_max"):
+            if value is None:
                 continue  # resolved() derives it from the model
             if not (math.isfinite(value) and value > 0):
                 raise DomainError(f"{name} must be finite and > 0 (got {value!r})")
@@ -239,7 +241,6 @@ class _Run:
     targets: list[float] = field(default_factory=list)
     target_idx: int = 0
     steps_since_frame: int = 0
-    frames_since_classify: int = 0
     clipped_mark: float = 0.0
 
     def record(self, w: np.ndarray, z: np.ndarray) -> None:
@@ -278,10 +279,8 @@ class _Run:
         if hit_target or self.steps_since_frame >= self.config.frame_stride:
             self.record(w, z)
             self.steps_since_frame = 0
-            self.frames_since_classify += 1
             stop_verdicts = _STOP_VERDICTS[self.config.early_stop]
-            if stop_verdicts and self.frames_since_classify >= _CLASSIFY_STRIDE:
-                self.frames_since_classify = 0
+            if stop_verdicts and (len(self.traj.frames) - 1) % _CLASSIFY_STRIDE == 0:
                 partial = analysis.classify(self.traj)
                 if partial.verdict in stop_verdicts:
                     self.traj.terminated_by = f"classifier:{partial.verdict.value}"
@@ -341,13 +340,9 @@ def _step_batch(
         g_speed, h_speed = _stefan_speeds(*edge, dy, 2.0 * p.h0 * p.mu / width)
         speed = max(h_speed, -g_speed)
         dt = config.dt_max
-        # |A| is affine in y, so its maximum sits at a boundary node.
-        a_max = 2.0 * p.h0 * speed / width
-        if a_max > 0.0:
-            dt = min(dt, config.cfl_adv * dy / a_max)
         if speed > 0.0:
             dx_phys = dy * width / (2.0 * p.h0)
-            dt = min(dt, config.front_cfl * dx_phys / speed)
+            dt = min(dt, _FRONT_CFL * dx_phys / speed)
         if cap is not None:
             dt = min(dt, cap)
         g_new = m.g + dt * g_speed
@@ -435,7 +430,7 @@ def step(
     config: SolverConfig,
     dt_cap: float | None = None,
 ) -> SolverState:
-    """Advance one IMEX step; the step size obeys dt_max and both CFL limits.
+    """Advance one IMEX step; the step size obeys dt_max and the front CFL limit.
 
     The stepper's one-member case (see ``_step_batch``).
     """

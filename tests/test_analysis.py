@@ -20,6 +20,7 @@ from epifront import (
     equilibrium_convergence,
     mass_balance_residual,
     simulate,
+    simulate_batch,
     symmetry_band_check,
 )
 from conftest import linear_response
@@ -137,10 +138,24 @@ class TestClassify:
         assert cls.verdict is Verdict.VANISHING
         assert traj.final.width <= h_star * 1.02
 
-    def test_r0f_series_nondecreasing(self, unit_params, quiet_vanishing_run):
+    def test_r0f_series_nondecreasing(self, unit_params, monod2, quiet_vanishing_run):
+        # classify relies on it: the fronts only move outward, so the recorded
+        # width, and R0F with it, never decrease, not even by rounding.
         _, _, traj, _ = quiet_vanishing_run
-        r0f = traj.column("r0f")
-        assert np.all(np.diff(r0f) >= -1e-14)
+        spreading, cls = simulate(unit_params, monod2, InitialData.cosine(1.0, 1.0),
+                                  SolverConfig(t_max=3.0, frame_stride=1, early_stop="none"))
+        assert cls.verdict is Verdict.SPREADING
+        trajectories = [traj, spreading]
+        config = SolverConfig(n_cells=64, dt_max=0.01, t_max=5.0, frame_stride=1,
+                              early_stop="none")
+        for a21 in (1.5, 2.0, 4.0):
+            resp = InfectionResponse.monod(a21)
+            grid = [(unit_params.with_(h0=h0), resp, InitialData.skewed_cosine(sigma, h0, 0.5))
+                    for h0 in (0.5, 1.0, 2.0) for sigma in (0.1, 1.0)]
+            trajectories += [batch_traj for batch_traj, _ in simulate_batch(grid, config)]
+        for run in trajectories:
+            assert np.all(np.diff(run.widths) >= 0.0)
+            assert np.all(np.diff(run.column("r0f")) >= 0.0)
 
     def test_empty_trajectory_rejected(self, unit_params, monod2):
         from epifront.solver import Trajectory

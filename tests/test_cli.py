@@ -6,9 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from epifront import BlowUpError, ConfigError, Monitors, MonitorViolation, simulate
+from epifront import BlowUpError, ConfigError, DomainError, Monitors, MonitorViolation, simulate
 from epifront import solver as solver_mod
-from epifront.cli import SCHEMA, build_setup, main, parse_config_text
+from epifront.cli import SCHEMA, build_setup, main, parse_config_text, svg_line_plot
 
 FAST = """
 model.h0 = 1.0
@@ -18,6 +18,9 @@ solver.n_cells = 64
 solver.t_max = 2.0
 solver.frame_stride = 20
 """
+
+
+NOT_NONNEGATIVE = "every value must be a finite number >= 0"
 
 
 def write(tmp_path, text, name="config.txt"):
@@ -53,7 +56,6 @@ class TestConfigParsing:
         "init.sigma = inf",
         "solver.t_max = inf",
         "solver.dt_max = nan",
-        "solver.cfl_adv = 0",
         "threshold.tol = -1",
         "threshold.tol = nan",
         "threshold.hi_factor = inf",
@@ -64,6 +66,8 @@ class TestConfigParsing:
         "sweep.sigma = -1",
         "solver.record_times = 1,nan",
         "solver.record_times = -1",
+        "response.kind = linear",
+        "monitors.speed = maybe",
     ])
     def test_bad_value_names_key_and_line(self, line, tmp_path, capsys):
         key = line.split(" = ")[0]
@@ -71,17 +75,29 @@ class TestConfigParsing:
         assert main(["validate", "--config", cfg]) == 2
         assert f"line 2: {key}: " in capsys.readouterr().err
 
-    @pytest.mark.parametrize("z, g, key, line", [
-        ("0,1,inf", "0,1,2", "response.z_values", 4),
-        ("0,1,2", "0,nan,1", "response.g_values", 5),
-        ("0,1,2", "0,-1,1", "response.g_values", 5),
+    # A list left out (None) is not written; the message names the list at
+    # fault, or response.kind when both are missing.
+    @pytest.mark.parametrize("z, g, key, line, message", [
+        pytest.param("0,1,inf", "0,1,2", "response.z_values", 4, NOT_NONNEGATIVE,
+                     id="0,1,inf-0,1,2-response.z_values-4"),
+        pytest.param("0,1,2", "0,nan,1", "response.g_values", 5, NOT_NONNEGATIVE,
+                     id="0,1,2-0,nan,1-response.g_values-5"),
+        pytest.param("0,1,2", "0,-1,1", "response.g_values", 5, NOT_NONNEGATIVE,
+                     id="0,1,2-0,-1,1-response.g_values-5"),
+        pytest.param("0,1,2", "1,2,3", "response.g_values", 5, "table must start at (0, 0)",
+                     id="0,1,2-1,2,3-response.g_values-5"),
+        pytest.param(None, None, "response.kind", 3,
+                     "table needs response.z_values and response.g_values",
+                     id="None-None-response.kind-3"),
     ])
-    def test_bad_table_sample_names_key_and_line(self, z, g, key, line, tmp_path, capsys):
+    def test_bad_table_sample_names_key_and_line(self, z, g, key, line, message,
+                                                 tmp_path, capsys):
+        lists = "".join(f"response.{name}_values = {values}\n"
+                        for name, values in (("z", z), ("g", g)) if values is not None)
         cfg = write(tmp_path, "solver.t_max = 0.5\nsolver.n_cells = 32\nresponse.kind = table\n"
-                              f"response.z_values = {z}\nresponse.g_values = {g}\n")
+                              + lists)
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-        err = capsys.readouterr().err
-        assert f"line {line}: {key}: every value must be a finite number >= 0" in err
+        assert f"line {line}: {key}: {message}" in capsys.readouterr().err
 
     def test_derived_solver_value_invalid(self, tmp_path, capsys):
         # The default dt_max = 1e-3 h0^2/d overflows to inf.
@@ -94,6 +110,9 @@ class TestConfigParsing:
         assert setup.params.d == 1.0
         assert setup.solver.dt_max == pytest.approx(1e-3)
         assert setup.echo["response.kind"] == "monod"
+        assert setup.monitor_toggles == {"bounds": True, "symmetry": True, "speed": True}
+        toggled = build_setup(parse_config_text("monitors.bounds = false\n"))
+        assert toggled.monitor_toggles == {"bounds": False, "symmetry": True, "speed": True}
 
     def test_table_response(self):
         text = "response.kind = table\nresponse.z_values = 0,1,2,4\nresponse.g_values = 0,0.5,0.8,1.0\n"
@@ -238,11 +257,23 @@ class TestRunCommand:
         for name in ("fronts.svg", "supnorms.svg"):
             root = ET.fromstring((out / name).read_text())
             assert root.tag.endswith("svg")
+        # A constant series has an empty y range and a single point empty x and
+        # y ranges; each empty range is widened to [lo, lo + 1], then padded.
+        for xs, points in ((np.arange(3.0), "70.00,431.36 425.00,431.36 780.00,431.36"),
+                           (np.array([1.0]), "70.00,431.36")):
+            path = out / "flat.svg"
+            svg_line_plot(path, "flat", "t", "x", [("c", xs, np.full(xs.size, 2.0), "red")])
+            polylines = [el for el in ET.fromstring(path.read_text()).iter()
+                         if el.tag.endswith("polyline")]
+            assert [el.get("points") for el in polylines] == [points]
 
     def test_invalid_config_exit_code(self, tmp_path, capsys):
         cfg = write(tmp_path, "model.a11 = -1\n")
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert "model.a11" in capsys.readouterr().err
+        missing = str(tmp_path / "absent.txt")
+        assert main(["run", "--config", missing, "--out", str(tmp_path / "o")]) == 2
+        assert f"config error: cannot read config {missing!r}" in capsys.readouterr().err
 
     def test_blow_up_writes_partial(self, tmp_path, monkeypatch, capsys):
         from epifront import cli as cli_mod
@@ -295,11 +326,12 @@ class TestRunCommand:
 class TestValidateCommand:
     def test_monod_passes(self, tmp_path, capsys):
         cfg = write(tmp_path, FAST)
-        assert main(["validate", "--config", cfg]) == 0
-        out = capsys.readouterr().out
-        assert "R0 = 2" in out
-        assert "resolved config:" in out
-        assert "model.d = 1" in out
+        for argv in (["validate", "--config", cfg], ["validate"]):  # the latter: all defaults
+            assert main(argv) == 0
+            out = capsys.readouterr().out
+            assert "R0 = 2" in out
+            assert "resolved config:" in out
+            assert "model.d = 1" in out
 
     def test_rising_ratio_table_fails(self, tmp_path, capsys):
         # G(z)/z increases from 1 to 2 across the table: violates (A2)
@@ -314,6 +346,26 @@ class TestValidateCommand:
         out = capsys.readouterr().out
         assert "h* = absent" in out
         assert "equilibrium: absent" in out
+
+    def test_supercritical_habitat_reports_spreading_delta(self, tmp_path, capsys):
+        # R0F(0) = 2 / (1 + 1/1.44) > 1 at h0 = 0.6 pi, so only the spreading
+        # subsolution exists.
+        cfg = write(tmp_path, f"model.h0 = {0.6 * math.pi!r}\n")
+        assert main(["validate", "--config", cfg]) == 0
+        out = capsys.readouterr().out
+        assert "small-data vanishing bound: absent (R0F(0) >= 1)" in out
+        assert "spreading subsolution delta: " in out
+        assert "spreading subsolution delta: absent" not in out
+
+    def test_package_error_exits_1(self, monkeypatch, capsys):
+        from epifront import cli as cli_mod
+
+        def failing(args):
+            raise DomainError("synthetic")
+
+        monkeypatch.setattr(cli_mod, "cmd_validate", failing)
+        assert main(["validate"]) == 1
+        assert capsys.readouterr().err == "error: synthetic\n"
 
 
 class TestThresholdCommand:

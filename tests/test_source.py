@@ -7,11 +7,14 @@ name with a field that is read somewhere cannot be seen
 """
 
 import ast
+import dataclasses
 import importlib.util
 import sys
 from pathlib import Path
 
 from epifront import cli, solver
+from epifront.analysis import Monitors
+from epifront.threshold import BisectConfig
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "epifront"
@@ -139,3 +142,13 @@ def test_perfbench_patch_targets_exist():
 def test_missing_patch_target_is_flagged(monkeypatch):
     monkeypatch.delattr(solver, "front_speeds")
     assert missing_probe_targets() == ["epifront.solver.front_speeds"]
+
+
+def test_config_sections_match_dataclass_fields():
+    # Each key reads its default from a defaulted field of its section's
+    # dataclass; the one field left, Monitors.certificate, is built by the run.
+    for section, cls in (("solver", solver.SolverConfig), ("monitors", Monitors),
+                         ("threshold", BisectConfig)):
+        keys = {key.attr for key in cli.SCHEMA if key.section == section}
+        fields = {f.name for f in dataclasses.fields(cls) if f.default is not dataclasses.MISSING}
+        assert keys == fields, section
