@@ -14,7 +14,6 @@ from enum import Enum
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .errors import CertificateError, DomainError, MonitorViolation
 from .model import InfectionResponse, InitialData, ModelParams, endemic_equilibrium
@@ -185,14 +184,16 @@ def mass_balance_residual(traj: "Trajectory", p: ModelParams) -> np.ndarray:
     scaled by d/mu, and the time-integrated reaction; the discrete
     residual uses trapezoid quadrature in x (already folded into the
     recorded mass and reaction columns) and cumulative trapezoid in t.
+    A one-frame trajectory gives ``[0.0]``; an empty one raises DomainError.
     """
-    if len(traj.frames) < 2:
-        raise DomainError("mass balance needs at least two frames")
+    if not traj.frames:
+        raise DomainError("cannot balance an empty trajectory")
     t = traj.times
     mass = traj.column("mass")
     widths = traj.widths
     reaction = traj.column("reaction")
-    cumulative = cumulative_trapezoid(reaction, t, initial=0.0)
+    slices = np.diff(t) * (reaction[1:] + reaction[:-1]) / 2.0
+    cumulative = np.concatenate(([0.0], np.cumsum(slices)))
     return mass - mass[0] - (p.d / p.mu) * (widths[0] - widths) - cumulative
 
 

@@ -482,17 +482,11 @@ def svg_heatmap(path: Path, title: str, xlabel: str, ylabel: str,
 # ---------------------------------------------------------------------------
 
 def _write_trajectory(traj: Trajectory | None, setup: RunSetup, out: Path) -> Path | None:
-    """Write trajectory.csv, or nothing when no frame was recorded.  The mass
-    balance needs two frames, so a run that failed before then reports zeros."""
+    """Write trajectory.csv, or nothing when no frame was recorded."""
     if traj is None or not traj.frames:
         return None
     path = out / "trajectory.csv"
-    residuals = (
-        analysis.mass_balance_residual(traj, setup.params)
-        if len(traj.frames) >= 2
-        else np.zeros(len(traj.frames))
-    )
-    write_trajectory_csv(path, traj, residuals)
+    write_trajectory_csv(path, traj, analysis.mass_balance_residual(traj, setup.params))
     return path
 
 

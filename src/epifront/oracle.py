@@ -97,8 +97,8 @@ def dominance_check(traj: "Trajectory", ode: OdeSeries, tol: float) -> float:
     for k, frame in enumerate(traj.frames):
         worst = max(
             worst,
-            float(frame.w.max()) - u_bar[k] - tol,
-            float(frame.z.max()) - v_bar[k] - tol,
+            frame.sup_w - u_bar[k] - tol,
+            frame.sup_z - v_bar[k] - tol,
         )
     return max(0.0, worst)
 

@@ -35,7 +35,6 @@ from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import LinAlgError
 from scipy.linalg.lapack import dgtsv
 
 from . import analysis
@@ -115,6 +114,10 @@ class SolverState:
     y: np.ndarray
     h0: float
     clipped_total: float = 0.0
+
+    def __post_init__(self) -> None:
+        if not self.h - self.g > 0:
+            raise DomainError(f"degenerate domain: h - g = {self.h - self.g!r}")
 
     @property
     def width(self) -> float:
@@ -347,11 +350,11 @@ def _step_batch(
             dt = min(dt, cap)
         g_new = m.g + dt * g_speed
         h_new = m.h + dt * h_speed
+        # The sign clamps give h_new >= h and g_new <= g, and rounding is monotone,
+        # so new_width >= width > 0 (SolverState checks it; a run starts at 2 h0).
         new_width = h_new - g_new
         if not dt > 0:
             failed[i] = DomainError(f"non-positive step size {dt!r}")
-        elif not new_width > 0:
-            failed[i] = DomainError(f"degenerate domain: h - g = {new_width!r}")
         else:
             b = 4.0 * p.h0 * p.h0 * p.d / (new_width * new_width)
             r = dt * b / (dy * dy)
@@ -396,7 +399,7 @@ def _step_batch(
     *_, x, info = dgtsv(flat[1:], (1.0 - 2.0 * off).ravel(), flat[:-1], w_new.ravel(),
                         overwrite_d=1, overwrite_b=1)
     if info != 0:
-        raise LinAlgError(f"singular tridiagonal system (dgtsv info = {info})")
+        raise np.linalg.LinAlgError(f"singular tridiagonal system (dgtsv info = {info})")
     w_new = x.reshape(w.shape)
     for i in _nonfinite_rows(w_new):
         failed.setdefault(i, _blow_up(members[i], rows[i][0]))

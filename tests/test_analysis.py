@@ -69,15 +69,16 @@ class TestMassBalance:
         res = mass_balance_residual(traj, unit_params)
         assert np.all(res == 0.0)
 
-    def test_needs_two_frames(self, unit_params, monod2):
+    def test_one_frame_balances_to_zero(self, unit_params, monod2):
         traj, _ = simulate(
             unit_params, monod2, InitialData.cosine(1.0, 1.0),
             SolverConfig(t_max=0.001, early_stop="none"),
         )
-        short = dataclasses.replace(traj) if False else traj
-        short.frames = traj.frames[:1]
-        with pytest.raises(DomainError):
-            mass_balance_residual(short, unit_params)
+        traj.frames = traj.frames[:1]
+        assert mass_balance_residual(traj, unit_params).tolist() == [0.0]
+        traj.frames = []
+        with pytest.raises(DomainError, match="empty"):
+            mass_balance_residual(traj, unit_params)
 
     def test_subthreshold_width_bound(self, unit_params, quiet_vanishing_run):
         # the integral identity caps the habitat: (d/mu) width <= M(0) + (d/mu) 2 h0

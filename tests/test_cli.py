@@ -274,6 +274,9 @@ class TestRunCommand:
         missing = str(tmp_path / "absent.txt")
         assert main(["run", "--config", missing, "--out", str(tmp_path / "o")]) == 2
         assert f"config error: cannot read config {missing!r}" in capsys.readouterr().err
+        cfg = write(tmp_path, "model.d = 1.0\n= 1\n")
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "line 2: missing key before '='" in capsys.readouterr().err
 
     def test_blow_up_writes_partial(self, tmp_path, monkeypatch, capsys):
         from epifront import cli as cli_mod
@@ -321,6 +324,8 @@ class TestRunCommand:
         rows = (out / "trajectory.csv").read_text().splitlines()
         assert rows[0].startswith("t,g,h,width,")
         assert len(rows) == 1 + frames
+        # The initial frame balances exactly, also when it is the only one.
+        assert rows[1].split(",")[rows[0].split(",").index("mass_residual")] == "0"
 
 
 class TestValidateCommand:

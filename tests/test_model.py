@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from epifront import (
+    CertificateError,
     DomainError,
     InfectionResponse,
     InitialData,
@@ -39,6 +40,9 @@ class TestParams:
                 params_with(**{name: 0.0})
             with pytest.raises(DomainError, match=name):
                 params_with(**{name: -1.0})
+        for a21 in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(DomainError, match="a21"):
+                params_with(a21)
 
     def test_sigma_nonnegative(self):
         with pytest.raises(DomainError):
@@ -159,6 +163,9 @@ class TestValidateResponse:
         report = validate_response(p, linear_response(2.0))
         failed = {c.name for c in report.checks if not c.passed}
         assert failed == {"asymptotic_slope"}
+        # G(u)/u never falls below the cap, so no positive equilibrium exists.
+        with pytest.raises(CertificateError, match="no slope crossing"):
+            endemic_equilibrium(p, linear_response(3.0))
 
     def test_linear_below_cap_passes(self):
         p, _ = params_with()

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from epifront import (
+    BlowUpError,
     DomainError,
     InfectionResponse,
     InitialData,
@@ -18,7 +19,7 @@ from epifront import (
     refinement_study,
     simulate,
 )
-from conftest import zero_response
+from conftest import linear_response, zero_response
 
 
 class TestOdeSolve:
@@ -42,6 +43,8 @@ class TestOdeSolve:
             ode_solve(unit_params, monod2, -1.0, 0.0, 1.0)
         with pytest.raises(DomainError):
             ode_solve(unit_params, monod2, 1.0, 1.0, 0.0)
+        with pytest.raises(BlowUpError, match="non-finite"):
+            ode_solve(unit_params, linear_response(1e6), 1.0, 1.0, 1.0)
 
     @pytest.mark.parametrize("a21", [1.5, 2.0, 4.0])
     def test_equilibrium_matches_model(self, unit_params, a21):
@@ -81,8 +84,9 @@ class TestDominance:
         traj, _ = simulate(unit_params, monod2, init,
                            SolverConfig(t_max=1.0, early_stop="none"))
         cert = bound_certificate(unit_params, monod2, init)
-        bad = dataclasses.replace(traj.frames[-1], w=traj.frames[-1].w + cert.c1)
-        traj.frames[-1] = bad
+        last = traj.frames[-1]
+        # A frame's sup_w is the max of its w, so the doctored frame carries both.
+        traj.frames[-1] = dataclasses.replace(last, w=last.w + cert.c1, sup_w=last.sup_w + cert.c1)
         ode = ode_solve(unit_params, monod2, traj.frames[0].sup_w, traj.frames[0].sup_z,
                         traj.final.t)
         assert dominance_check(traj, ode, 1e-6 * (cert.c1 + cert.c2)) > 0.0

@@ -6,12 +6,16 @@ import pytest
 
 from epifront import (
     BlowUpError,
+    BoundCertificate,
     DomainError,
     Frame,
     InfectionResponse,
     InitialData,
     ModelParams,
+    MonitorViolation,
+    Monitors,
     SolverConfig,
+    SolverState,
     Verdict,
     front_speeds,
     initial_state,
@@ -110,6 +114,13 @@ class TestStep:
         with pytest.raises(DomainError, match="non-positive step size"):
             step(state, unit_params, monod2, SolverConfig(n_cells=64), dt_cap=0.0)
 
+    @pytest.mark.parametrize("g, h", [(0.5, 0.5), (0.6, 0.5)])
+    def test_degenerate_state_rejected(self, g, h):
+        # step and front_speeds divide by h - g, so no state may hold h <= g.
+        y = np.linspace(-1.0, 1.0, 65)
+        with pytest.raises(DomainError, match="degenerate domain"):
+            SolverState(t=0.0, g=g, h=h, w=np.zeros(65), z=np.zeros(65), y=y, h0=1.0)
+
     def test_blow_up_detected(self, unit_params):
         diverging = InfectionResponse(
             lambda z: np.full_like(np.asarray(z, dtype=float), np.inf),
@@ -200,8 +211,6 @@ class TestSimulate:
         assert big.g <= small.g + 1e-12
         assert small.h <= big.h + 1e-12
         xs = np.linspace(small.g, small.h, 201)
-        from epifront.solver import SolverState
-
         st_small = SolverState(small.t, small.g, small.h, small.w, small.z,
                                frames[0.5].y_grid(), 1.0)
         st_big = SolverState(big.t, big.g, big.h, big.w, big.z, frames[2.0].y_grid(), 1.0)
@@ -271,18 +280,25 @@ class TestSimulateBatch:
     def test_failure_stays_in_its_member(self, monod2):
         # The second member's infinite bacteria make its explicit update non-finite
         # at the first step; the stacked solve must not carry that to the others.
+        # The fifth member's certificate puts C1 below sup u0, so its monitor
+        # fails on its initial frame, before the member joins the batch.
         h0 = self.P.h0
         bad = InitialData(1.0, phi=lambda x: np.cos(np.pi * x / (2 * h0)),
                           psi=lambda x: np.where(np.abs(x) < 0.5, np.inf, 0.0))
         inits = [InitialData.cosine(s, h0) for s in (0.5, 1.0, 2.0)]
         inits.insert(1, bad)
-        members = [(self.P, monod2, init) for init in inits]
+        members = [(self.P, monod2, init) for init in inits + [InitialData.cosine(1.0, h0)]]
+        tight = Monitors(BoundCertificate(c1=0.5, c2=10.0, c3=1e9, m=1.0))
         cfg = SolverConfig(n_cells=64, dt_max=0.005, t_max=1.0)
-        results = simulate_batch(members, cfg)
+        results = simulate_batch(members, cfg, [None] * 4 + [tight])
         traj, err = results[1]
         assert isinstance(err, BlowUpError)
         assert (err.t, err.g, err.h) == (0.0, -h0, h0)
         assert len(traj.frames) == 1
+        traj, err = results[4]
+        assert isinstance(err, MonitorViolation)
+        assert (err.monitor, err.t) == ("bounds", 0.0)
+        assert len(traj.frames) == 1 and traj.n_steps == 0
         for i in (0, 2, 3):
             assert_same_run(results[i], simulate(*members[i], cfg))
         cells = sweep([self.P], monod2, inits, cfg)
@@ -335,8 +351,6 @@ class TestSamplePhysical:
             SolverConfig(t_max=1.0, early_stop="none"),
         )
         f = traj.final
-        from epifront.solver import SolverState
-
         state = SolverState(f.t, f.g, f.h, f.w, f.z, traj.y_grid(), 1.0)
         mid = 0.5 * (f.g + f.h)
         u, _ = sample_physical(state, mid)
@@ -355,6 +369,8 @@ class TestSolverConfig:
             SolverConfig(frame_stride=0)
         with pytest.raises(DomainError):
             SolverConfig(early_stop="sometimes")
+        with pytest.raises(DomainError, match="record_times"):
+            SolverConfig(record_times=(math.nan,))
 
     @pytest.mark.parametrize("name", ["dt_max", "t_max"])
     def test_infinite_value_rejected(self, name):

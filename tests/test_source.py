@@ -1,5 +1,5 @@
-"""Checks on the source text of the package itself, and on the names the
-benchmark in ``perfbench/`` patches.
+"""Checks on the source text of the package itself, on the names the
+benchmark in ``perfbench/`` patches, and on the scipy modules the package imports.
 
 The unread-field scan matches fields by name: a field that shares its
 name with a field that is read somewhere cannot be seen
@@ -8,7 +8,10 @@ name with a field that is read somewhere cannot be seen
 
 import ast
 import dataclasses
+import functools
 import importlib.util
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -142,6 +145,31 @@ def test_perfbench_patch_targets_exist():
 def test_missing_patch_target_is_flagged(monkeypatch):
     monkeypatch.delattr(solver, "front_speeds")
     assert missing_probe_targets() == ["epifront.solver.front_speeds"]
+
+
+@functools.cache
+def scipy_modules(statement: str) -> frozenset[str]:
+    """The ``scipy*`` modules loaded after running ``statement`` in a fresh
+    interpreter that finds the package in ``src``."""
+    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    listing = "import sys; print(*(m for m in sys.modules if m.startswith('scipy')))"
+    out = subprocess.run([sys.executable, "-c", f"{statement}\n{listing}"], check=True,
+                         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+    return frozenset(out.stdout.split())
+
+
+def modules_beyond_lapack(statement: str) -> list[str]:
+    """The scipy modules ``statement`` loads that ``dgtsv``'s own import does not:
+    scipy supplies the package only its LAPACK tridiagonal solver."""
+    return sorted(scipy_modules(statement) - scipy_modules("import scipy.linalg.lapack"))
+
+
+def test_cli_imports_no_scipy_beyond_lapack():
+    assert modules_beyond_lapack("import epifront.cli") == []
+
+
+def test_import_beyond_lapack_is_flagged():
+    assert "scipy.integrate" in modules_beyond_lapack("import epifront.cli, scipy.integrate")
 
 
 def test_config_sections_match_dataclass_fields():

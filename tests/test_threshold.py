@@ -44,6 +44,11 @@ class TestSigmaStar:
         with pytest.raises(ThresholdUndefinedError):
             find_sigma_star(unit_params, resp, init.phi, init.psi, FAST_SIM, COARSE)
 
+    def test_zero_phi_rejected(self, monod2):
+        # sigma scales phi, so no sigma can make a zero shape spread.
+        with pytest.raises(DomainError, match="phi must be positive"):
+            find_sigma_star(P_SUB, monod2, np.zeros_like, np.zeros_like, FAST_SIM, COARSE)
+
     def test_degenerate_bracket_when_supercritical(self, monod2):
         p = ModelParams(d=1.0, a11=1.0, a12=1.0, a22=1.0, mu=1.0, h0=0.6 * math.pi)
         init = InitialData.cosine(1.0, p.h0)
