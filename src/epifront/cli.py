@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
@@ -32,7 +31,7 @@ from .errors import (
     ThresholdUndefinedError,
 )
 from .model import InfectionResponse, InitialData, ModelParams
-from .solver import EARLY_STOP_MODES, Frame, SolverConfig, Trajectory, simulate
+from .solver import Frame, SolverConfig, Trajectory, simulate
 
 # epifront no longer reads this variable; the name stays importable for
 # scripts that still set it.
@@ -62,11 +61,8 @@ def parse_config_text(text: str) -> dict[str, tuple[str, int]]:
         if not key:
             raise ConfigError("missing key before '='", line=lineno)
         if key in entries:
-            raise ConfigError(
-                f"duplicate key {key!r} (first set at line {entries[key][1]})",
-                key=key,
-                line=lineno,
-            )
+            raise ConfigError(f"duplicate key {key!r} (first set at line {entries[key][1]})",
+                              line=lineno)
         entries[key] = (value.strip(), lineno)
     return entries
 
@@ -109,10 +105,11 @@ class ConfigKey:
 
     ``default`` is either the value used when the key is absent or a
     dataclass, whose default for the field ``attr`` (the key's last part
-    unless given) then applies.  ``check`` pairs a predicate on a given
-    value with the message shown when it fails.  With ``when = (key,
-    value)`` the key applies only while that earlier key has that value;
-    setting it otherwise is an unknown-key error.
+    unless given) then applies.  ``attr`` also names the argument of the
+    section's constructor that the key sets: that constructor checks the
+    value's range, and its ``DomainError.field`` leads back to the key.
+    With ``when = (key, value)`` the key applies only while that earlier
+    key has that value; setting it otherwise is an unknown-key error.
     """
 
     name: str
@@ -120,7 +117,6 @@ class ConfigKey:
     default: Any = None
     attr: str = ""
     choices: tuple[str, ...] = ()
-    check: tuple[Callable[[Any], bool], str] | None = None
     when: tuple["ConfigKey", str] | None = None
 
     def __post_init__(self) -> None:
@@ -131,7 +127,7 @@ class ConfigKey:
 
     def error(self, message: str, entries: dict[str, tuple[str, int]]) -> ConfigError:
         line = entries[self.name][1] if self.name in entries else None
-        return ConfigError(f"{self.name}: {message}", key=self.name, line=line)
+        return ConfigError(f"{self.name}: {message}", line=line)
 
     def read(self, entries: dict[str, tuple[str, int]]) -> Any:
         if self.name not in entries:
@@ -144,64 +140,47 @@ class ConfigKey:
             raise self.error(f"expected {expected}, got {text!r}", entries) from None
         if self.choices and value not in self.choices:
             raise self.error(f"expected one of {', '.join(self.choices)}; got {value!r}", entries)
-        if self.check is not None and not self.check[0](value):
-            raise self.error(f"{self.check[1]} (got {value!r})", entries)
         return value
 
 
-_POSITIVE = (lambda v: math.isfinite(v) and v > 0, "must be a finite positive number")
-_NONNEGATIVE = (lambda v: math.isfinite(v) and v >= 0, "must be a finite number >= 0")
-
-
-def _each(check: tuple[Callable[[Any], bool], str]) -> tuple[Callable[[Any], bool], str]:
-    """``check`` applied to every value of a list key."""
-    return (lambda values: all(map(check[0], values)), f"every value {check[1]}")
-
-
 _KIND = ConfigKey("response.kind", str, "monod", choices=("monod", "table"))
-_Z_VALUES = ConfigKey("response.z_values", tuple, attr="z", check=_each(_NONNEGATIVE),
-                      when=(_KIND, "table"))
-_G_VALUES = ConfigKey("response.g_values", tuple, attr="g", check=_each(_NONNEGATIVE),
-                      when=(_KIND, "table"))
+_Z_VALUES = ConfigKey("response.z_values", tuple, attr="z", when=(_KIND, "table"))
+_G_VALUES = ConfigKey("response.g_values", tuple, attr="g", when=(_KIND, "table"))
 _SHAPE = ConfigKey("init.shape", str, "cosine", choices=("cosine", "skewed_cosine"))
-_RECORD_TIMES = ConfigKey("solver.record_times", tuple, SolverConfig, check=_each(_NONNEGATIVE))
-# ``run --profiles``: times read with the rule of solver.record_times, which they join.
-_PROFILES = ConfigKey("--profiles", tuple, (), check=_RECORD_TIMES.check)
+_RECORD_TIMES = ConfigKey("solver.record_times", tuple, SolverConfig)
+# ``run --profiles``: times that join solver.record_times, checked by its rule.
+_PROFILES = ConfigKey("--profiles", tuple, (), attr=_RECORD_TIMES.attr)
 
 # Every config key, in echo order.  Model values carry no dataclass
 # default, so theirs are written here.
 SCHEMA: tuple[ConfigKey, ...] = (
-    ConfigKey("model.d", float, 1.0, check=_POSITIVE),
-    ConfigKey("model.a11", float, 1.0, check=_POSITIVE),
-    ConfigKey("model.a12", float, 1.0, check=_POSITIVE),
-    ConfigKey("model.a22", float, 1.0, check=_POSITIVE),
-    ConfigKey("model.mu", float, 1.0, check=_POSITIVE),
-    ConfigKey("model.h0", float, 1.0, check=_POSITIVE),
+    ConfigKey("model.d", float, 1.0),
+    ConfigKey("model.a11", float, 1.0),
+    ConfigKey("model.a12", float, 1.0),
+    ConfigKey("model.a22", float, 1.0),
+    ConfigKey("model.mu", float, 1.0),
+    ConfigKey("model.h0", float, 1.0),
     _KIND,
-    ConfigKey("response.a21", float, 2.0, check=_POSITIVE, when=(_KIND, "monod")),
+    ConfigKey("response.a21", float, 2.0, when=(_KIND, "monod")),
     _Z_VALUES,
     _G_VALUES,
-    ConfigKey("init.sigma", float, 1.0, check=_NONNEGATIVE),
+    ConfigKey("init.sigma", float, 1.0),
     _SHAPE,
-    ConfigKey("init.skew", float, 0.5, check=(lambda v: abs(v) < 1.0, "magnitude must be < 1"),
-              when=(_SHAPE, "skewed_cosine")),
-    ConfigKey("solver.n_cells", int, SolverConfig,
-              check=(lambda v: v >= 16 and v % 2 == 0, "must be even and >= 16")),
-    ConfigKey("solver.dt_max", float, SolverConfig, check=_POSITIVE),
-    ConfigKey("solver.t_max", float, SolverConfig, check=_POSITIVE),
-    ConfigKey("solver.frame_stride", int, SolverConfig, check=(lambda v: v >= 1, "must be >= 1")),
+    ConfigKey("init.skew", float, 0.5, when=(_SHAPE, "skewed_cosine")),
+    ConfigKey("solver.n_cells", int, SolverConfig),
+    ConfigKey("solver.dt_max", float, SolverConfig),
+    ConfigKey("solver.t_max", float, SolverConfig),
+    ConfigKey("solver.frame_stride", int, SolverConfig),
     _RECORD_TIMES,
-    ConfigKey("solver.early_stop", str, SolverConfig, choices=EARLY_STOP_MODES),
+    ConfigKey("solver.early_stop", str, SolverConfig),
     ConfigKey("monitors.bounds", bool, analysis.Monitors),
     ConfigKey("monitors.symmetry", bool, analysis.Monitors),
     ConfigKey("monitors.speed", bool, analysis.Monitors),
-    ConfigKey("threshold.tol", float, threshold.BisectConfig, attr="rel_tol",
-              check=(lambda v: 0 < v < 1, "must be in (0, 1)")),
-    ConfigKey("threshold.hi_factor", float, threshold.BisectConfig, attr="hi_seed_factor",
-              check=_POSITIVE),
-    ConfigKey("sweep.sigma", tuple, check=_each(_NONNEGATIVE)),
-    ConfigKey("sweep.mu", tuple, check=_each(_POSITIVE)),
-    ConfigKey("sweep.d", tuple, check=_each(_POSITIVE)),
+    ConfigKey("threshold.tol", float, threshold.BisectConfig, attr="rel_tol"),
+    ConfigKey("threshold.hi_factor", float, threshold.BisectConfig, attr="hi_seed_factor"),
+    ConfigKey("sweep.sigma", tuple),
+    ConfigKey("sweep.mu", tuple),
+    ConfigKey("sweep.d", tuple),
 )
 
 
@@ -227,6 +206,16 @@ def _section(values: dict[str, Any], section: str) -> dict[str, Any]:
             if key.section == section and key.name in values}
 
 
+def _build(section: str, entries: dict[str, tuple[str, int]], make: Callable[[], Any]) -> Any:
+    """``make()``, with a ``DomainError`` reported on the key of ``section``
+    whose ``attr`` is the error's ``field``."""
+    try:
+        return make()
+    except DomainError as exc:
+        key = next(k for k in (*SCHEMA, _PROFILES) if k.section == section and k.attr == exc.field)
+        raise key.error(str(exc), entries) from None
+
+
 def build_setup(entries: dict[str, tuple[str, int]]) -> RunSetup:
     values: dict[str, Any] = {}
     for key in SCHEMA:
@@ -234,43 +223,44 @@ def build_setup(entries: dict[str, tuple[str, int]]) -> RunSetup:
             values[key.name] = key.read(entries)
     for name, (_, lineno) in entries.items():
         if name not in values:
-            raise ConfigError(f"unknown key {name!r}", key=name, line=lineno)
+            raise ConfigError(f"unknown key {name!r}", line=lineno)
 
-    params = ModelParams(**_section(values, "model"))
+    # Each section's constructor checks the ranges of its values.
+    params = _build("model", entries, lambda: ModelParams(**_section(values, "model")))
 
+    # response.kind and init.shape name the constructor; the section's other keys are its arguments.
     response = _section(values, "response")
     kind = response.pop("kind")
-    if kind == "monod":
-        resp = InfectionResponse.monod(**response)
-    elif None in response.values():
+    if None in response.values():
         raise _KIND.error(f"table needs {_Z_VALUES.name} and {_G_VALUES.name}", entries)
-    else:
-        try:
-            resp = InfectionResponse.table(**response)
-        except DomainError as exc:
-            at_fault = _G_VALUES if exc.field == _G_VALUES.attr else _Z_VALUES
-            raise at_fault.error(str(exc), entries) from None
+    resp = _build("response", entries, lambda: getattr(InfectionResponse, kind)(**response))
 
-    # init.shape names the InitialData constructor; the other init keys are its arguments.
     init_args = _section(values, "init")
-    init = getattr(InitialData, init_args.pop("shape"))(h0=params.h0, **init_args)
+    shape = init_args.pop("shape")
+    init = _build("init", entries,
+                  lambda: getattr(InitialData, shape)(h0=params.h0, **init_args))
 
-    try:
-        solver_cfg = SolverConfig(**_section(values, "solver")).resolved(params)
-    except DomainError as exc:
-        raise ConfigError(f"solver configuration invalid: {exc}") from exc
-    # Echo the resolved dt_max and t_max that the run will use.
+    # The derived dt_max and t_max are checked too, and echoed as the run will use them.
+    solver_cfg = _build("solver", entries,
+                        lambda: SolverConfig(**_section(values, "solver")).resolved(params))
     values.update((key.name, getattr(solver_cfg, key.attr))
                   for key in SCHEMA if key.section == "solver")
+    bisect = _build("threshold", entries,
+                    lambda: threshold.BisectConfig(**_section(values, "threshold")))
 
     sweep = _section(values, "sweep")
+    # A sweep value is checked by building the cell parameters it sets.
+    _build("sweep", entries, lambda: (
+        [params.with_(mu=mu) for mu in sweep["mu"] or ()],
+        [params.with_(d=d) for d in sweep["d"] or ()],
+        [init.with_sigma(sigma) for sigma in sweep["sigma"] or ()]))
     return RunSetup(
         params=params,
         resp=resp,
         init=init,
         solver=solver_cfg,
         monitor_toggles=_section(values, "monitors"),
-        bisect=threshold.BisectConfig(**_section(values, "threshold")),
+        bisect=bisect,
         sweep_sigma=sweep["sigma"],
         sweep_mu=sweep["mu"],
         sweep_d=sweep["d"],
@@ -290,7 +280,7 @@ def load_setup(path: str | None) -> RunSetup:
     try:
         return build_setup(parse_config_text(text))
     except ConfigError as exc:
-        raise ConfigError(f"{path}: {exc}", key=exc.key, line=None) from exc
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -493,15 +483,15 @@ def _write_trajectory(traj: Trajectory | None, setup: RunSetup, out: Path) -> Pa
 def cmd_run(args: argparse.Namespace) -> int:
     setup = load_setup(args.config)
     profile_times = _PROFILES.read({_PROFILES.name: (args.profiles or "", None)})
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-
     solver_cfg = setup.solver
     if profile_times:
         merged = tuple(sorted(set(solver_cfg.record_times) | set(profile_times)))
-        solver_cfg = replace(solver_cfg, record_times=merged)
+        solver_cfg = _build(_PROFILES.section, {},
+                            lambda: replace(solver_cfg, record_times=merged))
         # Keep the echoed config faithful to the run actually executed.
         setup.echo[_RECORD_TIMES.name] = _show(merged)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
 
     cert = analysis.bound_certificate(setup.params, setup.resp, setup.init)
     try:
@@ -582,7 +572,6 @@ def cmd_threshold(args: argparse.Namespace) -> int:
             "monotone_verdicts": result.monotone,
             "probes": [asdict(r) for r in result.probes],
             "confirmations": confirmations,
-            "bisect": result.config,
             "config": setup.echo,
         }
         outcome = (f"{args.target}* in [{result.lo:.6g}, {result.hi:.6g}] ({result.status}, "

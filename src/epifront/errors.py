@@ -55,13 +55,8 @@ class ThresholdUndefinedError(EpifrontError):
 class ConfigError(EpifrontError):
     """A run configuration could not be parsed or validated.
 
-    ``key`` and ``line`` anchor the message to the offending entry.
+    The message starts with ``line N:`` when ``line`` names the offending line.
     """
 
-    def __init__(self, message: str, key: str | None = None, line: int | None = None):
-        prefix = ""
-        if line is not None:
-            prefix = f"line {line}: "
-        super().__init__(prefix + message)
-        self.key = key
-        self.line = line
+    def __init__(self, message: str, line: int | None = None):
+        super().__init__(message if line is None else f"line {line}: {message}")

@@ -53,7 +53,7 @@ class ModelParams:
         for name in ("d", "a11", "a12", "a22", "mu", "h0"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
-                raise DomainError(f"{name} must be finite and > 0 (got {value!r})")
+                raise DomainError(f"{name} must be finite and > 0 (got {value!r})", field=name)
 
     def with_(self, **changes: float) -> "ModelParams":
         return replace(self, **changes)
@@ -84,7 +84,7 @@ class InfectionResponse:
     def monod(cls, a21: float) -> "InfectionResponse":
         """Saturating response G(z) = a21 z / (1 + z)."""
         if not (math.isfinite(a21) and a21 > 0):
-            raise DomainError(f"a21 must be finite and > 0 (got {a21!r})")
+            raise DomainError(f"a21 must be finite and > 0 (got {a21!r})", field="a21")
         return cls(
             g=lambda z: a21 * z / (1.0 + z),
             g_prime=lambda z: a21 / (1.0 + z) ** 2,
@@ -131,7 +131,7 @@ class InitialData:
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.sigma) and self.sigma >= 0):
-            raise DomainError(f"sigma must be finite and >= 0 (got {self.sigma!r})")
+            raise DomainError(f"sigma must be finite and >= 0 (got {self.sigma!r})", field="sigma")
 
     def u0(self, x):
         return self.sigma * self.phi(x)
@@ -152,7 +152,7 @@ class InitialData:
     def skewed_cosine(sigma: float, h0: float, skew: float) -> "InitialData":
         """Asymmetric hump cos(pi x/(2 h0)) * (1 + skew * sin(pi x/h0))."""
         if not abs(skew) < 1.0:
-            raise DomainError("skew magnitude must be < 1 to keep the shape nonnegative")
+            raise DomainError(f"skew magnitude must be < 1 (got {skew!r})", field="skew")
         shape = _cosine_shape(h0)
 
         def skewed(x):

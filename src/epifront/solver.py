@@ -81,20 +81,28 @@ class SolverConfig:
     early_stop: str = "both"
 
     def __post_init__(self) -> None:
+        for name in ("n_cells", "frame_stride"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise DomainError(f"{name} must be an integer (got {value!r})", field=name)
         if self.n_cells < 16 or self.n_cells % 2:
-            raise DomainError(f"n_cells must be even and >= 16 (got {self.n_cells})")
+            raise DomainError(f"n_cells must be even and >= 16 (got {self.n_cells})",
+                              field="n_cells")
         for name in ("dt_max", "t_max"):
             value = getattr(self, name)
             if value is None:
                 continue  # resolved() derives it from the model
             if not (math.isfinite(value) and value > 0):
-                raise DomainError(f"{name} must be finite and > 0 (got {value!r})")
+                raise DomainError(f"{name} must be finite and > 0 (got {value!r})", field=name)
         if self.frame_stride < 1:
-            raise DomainError("frame_stride must be >= 1")
+            raise DomainError(f"frame_stride must be >= 1 (got {self.frame_stride})",
+                              field="frame_stride")
         if self.early_stop not in EARLY_STOP_MODES:
-            raise DomainError(f"unknown early_stop {self.early_stop!r}")
+            raise DomainError(f"early_stop must be one of {', '.join(EARLY_STOP_MODES)} "
+                              f"(got {self.early_stop!r})", field="early_stop")
         if not all(math.isfinite(s) and s >= 0 for s in self.record_times):
-            raise DomainError(f"record_times must be finite and >= 0 (got {self.record_times!r})")
+            raise DomainError(f"record_times must be finite and >= 0 (got {self.record_times!r})",
+                              field="record_times")
 
     def resolved(self, p: ModelParams) -> "SolverConfig":
         dt = self.dt_max if self.dt_max is not None else 1e-3 * p.h0 * p.h0 / p.d

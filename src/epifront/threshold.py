@@ -38,10 +38,10 @@ class BisectConfig:
 
     def __post_init__(self) -> None:
         if not 0.0 < self.rel_tol < 1.0:
-            raise DomainError(f"rel_tol must be in (0, 1) (got {self.rel_tol!r})")
+            raise DomainError(f"rel_tol must be in (0, 1) (got {self.rel_tol!r})", field="rel_tol")
         if not (math.isfinite(self.hi_seed_factor) and self.hi_seed_factor > 0):
             raise DomainError(f"hi_seed_factor must be finite and > 0 "
-                              f"(got {self.hi_seed_factor!r})")
+                              f"(got {self.hi_seed_factor!r})", field="hi_seed_factor")
 
 
 @dataclass(frozen=True)
@@ -75,7 +75,6 @@ class ThresholdResult:
     lo: float
     hi: float
     probes: list[ProbeRecord] = field(default_factory=list)
-    config: dict = field(default_factory=dict)
 
     @property
     def n_sims(self) -> int:
@@ -114,9 +113,7 @@ def _find_threshold(
         raise ThresholdUndefinedError(f"R0 <= 1: vanishing for every {target}, no threshold")
     sim_config = (sim_config or SolverConfig()).resolved(p)
     bisect = bisect or BisectConfig()
-    echo = {"target": target, "rel_tol": bisect.rel_tol, "n_cells": sim_config.n_cells,
-            "t_max": sim_config.t_max, "dt_max": sim_config.dt_max}
-    result = ThresholdResult(target=target, status="inconclusive", lo=0.0, hi=0.0, config=echo)
+    result = ThresholdResult(target=target, status="inconclusive", lo=0.0, hi=0.0)
 
     if free_boundary_reproduction_number(p, resp, 2.0 * p.h0) >= 1.0:
         # A super-critical habitat spreads for every sigma > 0 and every mu > 0.

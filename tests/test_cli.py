@@ -20,7 +20,16 @@ solver.frame_stride = 20
 """
 
 
-NOT_NONNEGATIVE = "every value must be a finite number >= 0"
+NOT_NONNEGATIVE = "samples must be finite and >= 0"
+
+
+# A value of each config type that no key accepts.
+BAD_VALUE = {float: "nan", tuple: "nan", int: "0", bool: "maybe", str: "sometimes"}
+# The lines a scoped key needs before it: its scope and, for a table, both lists.
+SCOPE_LINES = {
+    "table": ["response.kind = table", "response.z_values = 0,1,2", "response.g_values = 0,1,1.5"],
+    "skewed_cosine": ["init.shape = skewed_cosine"],
+}
 
 
 def write(tmp_path, text, name="config.txt"):
@@ -75,6 +84,17 @@ class TestConfigParsing:
         assert main(["validate", "--config", cfg]) == 2
         assert f"line 2: {key}: " in capsys.readouterr().err
 
+    # One bad value per key: each key's only range rule is in its section's
+    # constructor, so a key whose value reaches no check fails here.
+    @pytest.mark.parametrize("key", SCHEMA, ids=lambda key: key.name)
+    def test_every_key_rejects_a_bad_value(self, key, tmp_path, capsys):
+        scope = SCOPE_LINES.get(key.when[1], []) if key.when else []
+        lines = [line for line in scope if not line.startswith(f"{key.name} =")]
+        lines.append(f"{key.name} = {BAD_VALUE[key.type]}")
+        cfg = write(tmp_path, "\n".join(lines) + "\n")
+        assert main(["validate", "--config", cfg]) == 2
+        assert f"line {len(lines)}: {key.name}: " in capsys.readouterr().err
+
     # A list left out (None) is not written; the message names the list at
     # fault, or response.kind when both are missing.
     @pytest.mark.parametrize("z, g, key, line, message", [
@@ -103,7 +123,8 @@ class TestConfigParsing:
         # The default dt_max = 1e-3 h0^2/d overflows to inf.
         cfg = write(tmp_path, "model.h0 = 1e200\nmodel.d = 1e-200\n")
         assert main(["validate", "--config", cfg]) == 2
-        assert "solver configuration invalid: dt_max must be finite" in capsys.readouterr().err
+        assert (f"config error: {cfg}: solver.dt_max: dt_max must be finite and > 0 (got inf)"
+                in capsys.readouterr().err)
 
     def test_defaults_resolve(self):
         setup = build_setup({})
@@ -238,8 +259,8 @@ class TestRunCommand:
     @pytest.mark.parametrize("times, message", [
         ("abc", "expected comma-separated numbers"),
         ("0.2,,0.3", "expected comma-separated numbers"),
-        ("nan", "every value must be a finite number >= 0"),
-        ("-1", "every value must be a finite number >= 0"),
+        ("nan", "record_times must be finite and >= 0 (got (nan,))"),
+        ("-1", "record_times must be finite and >= 0 (got (-1.0,))"),
     ])
     def test_bad_profile_times_rejected(self, times, message, tmp_path, capsys):
         cfg = write(tmp_path, FAST)

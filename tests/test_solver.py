@@ -371,6 +371,13 @@ class TestSolverConfig:
             SolverConfig(early_stop="sometimes")
         with pytest.raises(DomainError, match="record_times"):
             SolverConfig(record_times=(math.nan,))
+        # A float n_cells fails later in simulate; a float stride records every ceil(stride) steps.
+        with pytest.raises(DomainError, match="n_cells must be an integer"):
+            SolverConfig(n_cells=64.0)
+        with pytest.raises(DomainError, match="frame_stride must be an integer"):
+            SolverConfig(frame_stride=2.5)
+        with pytest.raises(DomainError, match="frame_stride must be an integer"):
+            SolverConfig(frame_stride=True)
 
     @pytest.mark.parametrize("name", ["dt_max", "t_max"])
     def test_infinite_value_rejected(self, name):

@@ -42,6 +42,40 @@ def unread_parameters(source: str) -> list[str]:
     return found
 
 
+def unused_imports(source: str) -> list[str]:
+    """Every name a module imports, other than from ``__future__``, that it
+    never loads, in its code or in a string annotation."""
+    tree = ast.parse(source)
+    imported = [alias.asname or alias.name.split(".")[0] for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                and getattr(node, "module", None) != "__future__" for alias in node.names]
+    annotations = [node.annotation for node in ast.walk(tree)
+                   if isinstance(node, (ast.arg, ast.AnnAssign)) and node.annotation]
+    annotations += [node.returns for node in ast.walk(tree)
+                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns]
+    quoted = [ast.parse(node.value, mode="eval") for annotation in annotations
+              for node in ast.walk(annotation)
+              if isinstance(node, ast.Constant) and isinstance(node.value, str)]
+    used = {node.id for root in (tree, *quoted) for node in ast.walk(root)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return [name for name in imported if name not in used]
+
+
+def test_scan_flags_unused_import():
+    source = ("from __future__ import annotations\nimport os.path\nimport json as j\n"
+              "from typing import Any, Callable\nfrom x import kept, dead\n"
+              "def f(a: 'Callable[[], Any]') -> 'kept':\n    return a\n")
+    assert unused_imports(source) == ["os", "j", "dead"]
+
+
+def test_no_unused_imports():
+    # __init__.py imports only to re-export: its names are the public API.
+    dead = [f"{path.name}: {name}" for path in sorted(SRC.glob("*.py"))
+            if path.name != "__init__.py"
+            for name in unused_imports(path.read_text(encoding="utf-8"))]
+    assert dead == []
+
+
 def dataclass_fields(source: str) -> list[tuple[str, str]]:
     """(class, field) for every field of every ``@dataclass`` class."""
     found = []
