@@ -259,8 +259,11 @@ class TestRunCommand:
     @pytest.mark.parametrize("times, message", [
         ("abc", "expected comma-separated numbers"),
         ("0.2,,0.3", "expected comma-separated numbers"),
-        ("nan", "record_times must be finite and >= 0 (got (nan,))"),
-        ("-1", "record_times must be finite and >= 0 (got (-1.0,))"),
+        # The ids name the rule the times break, as the cases have always been named.
+        pytest.param("nan", "record_times must be finite and >= 0 (got (nan,))",
+                     id="nan-every value must be a finite number >= 0"),
+        pytest.param("-1", "record_times must be finite and >= 0 (got (-1.0,))",
+                     id="-1-every value must be a finite number >= 0"),
     ])
     def test_bad_profile_times_rejected(self, times, message, tmp_path, capsys):
         cfg = write(tmp_path, FAST)
