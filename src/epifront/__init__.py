@@ -62,8 +62,7 @@ from .threshold import (
     ProbeRecord,
     SweepCell,
     ThresholdResult,
-    find_mu_star,
-    find_sigma_star,
+    find_threshold,
     sweep,
 )
 

@@ -172,7 +172,7 @@ SCHEMA: tuple[ConfigKey, ...] = (
     ConfigKey("solver.t_max", float, SolverConfig),
     ConfigKey("solver.frame_stride", int, SolverConfig),
     _RECORD_TIMES,
-    ConfigKey("solver.early_stop", str, SolverConfig),
+    ConfigKey("solver.early_stop", bool, SolverConfig),
     ConfigKey("monitors.bounds", bool, analysis.Monitors),
     ConfigKey("monitors.symmetry", bool, analysis.Monitors),
     ConfigKey("monitors.speed", bool, analysis.Monitors),
@@ -541,12 +541,8 @@ def cmd_threshold(args: argparse.Namespace) -> int:
     p, resp = setup.params, setup.resp
 
     try:
-        if args.target == "sigma":
-            result = threshold.find_sigma_star(
-                p, resp, setup.init.phi, setup.init.psi, setup.solver, setup.bisect
-            )
-        else:
-            result = threshold.find_mu_star(p, resp, setup.init, setup.solver, setup.bisect)
+        result = threshold.find_threshold(args.target, p, resp, setup.init, setup.solver,
+                                          setup.bisect)
     except ThresholdUndefinedError as exc:
         payload = {
             "target": args.target,
@@ -671,7 +667,7 @@ def main(argv: list[str] | None = None) -> int:
 
     sp_thr = sub.add_parser("threshold", parents=[common],
                             help="bracket the sharp threshold by bisection")
-    sp_thr.add_argument("--target", choices=("sigma", "mu"), default="sigma")
+    sp_thr.add_argument("--target", choices=threshold.TARGETS, default="sigma")
     sp_thr.set_defaults(handler=cmd_threshold)
 
     sp_sweep = sub.add_parser("sweep", parents=[common], help="classify a parameter grid")
@@ -689,7 +685,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except EpifrontError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 3 if isinstance(exc, BlowUpError) else 1
 
 
 if __name__ == "__main__":

@@ -142,7 +142,7 @@ def refinement_study(
             t_max=t_end,
             frame_stride=1,
             record_times=(t_end,),
-            early_stop="none",
+            early_stop=False,
         )
         traj, _ = simulate(p, resp, init, cfg)
         n_cells.append(cfg.n_cells)

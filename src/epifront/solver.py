@@ -52,14 +52,6 @@ _TIME_SNAP = 1e-9  # relative tolerance for landing on a requested time
 # so this also bounds the advective Courant number max|A| dt/dy.
 _FRONT_CFL = 0.2
 _CLASSIFY_STRIDE = 8  # recorded frames between classifier checks
-# early_stop mode -> the verdicts that end the run before t_max
-_STOP_VERDICTS = {
-    "both": (analysis.Verdict.SPREADING, analysis.Verdict.VANISHING),
-    "vanishing": (analysis.Verdict.VANISHING,),
-    "spreading": (analysis.Verdict.SPREADING,),
-    "none": (),
-}
-EARLY_STOP_MODES = tuple(_STOP_VERDICTS)
 
 
 @dataclass(frozen=True)
@@ -69,8 +61,8 @@ class SolverConfig:
     ``dt_max`` defaults to 1e-3 h0^2/d and ``t_max`` to 200/min(a11, a22)
     when left as None; call :meth:`resolved` to materialize them.
     ``record_times`` are exact times the integrator must land on (a frame
-    is recorded there).  ``early_stop`` selects which verdicts terminate
-    the run before t_max: "both", "vanishing", "spreading", or "none".
+    is recorded there).  With ``early_stop`` a run ends at the first
+    classifier check that reaches a verdict; without it, at t_max.
     """
 
     n_cells: int = 256
@@ -78,7 +70,7 @@ class SolverConfig:
     t_max: float | None = None
     frame_stride: int = 50
     record_times: tuple[float, ...] = ()
-    early_stop: str = "both"
+    early_stop: bool = True
 
     def __post_init__(self) -> None:
         for name in ("n_cells", "frame_stride"):
@@ -97,9 +89,9 @@ class SolverConfig:
         if self.frame_stride < 1:
             raise DomainError(f"frame_stride must be >= 1 (got {self.frame_stride})",
                               field="frame_stride")
-        if self.early_stop not in EARLY_STOP_MODES:
-            raise DomainError(f"early_stop must be one of {', '.join(EARLY_STOP_MODES)} "
-                              f"(got {self.early_stop!r})", field="early_stop")
+        if not isinstance(self.early_stop, bool):
+            raise DomainError(f"early_stop must be a bool (got {self.early_stop!r})",
+                              field="early_stop")
         if not all(math.isfinite(s) and s >= 0 for s in self.record_times):
             raise DomainError(f"record_times must be finite and >= 0 (got {self.record_times!r})",
                               field="record_times")
@@ -290,10 +282,9 @@ class _Run:
         if hit_target or self.steps_since_frame >= self.config.frame_stride:
             self.record(w, z)
             self.steps_since_frame = 0
-            stop_verdicts = _STOP_VERDICTS[self.config.early_stop]
-            if stop_verdicts and (len(self.traj.frames) - 1) % _CLASSIFY_STRIDE == 0:
+            if self.config.early_stop and (len(self.traj.frames) - 1) % _CLASSIFY_STRIDE == 0:
                 partial = analysis.classify(self.traj)
-                if partial.verdict in stop_verdicts:
+                if partial.verdict is not analysis.Verdict.UNDETERMINED:
                     self.traj.terminated_by = f"classifier:{partial.verdict.value}"
                     return partial
         if self.t < self.config.t_max * (1.0 - 1e-14):
@@ -323,17 +314,16 @@ def _step_batch(
     w: np.ndarray,
     z: np.ndarray,
     y: np.ndarray,
-    caps: Sequence[float | None],
+    caps: Sequence[float],
 ) -> tuple[np.ndarray, np.ndarray, dict[int, Exception]]:
     """Advance every member of a batch by one IMEX step.
 
     Row i of the (B, n+1) arrays w, z (fields) and y (grid) belongs to
-    ``members[i]``, whose step is also capped at ``caps[i]`` (None: no
-    cap).  Order within a step: front speeds from the current field, fronts
-    by forward Euler, then the field update with the new geometry
-    (implicit diffusion, upwind advection, explicit reactions, floor at
-    zero).  G is evaluated once on the whole block, so it must act
-    elementwise.
+    ``members[i]``, whose step is also capped at ``caps[i]``.  Order
+    within a step: front speeds from the current field, fronts by forward
+    Euler, then the field update with the new geometry (implicit
+    diffusion, upwind advection, explicit reactions, floor at zero).  G
+    is evaluated once on the whole block, so it must act elementwise.
 
     Advances each surviving member's t, g, h and clipped_total in place and
     returns (w_new, z_new, failed).  ``failed`` maps a row to the exception
@@ -350,12 +340,10 @@ def _step_batch(
         width = m.h - m.g
         g_speed, h_speed = _stefan_speeds(*edge, dy, 2.0 * p.h0 * p.mu / width)
         speed = max(h_speed, -g_speed)
-        dt = config.dt_max
+        dt = min(config.dt_max, cap)
         if speed > 0.0:
             dx_phys = dy * width / (2.0 * p.h0)
             dt = min(dt, _FRONT_CFL * dx_phys / speed)
-        if cap is not None:
-            dt = min(dt, cap)
         g_new = m.g + dt * g_speed
         h_new = m.h + dt * h_speed
         # The sign clamps give h_new >= h and g_new <= g, and rounding is monotone,
@@ -439,7 +427,7 @@ def step(
     p: ModelParams,
     resp: InfectionResponse,
     config: SolverConfig,
-    dt_cap: float | None = None,
+    dt_cap: float = math.inf,
 ) -> SolverState:
     """Advance one IMEX step; the step size obeys dt_max and the front CFL limit.
 

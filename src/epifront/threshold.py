@@ -2,20 +2,22 @@
 
 The initial-data scale sigma and the front-response coefficient mu each
 admit a sharp spreading/vanishing threshold; comparison monotonicity
-makes plain bisection on the verdict sound.  Each probe is one
-simulation to twice the solver horizon; a probe still undetermined there
-counts on the vanishing side of the bracket.
+makes plain bisection on the verdict sound.  :func:`find_threshold`
+brackets either one, named by :data:`TARGETS`: a probe value becomes
+the (params, response, initial data) it runs, and each probe is one
+simulation to twice the solver horizon.  A probe still undetermined
+there counts on the vanishing side of the bracket.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .analysis import Classification, Verdict
+from .analysis import Verdict
 from .errors import DomainError, ThresholdUndefinedError
 from .model import (
     InfectionResponse,
@@ -29,6 +31,9 @@ from .solver import SolverConfig, simulate, simulate_batch
 
 _MAX_EXPAND = 40   # doublings of hi, then halvings of lo, before giving up
 _MAX_ITER = 80     # bisection steps once both sides are found
+# The quantities find_threshold can bracket: the initial-data scale and the
+# front-response coefficient.
+TARGETS = ("sigma", "mu")
 
 
 @dataclass(frozen=True)
@@ -99,16 +104,31 @@ class ThresholdResult:
         return (self.hi - self.lo) / self.hi if self.hi > 0 else 0.0
 
 
-def _find_threshold(
+def find_threshold(
     target: str,
     p: ModelParams,
     resp: InfectionResponse,
-    sim_config: SolverConfig | None,
-    bisect: BisectConfig | None,
-    run: Callable[[float, SolverConfig], Classification],
-    hi_seed: Callable[[BisectConfig], float],
+    init: InitialData,
+    sim_config: SolverConfig | None = None,
+    bisect: BisectConfig | None = None,
 ) -> ThresholdResult:
-    """Bisect on the verdict of ``run(value, config)``, starting from ``hi_seed(bisect)``."""
+    """Bracket the sharp threshold in ``target``, one of :data:`TARGETS`.
+
+    "sigma" scales the shapes of ``init`` (its own sigma is not read); the
+    search starts from ``hi_seed_factor`` u*/sup phi.  "mu" runs ``init``
+    as it is and starts from 2 ``p.mu``; monotonicity in mu is cited, not
+    proved here, and the bisection cannot observe a violation, so the
+    result's ``monotone`` flag is no check of it (see
+    :class:`ThresholdResult`).
+
+    Requires R0 > 1 (below that everything vanishes and no threshold
+    exists).  When the initial habitat is already super-critical the
+    threshold is exactly 0 and a degenerate bracket is returned without
+    simulating.
+    """
+    if target not in TARGETS:
+        raise DomainError(f"target must be one of {', '.join(TARGETS)} (got {target!r})",
+                          field="target")
     if basic_reproduction_number(p, resp) <= 1.0:
         raise ThresholdUndefinedError(f"R0 <= 1: vanishing for every {target}, no threshold")
     sim_config = (sim_config or SolverConfig()).resolved(p)
@@ -120,12 +140,26 @@ def _find_threshold(
         result.status = "degenerate"
         return result
 
+    if target == "sigma":
+        equilibrium = endemic_equilibrium(p, resp)
+        assert equilibrium is not None
+        x = np.linspace(-p.h0, p.h0, 513)
+        sup_phi = float(np.max(np.asarray(init.phi(x), dtype=float)))
+        if not sup_phi > 0:
+            raise DomainError("phi must be positive somewhere on (-h0, h0)")
+        hi = bisect.hi_seed_factor * equilibrium[0] / sup_phi
+    else:
+        hi = 2.0 * p.mu
+
     horizon = replace(sim_config, t_max=2.0 * sim_config.t_max)
     verdicts: dict[float, Verdict] = {}
 
     def probe(value: float) -> Verdict:
         if value not in verdicts:
-            cls = run(value, horizon)
+            if target == "sigma":
+                _, cls = simulate(p, resp, init.with_sigma(value), horizon)
+            else:
+                _, cls = simulate(p.with_(mu=value), resp, init, horizon)
             ev = cls.evidence
             result.probes.append(ProbeRecord(
                 value=value, verdict=cls.verdict, criterion=ev.criterion, time=ev.time,
@@ -134,7 +168,6 @@ def _find_threshold(
             verdicts[value] = cls.verdict
         return verdicts[value]
 
-    hi = hi_seed(bisect)
     for _ in range(_MAX_EXPAND):
         if probe(hi) is Verdict.SPREADING:
             break
@@ -167,57 +200,6 @@ def _find_threshold(
     result.status = "bracketed" if hi - lo <= bisect.rel_tol * hi else "inconclusive"
     result.lo, result.hi = lo, hi
     return result
-
-
-def find_sigma_star(
-    p: ModelParams,
-    resp: InfectionResponse,
-    phi: Callable,
-    psi: Callable,
-    sim_config: SolverConfig | None = None,
-    bisect: BisectConfig | None = None,
-) -> ThresholdResult:
-    """Bracket the critical initial-data scale sigma*.
-
-    Requires R0 > 1 (below that everything vanishes and no threshold
-    exists).  When the initial habitat is already super-critical the
-    threshold is exactly 0 and a degenerate bracket is returned without
-    simulating.
-    """
-
-    def run(sigma: float, config: SolverConfig) -> Classification:
-        return simulate(p, resp, InitialData(sigma=sigma, phi=phi, psi=psi), config)[1]
-
-    def hi_seed(bisect: BisectConfig) -> float:
-        equilibrium = endemic_equilibrium(p, resp)
-        assert equilibrium is not None
-        x = np.linspace(-p.h0, p.h0, 513)
-        sup_phi = float(np.max(np.asarray(phi(x), dtype=float)))
-        if not sup_phi > 0:
-            raise DomainError("phi must be positive somewhere on (-h0, h0)")
-        return bisect.hi_seed_factor * equilibrium[0] / sup_phi
-
-    return _find_threshold("sigma", p, resp, sim_config, bisect, run, hi_seed)
-
-
-def find_mu_star(
-    p: ModelParams,
-    resp: InfectionResponse,
-    init: InitialData,
-    sim_config: SolverConfig | None = None,
-    bisect: BisectConfig | None = None,
-) -> ThresholdResult:
-    """Bracket the critical front-response coefficient mu*.
-
-    Monotonicity in mu is not proved here, only cited.  The bisection
-    assumes it and cannot observe a violation, so the result's
-    ``monotone`` flag is no check of it (see :class:`ThresholdResult`).
-    """
-
-    def run(mu: float, config: SolverConfig) -> Classification:
-        return simulate(p.with_(mu=mu), resp, init, config)[1]
-
-    return _find_threshold("mu", p, resp, sim_config, bisect, run, lambda _: 2.0 * p.mu)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from epifront import (
     dominance_check,
     eigen_check,
     equilibrium_convergence,
-    find_sigma_star,
+    find_threshold,
     ode_solve,
     refinement_study,
     sample_physical,
@@ -63,7 +63,7 @@ def vanishing_run():
 def spreading_run():
     init = InitialData.cosine(1.0, P_SUPER.h0)
     monitors = Monitors(bound_certificate(P_SUPER, MONOD2, init))
-    cfg = SolverConfig(t_max=80.0, dt_max=2e-3, early_stop="vanishing")
+    cfg = SolverConfig(t_max=80.0, dt_max=2e-3, early_stop=False)
     traj, cls = simulate(P_SUPER, MONOD2, init, cfg, monitors=monitors)
     return traj, cls, monitors.certificate
 
@@ -82,8 +82,8 @@ def sigma_star_results():
     out = {}
     for n_cells, dt in ((128, 5e-3), (256, 2.5e-3)):
         cfg = SolverConfig(n_cells=n_cells, dt_max=dt, t_max=250.0)
-        out[n_cells] = find_sigma_star(P_SUB, MONOD2, init.phi, init.psi, cfg,
-                                       BisectConfig(rel_tol=1e-2))
+        out[n_cells] = find_threshold("sigma", P_SUB, MONOD2, init, cfg,
+                                      BisectConfig(rel_tol=1e-2))
     return out
 
 
@@ -164,7 +164,7 @@ def test_criterion_04_sharp_sigma_threshold(sigma_star_results):
 
 def test_criterion_05_comparison_monotonicity():
     times = (0.5, 1.0, 2.0)
-    cfg = SolverConfig(t_max=2.0, record_times=times, early_stop="none",
+    cfg = SolverConfig(t_max=2.0, record_times=times, early_stop=False,
                        frame_stride=10**9)
     runs = {}
     for sigma in (0.5, 1.0, 2.0):
@@ -193,7 +193,7 @@ def test_criterion_05_comparison_monotonicity():
 
 
 def test_criterion_06_symmetry_band():
-    cfg = SolverConfig(t_max=15.0, early_stop="none")
+    cfg = SolverConfig(t_max=15.0, early_stop=False)
     asym = InitialData.skewed_cosine(1.0, UNIT.h0, 0.5)
     traj_a, _ = simulate(UNIT, MONOD2, asym, cfg)
     excess = symmetry_band_check(traj_a)
@@ -299,7 +299,7 @@ def test_criterion_12_comparison_certificates():
         psi=lambda x: sub.delta * sub.v_factor * shape2(x),
     )
     traj_sub, sub_cls = simulate(P_SUPER, MONOD2, init_sub,
-                                 SolverConfig(t_max=30.0, early_stop="vanishing"))
+                                 SolverConfig(t_max=30.0, early_stop=False))
     sup_w = traj_sub.column("sup_w")
     tail = sup_w[int(0.9 * (len(sup_w) - 1)):]
     persistent = bool(np.all(tail >= sub.delta * 0.99))  # psi(0) = 1

@@ -64,7 +64,7 @@ class TestMassBalance:
     def test_zero_run_zero_residual(self, unit_params, monod2):
         traj, _ = simulate(
             unit_params, monod2, InitialData.cosine(0.0, 1.0),
-            SolverConfig(t_max=1.0, early_stop="none"),
+            SolverConfig(t_max=1.0, early_stop=False),
         )
         res = mass_balance_residual(traj, unit_params)
         assert np.all(res == 0.0)
@@ -72,7 +72,7 @@ class TestMassBalance:
     def test_one_frame_balances_to_zero(self, unit_params, monod2):
         traj, _ = simulate(
             unit_params, monod2, InitialData.cosine(1.0, 1.0),
-            SolverConfig(t_max=0.001, early_stop="none"),
+            SolverConfig(t_max=0.001, early_stop=False),
         )
         traj.frames = traj.frames[:1]
         assert mass_balance_residual(traj, unit_params).tolist() == [0.0]
@@ -93,7 +93,7 @@ class TestSymmetryBand:
     def test_symmetric_run(self, unit_params, monod2):
         traj, _ = simulate(
             unit_params, monod2, InitialData.cosine(1.0, 1.0),
-            SolverConfig(t_max=2.0, early_stop="none"),
+            SolverConfig(t_max=2.0, early_stop=False),
         )
         assert symmetry_band_check(traj) == 0.0
         assert max(abs(f.g + f.h) for f in traj.frames) < 1e-8
@@ -101,14 +101,14 @@ class TestSymmetryBand:
     def test_single_frame(self, unit_params, monod2):
         traj, _ = simulate(
             unit_params, monod2, InitialData.cosine(1.0, 1.0),
-            SolverConfig(t_max=1e-4, early_stop="none"),
+            SolverConfig(t_max=1e-4, early_stop=False),
         )
         traj.frames = traj.frames[:1]
         assert symmetry_band_check(traj) == 0.0
 
     def test_asymmetric_hump_respects_band(self, unit_params, monod2):
         init = InitialData.skewed_cosine(1.0, 1.0, 0.5)
-        traj, _ = simulate(unit_params, monod2, init, SolverConfig(t_max=10.0, early_stop="none"))
+        traj, _ = simulate(unit_params, monod2, init, SolverConfig(t_max=10.0, early_stop=False))
         assert symmetry_band_check(traj) == 0.0
         assert max(abs(f.g + f.h) for f in traj.frames) > 1e-6  # genuinely asymmetric
 
@@ -144,11 +144,11 @@ class TestClassify:
         # width, and R0F with it, never decrease, not even by rounding.
         _, _, traj, _ = quiet_vanishing_run
         spreading, cls = simulate(unit_params, monod2, InitialData.cosine(1.0, 1.0),
-                                  SolverConfig(t_max=3.0, frame_stride=1, early_stop="none"))
+                                  SolverConfig(t_max=3.0, frame_stride=1, early_stop=False))
         assert cls.verdict is Verdict.SPREADING
         trajectories = [traj, spreading]
         config = SolverConfig(n_cells=64, dt_max=0.01, t_max=5.0, frame_stride=1,
-                              early_stop="none")
+                              early_stop=False)
         for a21 in (1.5, 2.0, 4.0):
             resp = InfectionResponse.monod(a21)
             grid = [(unit_params.with_(h0=h0), resp, InitialData.skewed_cosine(sigma, h0, 0.5))
@@ -183,7 +183,7 @@ class TestEquilibriumConvergence:
         from epifront import endemic_equilibrium
 
         traj, _ = simulate(unit_params, monod2, InitialData.cosine(1.0, 1.0),
-                           SolverConfig(t_max=0.01, early_stop="none"))
+                           SolverConfig(t_max=0.01, early_stop=False))
         errs = equilibrium_convergence(traj, unit_params, monod2, 5.0)
         u_star, v_star = endemic_equilibrium(unit_params, monod2)
         assert errs[0] >= u_star + v_star
@@ -199,7 +199,7 @@ class TestMonitors:
         init = InitialData.cosine(1.0, 1.0)
         monitors = Monitors(bound_certificate(unit_params, monod2, init))
         traj, _ = simulate(unit_params, monod2, init,
-                           SolverConfig(t_max=3.0, early_stop="none"), monitors=monitors)
+                           SolverConfig(t_max=3.0, early_stop=False), monitors=monitors)
         assert len(traj.frames) > 10
 
     def test_bound_violation_detected(self, unit_params, monod2):

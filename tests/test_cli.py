@@ -8,6 +8,7 @@ import pytest
 
 from epifront import BlowUpError, ConfigError, DomainError, Monitors, MonitorViolation, simulate
 from epifront import solver as solver_mod
+from epifront import threshold
 from epifront.cli import SCHEMA, build_setup, main, parse_config_text, svg_line_plot
 
 FAST = """
@@ -228,7 +229,7 @@ class TestRunCommand:
         assert (out1 / "trajectory.csv").read_bytes() == (out2 / "trajectory.csv").read_bytes()
 
     def test_profiles_contain_requested_times(self, tmp_path):
-        cfg = write(tmp_path, FAST + "solver.early_stop = none\n")
+        cfg = write(tmp_path, FAST + "solver.early_stop = false\n")
         out = tmp_path / "out"
         main(["run", "--config", cfg, "--out", str(out), "--profiles", "0.5,1.5"])
         rows = (out / "profiles.csv").read_text().splitlines()
@@ -248,7 +249,7 @@ class TestRunCommand:
     def test_profile_time_next_to_another_is_merged(self, tmp_path, capsys):
         # The second time lies within the run's landing tolerance of the
         # first: both are served by the one frame at t = 1.
-        cfg = write(tmp_path, FAST + "solver.early_stop = none\n")
+        cfg = write(tmp_path, FAST + "solver.early_stop = false\n")
         out = tmp_path / "out"
         assert main(["run", "--config", cfg, "--out", str(out),
                      "--profiles", "1.0,1.00000000000001"]) == 0
@@ -434,6 +435,45 @@ class TestThresholdCommand:
         # Each probe is one simulation, and some probes ran past solver.t_max.
         assert len(sims) == len(payload["probes"])
         assert any(probe["extended"] is True for probe in payload["probes"])
+
+    def test_mu_target_brackets(self, tmp_path):
+        cfg = write(tmp_path, f"model.h0 = {0.4 * math.pi!r}\ninit.sigma = 0.05\n"
+                              "solver.n_cells = 64\nsolver.dt_max = 0.04\nsolver.t_max = 60\n"
+                              "threshold.tol = 0.1\n")
+        out = tmp_path / "out"
+        assert main(["threshold", "--config", cfg, "--out", str(out), "--target", "mu"]) == 0
+        payload = json.loads((out / "threshold.json").read_text())
+        assert (payload["target"], payload["status"]) == ("mu", "bracketed")
+        assert payload["bracket"] == [0.71875, 0.765625]
+        assert payload["n_sims"] == len(payload["probes"]) == 8
+        assert payload["probes"][0]["value"] == 2.0  # the search starts from 2 model.mu
+        assert payload["confirmations"]["hi"] == "spreading"
+
+    def test_target_choices_are_the_search_targets(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["threshold", "--target", "h0"])
+        assert info.value.code == 2
+        choices = ", ".join(map(repr, threshold.TARGETS))
+        assert f"invalid choice: 'h0' (choose from {choices})" in capsys.readouterr().err
+
+    def test_blow_up_exits_3(self, tmp_path, monkeypatch, capsys):
+        # The 50th stepper call falls inside the first probe.
+        real = solver_mod._step_batch
+        seen = []
+
+        def failing(*args, **kwargs):
+            seen.append(None)
+            if len(seen) == 50:
+                raise BlowUpError("synthetic blow-up", 0.0, -1.0, 1.0)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(solver_mod, "_step_batch", failing)
+        cfg = write(tmp_path, f"model.h0 = {0.4 * math.pi!r}\nsolver.n_cells = 64\n"
+                              "solver.dt_max = 0.04\nsolver.t_max = 60\n")
+        out = tmp_path / "out"
+        assert main(["threshold", "--config", cfg, "--out", str(out)]) == 3
+        assert capsys.readouterr().err == "error: synthetic blow-up\n"
+        assert not (out / "threshold.json").exists()
 
     def test_no_threshold_outcome(self, tmp_path):
         cfg = write(tmp_path, "response.a21 = 0.8\n")

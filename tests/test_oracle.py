@@ -65,14 +65,14 @@ class TestOdeSolve:
 class TestDominance:
     def test_zero_data_no_violation(self, unit_params, monod2):
         traj, _ = simulate(unit_params, monod2, InitialData.cosine(0.0, 1.0),
-                           SolverConfig(t_max=1.0, early_stop="none"))
+                           SolverConfig(t_max=1.0, early_stop=False))
         ode = ode_solve(unit_params, monod2, 0.0, 0.0, traj.final.t)
         assert dominance_check(traj, ode, 0.0) == 0.0
 
     def test_pde_below_ode_envelope(self, unit_params, monod2):
         init = InitialData.cosine(1.0, 1.0)
         traj, _ = simulate(unit_params, monod2, init,
-                           SolverConfig(t_max=3.0, early_stop="none"))
+                           SolverConfig(t_max=3.0, early_stop=False))
         cert = bound_certificate(unit_params, monod2, init)
         ode = ode_solve(unit_params, monod2, traj.frames[0].sup_w, traj.frames[0].sup_z,
                         traj.final.t)
@@ -82,7 +82,7 @@ class TestDominance:
     def test_corrupted_frame_flagged(self, unit_params, monod2):
         init = InitialData.cosine(1.0, 1.0)
         traj, _ = simulate(unit_params, monod2, init,
-                           SolverConfig(t_max=1.0, early_stop="none"))
+                           SolverConfig(t_max=1.0, early_stop=False))
         cert = bound_certificate(unit_params, monod2, init)
         last = traj.frames[-1]
         # A frame's sup_w is the max of its w, so the doctored frame carries both.

@@ -59,7 +59,7 @@ class TestFrontSpeeds:
     def test_signs_once_positive(self, unit_params, monod2):
         traj, _ = simulate(
             unit_params, monod2, InitialData.cosine(1.0, 1.0),
-            SolverConfig(t_max=0.5, frame_stride=10, early_stop="none"),
+            SolverConfig(t_max=0.5, frame_stride=10, early_stop=False),
         )
         for frame in traj.frames:
             assert frame.h_speed > 0.0
@@ -102,7 +102,7 @@ class TestStep:
             traj, _ = simulate(
                 unit_params, resp, init,
                 SolverConfig(n_cells=n, dt_max=dt, t_max=0.5, record_times=(0.5,),
-                             early_stop="none", frame_stride=10**9),
+                             early_stop=False, frame_stride=10**9),
             )
             frame = traj.final
             centers[n] = frame.w[n // 2]
@@ -160,7 +160,7 @@ class TestSimulate:
         times = (0.25, 0.5, 0.75)
         traj, _ = simulate(
             unit_params, monod2, InitialData.cosine(1.0, 1.0),
-            SolverConfig(t_max=1.0, record_times=times, early_stop="none"),
+            SolverConfig(t_max=1.0, record_times=times, early_stop=False),
         )
         recorded = traj.times
         for target in times:
@@ -169,7 +169,7 @@ class TestSimulate:
     def test_clipping_stays_negligible(self, unit_params, monod2):
         traj, _ = simulate(
             unit_params, monod2, InitialData.cosine(1.0, 1.0),
-            SolverConfig(t_max=2.0, early_stop="none"),
+            SolverConfig(t_max=2.0, early_stop=False),
         )
         clipped = traj.column("clipped")
         masses = traj.column("mass")
@@ -178,7 +178,7 @@ class TestSimulate:
     def test_symmetric_run_stays_symmetric(self, unit_params, monod2):
         traj, _ = simulate(
             unit_params, monod2, InitialData.cosine(1.0, 1.0),
-            SolverConfig(t_max=5.0, early_stop="none"),
+            SolverConfig(t_max=5.0, early_stop=False),
         )
         drift = max(abs(f.g + f.h) for f in traj.frames)
         assert drift < 1e-10
@@ -191,7 +191,7 @@ class TestSimulate:
             traj, _ = simulate(
                 unit_params, monod2, InitialData.cosine(1.0, 1.0),
                 SolverConfig(n_cells=n, dt_max=dt, t_max=1.0, record_times=(1.0,),
-                             early_stop="none", frame_stride=10**9),
+                             early_stop=False, frame_stride=10**9),
             )
             finals.append(traj.final.h)
         d1 = abs(finals[1] - finals[0])
@@ -203,7 +203,7 @@ class TestSimulate:
         for sigma in (0.5, 2.0):
             traj, _ = simulate(
                 unit_params, monod2, InitialData.cosine(sigma, 1.0),
-                SolverConfig(t_max=1.0, record_times=(1.0,), early_stop="none",
+                SolverConfig(t_max=1.0, record_times=(1.0,), early_stop=False,
                              frame_stride=10**9),
             )
             frames[sigma] = traj
@@ -219,20 +219,22 @@ class TestSimulate:
         assert np.all(u_small <= u_big + 1e-3)
         assert np.all(v_small <= v_big + 1e-3)
 
-    @pytest.mark.parametrize("mode", ["both", "vanishing", "spreading", "none"])
-    def test_early_stop_modes(self, unit_params, monod2, mode):
+    # The ids keep the names of the old early_stop modes that meant the same:
+    # stop on both verdicts, or on none.
+    @pytest.mark.parametrize("early_stop", [pytest.param(True, id="both"),
+                                            pytest.param(False, id="none")])
+    def test_early_stop_modes(self, unit_params, monod2, early_stop):
         wide = unit_params.with_(h0=0.6 * math.pi)
         runs = {
             "spreading": (wide, InitialData.cosine(1.0, wide.h0)),
             "vanishing": (unit_params, InitialData.cosine(0.0, unit_params.h0)),
         }
-        cfg = SolverConfig(n_cells=64, t_max=1.0, frame_stride=5, early_stop=mode)
+        cfg = SolverConfig(n_cells=64, t_max=1.0, frame_stride=5, early_stop=early_stop)
         for verdict, (p, init) in runs.items():
             traj, cls = simulate(p, monod2, init, cfg)
             assert cls.verdict.value == verdict
-            stopped = mode in ("both", verdict)
-            assert traj.terminated_by == (f"classifier:{verdict}" if stopped else "t_max")
-            assert (traj.final.t < cfg.t_max) == stopped
+            assert traj.terminated_by == (f"classifier:{verdict}" if early_stop else "t_max")
+            assert (traj.final.t < cfg.t_max) == early_stop
 
     def test_rejects_shape_not_vanishing_at_ends(self, unit_params, monod2):
         bad = InitialData(1.0, phi=lambda x: np.ones_like(np.asarray(x, dtype=float)),
@@ -348,7 +350,7 @@ class TestSamplePhysical:
     def test_midpoint_equals_center_node(self, unit_params, monod2):
         traj, _ = simulate(
             unit_params, monod2, InitialData.cosine(1.0, 1.0),
-            SolverConfig(t_max=1.0, early_stop="none"),
+            SolverConfig(t_max=1.0, early_stop=False),
         )
         f = traj.final
         state = SolverState(f.t, f.g, f.h, f.w, f.z, traj.y_grid(), 1.0)
@@ -367,8 +369,11 @@ class TestSolverConfig:
             SolverConfig(dt_max=-1.0)
         with pytest.raises(DomainError, match="frame_stride"):
             SolverConfig(frame_stride=0)
-        with pytest.raises(DomainError):
-            SolverConfig(early_stop="sometimes")
+        # An old mode name or a number is no bool, even where it reads as true.
+        for value in ("none", 1):
+            with pytest.raises(DomainError, match="early_stop must be a bool") as info:
+                SolverConfig(early_stop=value)
+            assert info.value.field == "early_stop"
         with pytest.raises(DomainError, match="record_times"):
             SolverConfig(record_times=(math.nan,))
         # A float n_cells fails later in simulate; a float stride records every ceil(stride) steps.

@@ -1,5 +1,6 @@
 """Checks on the source text of the package itself, on the names the
-benchmark in ``perfbench/`` patches, and on the scipy modules the package imports.
+benchmark in ``perfbench/`` patches, on the scipy modules the package
+imports, and on the names the README's Python example imports.
 
 The unread-field scan matches fields by name: a field that shares its
 name with a field that is read somewhere cannot be seen
@@ -11,6 +12,7 @@ import dataclasses
 import functools
 import importlib.util
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -214,3 +216,28 @@ def test_config_sections_match_dataclass_fields():
         keys = {key.attr for key in cli.SCHEMA if key.section == section}
         fields = {f.name for f in dataclasses.fields(cls) if f.default is not dataclasses.MISSING}
         assert keys == fields, section
+
+
+def missing_readme_imports(markdown: str) -> list[str]:
+    """``module.name`` for every name a fenced Python block of ``markdown``
+    imports from the package that the package does not define.  The blocks
+    are parsed, not run."""
+    blocks = re.findall(r"^```python\n(.*?)^```", markdown, flags=re.MULTILINE | re.DOTALL)
+    imports = [node for block in blocks for node in ast.walk(ast.parse(block))
+               if isinstance(node, ast.ImportFrom)
+               and (node.module or "").split(".")[0] == "epifront"]
+    return [f"{node.module}.{alias.name}" for node in imports for alias in node.names
+            if not hasattr(importlib.import_module(node.module), alias.name)]
+
+
+def test_readme_imports_exist():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    assert "from epifront import" in readme
+    assert missing_readme_imports(readme) == []
+
+
+def test_missing_readme_import_is_flagged():
+    markdown = ("```sh\nfrom epifront import gone\n```\n```python\n"
+                "import numpy\nfrom epifront import simulate, removed\n"
+                "from epifront.cli import main, gone\n```\n")
+    assert missing_readme_imports(markdown) == ["epifront.removed", "epifront.cli.gone"]

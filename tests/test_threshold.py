@@ -16,13 +16,13 @@ from epifront import (
     ThresholdResult,
     ThresholdUndefinedError,
     Verdict,
-    find_mu_star,
-    find_sigma_star,
+    find_threshold,
     simulate,
     simulate_batch,
     sweep,
 )
-from epifront.threshold import _MAX_EXPAND, _find_threshold
+from epifront import threshold as threshold_mod
+from epifront.threshold import _MAX_EXPAND
 
 # A habitat at 80% of the critical width: R0F(0) < 1 < R0, thresholds exist
 # and the near-critical transients stay short enough for coarse probing.
@@ -34,7 +34,7 @@ COARSE = BisectConfig(rel_tol=0.05)
 @pytest.fixture(scope="module")
 def sigma_star_result(monod2):
     init = InitialData.cosine(1.0, P_SUB.h0)
-    return find_sigma_star(P_SUB, monod2, init.phi, init.psi, FAST_SIM, COARSE)
+    return find_threshold("sigma", P_SUB, monod2, init, FAST_SIM, COARSE)
 
 
 class TestSigmaStar:
@@ -42,17 +42,18 @@ class TestSigmaStar:
         resp = InfectionResponse.monod(0.8)
         init = InitialData.cosine(1.0, 1.0)
         with pytest.raises(ThresholdUndefinedError):
-            find_sigma_star(unit_params, resp, init.phi, init.psi, FAST_SIM, COARSE)
+            find_threshold("sigma", unit_params, resp, init, FAST_SIM, COARSE)
 
     def test_zero_phi_rejected(self, monod2):
         # sigma scales phi, so no sigma can make a zero shape spread.
         with pytest.raises(DomainError, match="phi must be positive"):
-            find_sigma_star(P_SUB, monod2, np.zeros_like, np.zeros_like, FAST_SIM, COARSE)
+            find_threshold("sigma", P_SUB, monod2, InitialData(1.0, np.zeros_like, np.zeros_like),
+                           FAST_SIM, COARSE)
 
     def test_degenerate_bracket_when_supercritical(self, monod2):
         p = ModelParams(d=1.0, a11=1.0, a12=1.0, a22=1.0, mu=1.0, h0=0.6 * math.pi)
         init = InitialData.cosine(1.0, p.h0)
-        result = find_sigma_star(p, monod2, init.phi, init.psi, FAST_SIM, COARSE)
+        result = find_threshold("sigma", p, monod2, init, FAST_SIM, COARSE)
         assert result.status == "degenerate"
         assert (result.lo, result.hi) == (0.0, 0.0)
         assert result.n_sims == 0
@@ -81,17 +82,18 @@ class TestMuStar:
     def test_no_threshold_below_r0_one(self, unit_params):
         resp = InfectionResponse.monod(0.8)
         with pytest.raises(ThresholdUndefinedError):
-            find_mu_star(unit_params, resp, InitialData.cosine(1.0, 1.0), FAST_SIM, COARSE)
+            find_threshold("mu", unit_params, resp, InitialData.cosine(1.0, 1.0), FAST_SIM,
+                           COARSE)
 
     def test_degenerate_when_supercritical(self, monod2):
         p = ModelParams(d=1.0, a11=1.0, a12=1.0, a22=1.0, mu=1.0, h0=0.6 * math.pi)
-        result = find_mu_star(p, monod2, InitialData.cosine(1.0, p.h0), FAST_SIM, COARSE)
+        result = find_threshold("mu", p, monod2, InitialData.cosine(1.0, p.h0), FAST_SIM, COARSE)
         assert result.status == "degenerate"
         assert (result.lo, result.hi) == (0.0, 0.0)
 
     def test_bracket_and_monotonicity(self, monod2):
         init = InitialData.cosine(0.05, P_SUB.h0)
-        result = find_mu_star(P_SUB, monod2, init, FAST_SIM, COARSE)
+        result = find_threshold("mu", P_SUB, monod2, init, FAST_SIM, COARSE)
         assert result.status == "bracketed"
         assert result.monotone
         by_value = {r.value: r.verdict for r in result.probes}
@@ -106,37 +108,43 @@ class TestMuStar:
         assert cls.verdict is Verdict.VANISHING
 
 
-def synthetic_search(spreads, seed):
-    """``_find_threshold`` on P_SUB with ``spreads(value)`` in place of a simulation."""
+def synthetic_search(monkeypatch, spreads, seed_factor):
+    """``find_threshold("sigma", ...)`` on P_SUB with ``spreads(sigma)`` in
+    place of a simulation.  The search starts from seed_factor·u*/sup phi,
+    with u* = 1 to about 1e-10 and sup phi = 1; its first probe is that seed."""
 
-    def run(value, config):
-        verdict = Verdict.SPREADING if spreads(value) else Verdict.VANISHING
-        return Classification(verdict, Evidence("synthetic", 0.0, 0.0, 0.0, 0.0, 0.0))
+    def simulate(p, resp, init, config):
+        verdict = Verdict.SPREADING if spreads(init.sigma) else Verdict.VANISHING
+        return None, Classification(verdict, Evidence("synthetic", 0.0, 0.0, 0.0, 0.0, 0.0))
 
-    return _find_threshold("sigma", P_SUB, InfectionResponse.monod(2.0), FAST_SIM, COARSE,
-                           run, lambda bisect: seed)
+    monkeypatch.setattr(threshold_mod, "simulate", simulate)
+    bisect = BisectConfig(rel_tol=COARSE.rel_tol, hi_seed_factor=seed_factor)
+    return find_threshold("sigma", P_SUB, InfectionResponse.monod(2.0),
+                          InitialData.cosine(1.0, P_SUB.h0), FAST_SIM, bisect)
 
 
 class TestBracketSearch:
-    def test_hi_doubles_up_to_the_step(self):
-        result = synthetic_search(lambda v: v >= 5.0, seed=0.1)
+    def test_hi_doubles_up_to_the_step(self, monkeypatch):
+        result = synthetic_search(monkeypatch, lambda v: v >= 5.0, seed_factor=0.1)
+        seed = result.probes[0].value
+        assert seed == pytest.approx(0.1, rel=1e-9)
         assert result.status == "bracketed"
         assert result.lo < 5.0 <= result.hi
         assert result.rel_width <= COARSE.rel_tol
-        assert 6.4 in {r.value for r in result.probes}  # 0.1 doubled six times
+        assert seed * 2**6 in {r.value for r in result.probes}  # the seed doubled six times
         assert result.monotone
 
-    def test_always_spreading_exhausts_lo_halvings(self):
-        result = synthetic_search(lambda v: True, seed=1.0)
+    def test_always_spreading_exhausts_lo_halvings(self, monkeypatch):
+        result = synthetic_search(monkeypatch, lambda v: True, seed_factor=1.0)
         assert result.status == "inconclusive"
         assert result.n_sims == 1 + _MAX_EXPAND
         assert all(r.verdict is Verdict.SPREADING for r in result.probes)
 
-    def test_never_spreading_exhausts_hi_doublings(self):
-        result = synthetic_search(lambda v: False, seed=1.0)
+    def test_never_spreading_exhausts_hi_doublings(self, monkeypatch):
+        result = synthetic_search(monkeypatch, lambda v: False, seed_factor=1.0)
         assert result.status == "inconclusive"
         assert result.n_sims == _MAX_EXPAND == 40
-        assert result.hi == 2.0**_MAX_EXPAND
+        assert result.hi == result.probes[0].value * 2.0**_MAX_EXPAND
 
     @pytest.mark.parametrize("name, value", [
         ("rel_tol", 0.0), ("rel_tol", -1.0), ("rel_tol", math.nan), ("rel_tol", 1.0),
@@ -148,6 +156,12 @@ class TestBracketSearch:
         # rel_tol >= 1 reports any doubling as bracketed.
         with pytest.raises(DomainError, match=name):
             BisectConfig(**{name: value})
+
+    def test_unknown_target_rejected(self, monod2):
+        init = InitialData.cosine(1.0, P_SUB.h0)
+        with pytest.raises(DomainError, match="target must be one of sigma, mu") as info:
+            find_threshold("h0", P_SUB, monod2, init, FAST_SIM, COARSE)
+        assert info.value.field == "target"
 
     def test_monotone_false_when_spreading_below_vanishing(self):
         def probe(value, verdict):
@@ -184,8 +198,6 @@ class TestSweep:
         assert sweep([unit_params], monod2, [], FAST_SIM) == []
 
     def test_grid_is_one_batch(self, monod2, monkeypatch):
-        from epifront import threshold as threshold_mod
-
         calls = []
 
         def counted(members, config=None, monitors=None):
