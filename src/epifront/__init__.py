@@ -48,7 +48,6 @@ from .oracle import OdeSeries, RefinementResult, dominance_check, eigen_check, o
 from .solver import (
     Frame,
     SolverConfig,
-    SolverState,
     Trajectory,
     front_speeds,
     initial_state,

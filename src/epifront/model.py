@@ -316,7 +316,20 @@ def endemic_equilibrium(
         hi *= 2.0
     else:
         raise CertificateError("no slope crossing found; (A2) limit appears violated")
-    u_star = _bisect_root(excess, lo, hi)
+    # Bisection on excess(lo) < 0 < excess(hi) to ROOT_REL_TOL.
+    for _ in range(ROOT_MAX_ITER):
+        u_star = 0.5 * (lo + hi)
+        if hi - lo <= ROOT_REL_TOL * hi:
+            break
+        fmid = excess(u_star)
+        if fmid == 0.0:
+            break
+        if fmid > 0:
+            hi = u_star
+        else:
+            lo = u_star
+    else:
+        u_star = 0.5 * (lo + hi)
     return u_star, float(resp(u_star)) / p.a22
 
 
@@ -426,30 +439,6 @@ def spreading_subsolution_delta(p: ModelParams, resp: InfectionResponse) -> Spre
 # ---------------------------------------------------------------------------
 # Scalar searches
 # ---------------------------------------------------------------------------
-
-def _bisect_root(f: Callable[[float], float], lo: float, hi: float) -> float:
-    """Bisection for a sign change of f on [lo, hi] to ROOT_REL_TOL."""
-    flo = f(lo)
-    fhi = f(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if (flo > 0) == (fhi > 0):
-        raise DomainError("bisection bracket does not straddle a root")
-    for _ in range(ROOT_MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= ROOT_REL_TOL * max(abs(lo), abs(hi)):
-            return mid
-        fmid = f(mid)
-        if fmid == 0.0:
-            return mid
-        if (fmid > 0) == (fhi > 0):
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
-
 
 def _largest_satisfying(pred: Callable[[float], bool], cap: float) -> float | None:
     """Largest delta in (0, cap] with pred true, for pred true near 0.

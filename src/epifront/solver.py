@@ -25,7 +25,8 @@ cadence, early stopping and failures, and drops a member from the batch
 once it is done.  One ``_Run`` record per member holds both the scalars
 the stepper advances and the run loop's bookkeeping, and builds the
 member's frames.  ``simulate`` is the run loop's one-member case and
-``step`` the stepper's.
+``step`` the stepper's.  A ``Frame`` is the one snapshot of a run: ``step``
+takes one and returns the next, and ``initial_state`` gives the first.
 """
 
 from __future__ import annotations
@@ -103,33 +104,10 @@ class SolverConfig:
 
 
 @dataclass(frozen=True)
-class SolverState:
-    """Time, front positions, and transformed fields on the fixed y-grid."""
-
-    t: float
-    g: float
-    h: float
-    w: np.ndarray
-    z: np.ndarray
-    y: np.ndarray
-    h0: float
-    clipped_total: float = 0.0
-
-    def __post_init__(self) -> None:
-        if not self.h - self.g > 0:
-            raise DomainError(f"degenerate domain: h - g = {self.h - self.g!r}")
-
-    @property
-    def width(self) -> float:
-        return self.h - self.g
-
-    @property
-    def n_cells(self) -> int:
-        return self.w.size - 1
-
-
-@dataclass(frozen=True)
 class Frame:
+    """One recorded instant of a run: time, fronts, the fields w, z on the
+    n + 1 nodes of the y-grid [-h0, h0], and the diagnostics read from them."""
+
     t: float
     g: float
     h: float
@@ -179,22 +157,20 @@ class Trajectory:
         k = int(np.argmin(np.abs(times - t)))
         return self.frames[k] if abs(times[k] - t) <= _TIME_SNAP * max(1.0, t) else None
 
-    def y_grid(self) -> np.ndarray:
-        return np.linspace(-self.h0, self.h0, self.n_cells + 1)
-
     def x_grid(self, frame: Frame) -> np.ndarray:
         """Physical positions x(y) of the y-grid nodes at ``frame``."""
-        return (self.y_grid() * frame.width + self.h0 * (frame.h + frame.g)) / (2.0 * self.h0)
+        y = np.linspace(-self.h0, self.h0, self.n_cells + 1)
+        return (y * frame.width + self.h0 * (frame.h + frame.g)) / (2.0 * self.h0)
 
 
-def front_speeds(state: SolverState, p: ModelParams) -> tuple[float, float]:
+def front_speeds(frame: Frame, p: ModelParams) -> tuple[float, float]:
     """Discrete Stefan speeds (g', h') from one-sided 3-point boundary slopes.
 
     Clamped to the signs the strong maximum principle dictates
     (h' >= 0 >= g') to absorb round-off with the wrong sign.
     """
-    dy = 2.0 * state.h0 / state.n_cells
-    return _stefan_speeds(*state.w[_EDGE_NODES], dy, 2.0 * state.h0 * p.mu / state.width)
+    dy = 2.0 * p.h0 / (frame.w.size - 1)
+    return _stefan_speeds(*frame.w[_EDGE_NODES], dy, 2.0 * p.h0 * p.mu / frame.width)
 
 
 _EDGE_NODES = np.array([0, 1, 2, -3, -2, -1])  # the nodes of the one-sided boundary slopes
@@ -207,8 +183,10 @@ def _stefan_speeds(w0, w1, w2, wr2, wr1, wr0, dy, scale):
     return min(0.0, -scale * wy_left), max(0.0, -scale * wy_right)
 
 
-def initial_state(p: ModelParams, init: InitialData, n_cells: int) -> SolverState:
-    """Sample the initial data on the y-grid (identity map at t = 0)."""
+def _initial_fields(
+    p: ModelParams, init: InitialData, n_cells: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """(w, z): the initial data sampled on the y-grid (identity map at t = 0)."""
     y = np.linspace(-p.h0, p.h0, n_cells + 1)
     w = np.asarray(init.u0(y), dtype=float).copy()
     z = np.asarray(init.v0(y), dtype=float).copy()
@@ -223,13 +201,14 @@ def initial_state(p: ModelParams, init: InitialData, n_cells: int) -> SolverStat
     np.maximum(z, 0.0, out=z)
     w[0] = w[-1] = 0.0
     z[0] = z[-1] = 0.0
-    return SolverState(t=0.0, g=-p.h0, h=p.h0, w=w, z=z, y=y, h0=p.h0)
+    return w, z
 
 
 @dataclass(eq=False)
 class _Run:
     """One member of a batch: the scalars the stepper reads and advances,
-    then the run loop's bookkeeping, which a bare ``step`` leaves unset."""
+    what ``record`` needs to build its frames, then the run loop's
+    bookkeeping, which a bare ``step`` leaves unset."""
 
     p: ModelParams
     config: SolverConfig  # resolved
@@ -249,7 +228,7 @@ class _Run:
     def record(self, w: np.ndarray, z: np.ndarray) -> None:
         """Append the frame of the fields w, z (this member's rows) at the current t."""
         p = self.p
-        dy = 2.0 * p.h0 / self.config.n_cells
+        dy = 2.0 * p.h0 / (w.size - 1)
         width = self.h - self.g
         jac = width / (2.0 * p.h0)
         mass = float(np.trapezoid(w + (p.a12 / p.a22) * z, dx=dy)) * jac
@@ -347,7 +326,7 @@ def _step_batch(
         g_new = m.g + dt * g_speed
         h_new = m.h + dt * h_speed
         # The sign clamps give h_new >= h and g_new <= g, and rounding is monotone,
-        # so new_width >= width > 0 (SolverState checks it; a run starts at 2 h0).
+        # so new_width >= width > 0 (a run starts at width 2 h0).
         new_width = h_new - g_new
         if not dt > 0:
             failed[i] = DomainError(f"non-positive step size {dt!r}")
@@ -422,37 +401,47 @@ def _step_batch(
     return w_new, z_new, failed
 
 
+def initial_state(
+    p: ModelParams, resp: InfectionResponse, init: InitialData, n_cells: int
+) -> Frame:
+    """The frame a run on ``n_cells`` cells starts from: the first frame
+    ``simulate`` records."""
+    run = _Run(p, SolverConfig(n_cells=n_cells).resolved(p), 0.0, -p.h0, p.h0, resp=resp,
+               traj=Trajectory(h0=p.h0, n_cells=n_cells))
+    run.record(*_initial_fields(p, init, n_cells))
+    return run.traj.final
+
+
 def step(
-    state: SolverState,
+    frame: Frame,
     p: ModelParams,
     resp: InfectionResponse,
     config: SolverConfig,
     dt_cap: float = math.inf,
-) -> SolverState:
+) -> Frame:
     """Advance one IMEX step; the step size obeys dt_max and the front CFL limit.
 
-    The stepper's one-member case (see ``_step_batch``).
+    The stepper's one-member case (see ``_step_batch``).  The new frame's
+    ``clipped`` is the mass this step clipped.
     """
-    if config.dt_max is None:
-        config = config.resolved(p)
-    m = _Run(p, config, state.t, state.g, state.h, state.clipped_total)
-    w, z, failed = _step_batch([m], resp, state.w[None], state.z[None], state.y[None], [dt_cap])
+    m = _Run(p, config.resolved(p), frame.t, frame.g, frame.h, resp=resp,
+             traj=Trajectory(h0=p.h0, n_cells=frame.w.size - 1))
+    y = np.linspace(-p.h0, p.h0, frame.w.size)
+    w, z, failed = _step_batch([m], resp, frame.w[None], frame.z[None], y[None], [dt_cap])
     if failed:
         raise failed[0]
-    return SolverState(t=m.t, g=m.g, h=m.h, w=w[0], z=z[0], y=state.y, h0=state.h0,
-                       clipped_total=m.clipped_total)
+    m.record(w[0], z[0])
+    return m.traj.final
 
 
-def sample_physical(state: SolverState, x):
+def sample_physical(frame: Frame, x):
     """Physical-space (u, v) at positions x, zero outside [g, h]."""
     x_arr = np.asarray(x, dtype=float)
-    y = (2.0 * state.h0 * x_arr - state.h0 * (state.h + state.g)) / state.width
-    u = np.interp(y, state.y, state.w, left=0.0, right=0.0)
-    v = np.interp(y, state.y, state.z, left=0.0, right=0.0)
-    inside = (x_arr >= state.g) & (x_arr <= state.h)
-    u = np.where(inside, u, 0.0)
-    v = np.where(inside, v, 0.0)
-    if np.isscalar(x) or x_arr.ndim == 0:
+    s = (x_arr - frame.g) / frame.width  # the nodes sit at s = 0, 1/n, ..., 1
+    nodes = np.linspace(0.0, 1.0, frame.w.size)
+    u = np.interp(s, nodes, frame.w, left=0.0, right=0.0)
+    v = np.interp(s, nodes, frame.z, left=0.0, right=0.0)
+    if x_arr.ndim == 0:
         return float(u), float(v)
     return u, v
 
@@ -496,26 +485,26 @@ def simulate_batch(
     if len({id(resp) for _, resp, _ in members}) > 1:
         raise DomainError("the members of a batch must share one InfectionResponse")
     results: list = [None] * len(members)
-    runs, states = [], []
+    runs, ws, zs = [], [], []
     for index, ((p, resp, init), mon) in enumerate(zip(members, monitors, strict=True)):
         try:
             cfg = config.resolved(p)
-            state = initial_state(p, init, cfg.n_cells)
+            w0, z0 = _initial_fields(p, init, cfg.n_cells)
         except Exception as exc:  # noqa: BLE001 - the member's outcome
             results[index] = (None, exc)
             continue
-        run = _Run(p, cfg, state.t, state.g, state.h, index=index, resp=resp, monitors=mon,
+        run = _Run(p, cfg, 0.0, -p.h0, p.h0, index=index, resp=resp, monitors=mon,
                    traj=Trajectory(h0=p.h0, n_cells=cfg.n_cells), targets=_record_targets(cfg))
         try:
-            run.record(state.w, state.z)
+            run.record(w0, z0)
         except Exception as exc:  # noqa: BLE001 - the member's outcome
             results[index] = (run.traj, exc)
             continue
         runs.append(run)
-        states.append(state)
-    w = np.array([state.w for state in states])
-    z = np.array([state.z for state in states])
-    y = np.array([state.y for state in states])
+        ws.append(w0)
+        zs.append(z0)
+    w, z = np.array(ws), np.array(zs)
+    y = np.array([np.linspace(-run.p.h0, run.p.h0, run.config.n_cells + 1) for run in runs])
 
     while runs:
         caps = [run.targets[run.target_idx] - run.t for run in runs]

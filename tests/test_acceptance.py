@@ -30,7 +30,6 @@ from epifront import (
     sweep,
     symmetry_band_check,
 )
-from epifront.solver import SolverState
 
 H_STAR = math.pi  # for d = a11 = 1 and G'(0) a12 / a22 = 2
 
@@ -180,12 +179,8 @@ def test_criterion_05_comparison_monotonicity():
             f_hi = next(f for f in runs[hi_s].frames if f.t == target)
             nested &= f_hi.g <= f_lo.g + 1e-10 and f_lo.h <= f_hi.h + 1e-10
             xs = np.linspace(f_lo.g, f_lo.h, 401)
-            st_lo = SolverState(f_lo.t, f_lo.g, f_lo.h, f_lo.w, f_lo.z,
-                                runs[lo_s].y_grid(), UNIT.h0)
-            st_hi = SolverState(f_hi.t, f_hi.g, f_hi.h, f_hi.w, f_hi.z,
-                                runs[hi_s].y_grid(), UNIT.h0)
-            u_lo, v_lo = sample_physical(st_lo, xs)
-            u_hi, v_hi = sample_physical(st_hi, xs)
+            u_lo, v_lo = sample_physical(f_lo, xs)
+            u_hi, v_hi = sample_physical(f_hi, xs)
             worst = max(worst, float(np.max(u_lo - u_hi)), float(np.max(v_lo - v_hi)))
     ok = nested and worst <= tol
     check(5, "comparison-monotonicity", ok,

@@ -150,6 +150,47 @@ class TestEquilibrium:
         assert u == pytest.approx(a21 - 1.0, rel=1e-8)
         assert v == pytest.approx(resp(u), rel=1e-12)
 
+    @pytest.mark.parametrize("a12", [0.3, 1.0, 4.0])
+    @pytest.mark.parametrize("resp", [
+        *(InfectionResponse.monod(a21) for a21 in (1.0000001, 1.5, 3.0, 10.0, 1e3)),
+        InfectionResponse.table([0.0, 1.0, 3.0], [0.0, 0.5, 0.9]),
+    ])
+    def test_same_floats_as_general_bisection(self, resp, a12):
+        p = ModelParams(d=1.0, a11=1.0, a12=a12, a22=1.0, mu=1.0, h0=1.0)
+        assert endemic_equilibrium(p, resp) == general_bisection_equilibrium(p, resp)
+
+
+def general_bisection_equilibrium(p, resp):
+    """(u*, v*) by a bisection that evaluates both bracket ends and keeps the
+    half whose ends differ in sign, or None when R0 <= 1.  The bracket is
+    endemic_equilibrium's own: from 1e-12 up to the first power of 2 where
+    the excess rate turns positive."""
+    if basic_reproduction_number(p, resp) <= 1.0:
+        return None
+
+    def f(u):
+        return p.a11 - (p.a12 / p.a22) * resp(u) / u
+
+    lo, hi = 1e-12, 1.0
+    while f(hi) <= 0:
+        hi *= 2.0
+    flo, fhi = f(lo), f(hi)
+    assert flo < 0 < fhi
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if hi - lo <= 1e-10 * max(abs(lo), abs(hi)):
+            break
+        fmid = f(mid)
+        if fmid == 0.0:
+            break
+        if (fmid > 0) == (fhi > 0):
+            hi = mid
+        else:
+            lo = mid
+    else:
+        mid = 0.5 * (lo + hi)
+    return mid, float(resp(mid)) / p.a22
+
 
 class TestValidateResponse:
     def test_monod_passes(self):

@@ -15,7 +15,6 @@ from epifront import (
     MonitorViolation,
     Monitors,
     SolverConfig,
-    SolverState,
     Verdict,
     front_speeds,
     initial_state,
@@ -29,18 +28,18 @@ from conftest import zero_response
 
 
 class TestFrontSpeeds:
-    def test_zero_field(self, unit_params):
+    def test_zero_field(self, unit_params, monod2):
         init = InitialData(0.0, phi=lambda x: np.cos(np.pi * x / 2), psi=lambda x: 0.0 * x)
-        state = initial_state(unit_params, init, 64)
-        assert front_speeds(state, unit_params) == (0.0, 0.0)
+        frame = initial_state(unit_params, monod2, init, 64)
+        assert front_speeds(frame, unit_params) == (0.0, 0.0)
 
-    def test_cosine_matches_analytic_slope_second_order(self, unit_params):
+    def test_cosine_matches_analytic_slope_second_order(self, unit_params, monod2):
         # exact boundary derivative of cos(pi y / (2 h0)) gives h' = mu pi/(2 h0)
         exact = unit_params.mu * math.pi / 2.0
         errors = []
         for n in (64, 128, 256):
-            state = initial_state(unit_params, InitialData.cosine(1.0, 1.0), n)
-            g_speed, h_speed = front_speeds(state, unit_params)
+            frame = initial_state(unit_params, monod2, InitialData.cosine(1.0, 1.0), n)
+            g_speed, h_speed = front_speeds(frame, unit_params)
             assert g_speed == pytest.approx(-h_speed, abs=1e-14)
             errors.append(abs(h_speed - exact))
         orders = [math.log2(errors[k] / errors[k + 1]) for k in range(2)]
@@ -52,8 +51,12 @@ class TestFrontSpeeds:
         init = InitialData.skewed_cosine(1.0, p.h0, 0.4)
         traj, _ = simulate(p, monod2, init, SolverConfig(n_cells=64, t_max=0.01))
         first = traj.frames[0]
-        speeds = front_speeds(initial_state(p, init, 64), p)
+        speeds = front_speeds(first, p)
         assert (first.g_speed, first.h_speed) == speeds
+        # initial_state is the first frame simulate records, every field of it.
+        start = initial_state(p, monod2, init, 64)
+        for name in (f.name for f in dataclasses.fields(Frame)):
+            assert np.array_equal(getattr(start, name), getattr(first, name)), name
         assert speeds[0] < 0.0 < speeds[1] and speeds[0] != -speeds[1]
 
     def test_signs_once_positive(self, unit_params, monod2):
@@ -68,27 +71,28 @@ class TestFrontSpeeds:
 
 class TestStep:
     def test_preserves_end_zeros_exactly(self, unit_params, monod2):
-        state = initial_state(unit_params, InitialData.cosine(1.0, 1.0), 64)
-        new = step(state, unit_params, monod2, SolverConfig(n_cells=64))
+        frame = initial_state(unit_params, monod2, InitialData.cosine(1.0, 1.0), 64)
+        new = step(frame, unit_params, monod2, SolverConfig(n_cells=64))
         assert new.w[0] == 0.0 and new.w[-1] == 0.0
         assert new.z[0] == 0.0 and new.z[-1] == 0.0
         assert new.t > 0.0
-        assert new.h > state.h and new.g < state.g
+        assert new.h > frame.h and new.g < frame.g
 
     def test_front_limit_sets_dt(self, unit_params, monod2):
         # At dt_max = 1 the step is set by the front limit: the faster front
         # moves exactly 0.2 of a physical cell.
-        state = initial_state(unit_params, InitialData.cosine(1.0, 1.0), 64)
-        g_speed, h_speed = front_speeds(state, unit_params)
+        frame = initial_state(unit_params, monod2, InitialData.cosine(1.0, 1.0), 64)
+        g_speed, h_speed = front_speeds(frame, unit_params)
         speed = max(h_speed, -g_speed)
-        dx_phys = (2.0 * state.h0 / 64) * state.width / (2.0 * state.h0)
-        new = step(state, unit_params, monod2, SolverConfig(n_cells=64, dt_max=1.0))
+        h0 = unit_params.h0
+        dx_phys = (2.0 * h0 / 64) * frame.width / (2.0 * h0)
+        new = step(frame, unit_params, monod2, SolverConfig(n_cells=64, dt_max=1.0))
         assert new.t == 0.2 * dx_phys / speed
-        assert new.h - state.h == pytest.approx(0.2 * dx_phys, rel=1e-12)
+        assert new.h - frame.h == pytest.approx(0.2 * dx_phys, rel=1e-12)
 
     def test_dt_cap_respected(self, unit_params, monod2):
-        state = initial_state(unit_params, InitialData.cosine(1.0, 1.0), 64)
-        new = step(state, unit_params, monod2, SolverConfig(n_cells=64), dt_cap=1e-5)
+        frame = initial_state(unit_params, monod2, InitialData.cosine(1.0, 1.0), 64)
+        new = step(frame, unit_params, monod2, SolverConfig(n_cells=64), dt_cap=1e-5)
         assert new.t == pytest.approx(1e-5)
 
     def test_interior_decay_matches_fine_grid_reference(self, unit_params):
@@ -110,25 +114,18 @@ class TestStep:
         assert abs(centers[64] - centers[512]) / centers[512] < 0.01
 
     def test_non_positive_step_rejected(self, unit_params, monod2):
-        state = initial_state(unit_params, InitialData.cosine(1.0, 1.0), 64)
+        frame = initial_state(unit_params, monod2, InitialData.cosine(1.0, 1.0), 64)
         with pytest.raises(DomainError, match="non-positive step size"):
-            step(state, unit_params, monod2, SolverConfig(n_cells=64), dt_cap=0.0)
-
-    @pytest.mark.parametrize("g, h", [(0.5, 0.5), (0.6, 0.5)])
-    def test_degenerate_state_rejected(self, g, h):
-        # step and front_speeds divide by h - g, so no state may hold h <= g.
-        y = np.linspace(-1.0, 1.0, 65)
-        with pytest.raises(DomainError, match="degenerate domain"):
-            SolverState(t=0.0, g=g, h=h, w=np.zeros(65), z=np.zeros(65), y=y, h0=1.0)
+            step(frame, unit_params, monod2, SolverConfig(n_cells=64), dt_cap=0.0)
 
     def test_blow_up_detected(self, unit_params):
         diverging = InfectionResponse(
             lambda z: np.full_like(np.asarray(z, dtype=float), np.inf),
             lambda z: np.ones_like(np.asarray(z, dtype=float)),
         )
-        state = initial_state(unit_params, InitialData.cosine(1.0, 1.0), 64)
+        frame = initial_state(unit_params, diverging, InitialData.cosine(1.0, 1.0), 64)
         with pytest.raises(BlowUpError):
-            step(state, unit_params, diverging, SolverConfig(n_cells=64))
+            step(frame, unit_params, diverging, SolverConfig(n_cells=64))
 
 
 class TestSimulate:
@@ -211,11 +208,8 @@ class TestSimulate:
         assert big.g <= small.g + 1e-12
         assert small.h <= big.h + 1e-12
         xs = np.linspace(small.g, small.h, 201)
-        st_small = SolverState(small.t, small.g, small.h, small.w, small.z,
-                               frames[0.5].y_grid(), 1.0)
-        st_big = SolverState(big.t, big.g, big.h, big.w, big.z, frames[2.0].y_grid(), 1.0)
-        u_small, v_small = sample_physical(st_small, xs)
-        u_big, v_big = sample_physical(st_big, xs)
+        u_small, v_small = sample_physical(small, xs)
+        u_big, v_big = sample_physical(big, xs)
         assert np.all(u_small <= u_big + 1e-3)
         assert np.all(v_small <= v_big + 1e-3)
 
@@ -283,20 +277,25 @@ class TestSimulateBatch:
         # The second member's infinite bacteria make its explicit update non-finite
         # at the first step; the stacked solve must not carry that to the others.
         # The fifth member's certificate puts C1 below sup u0, so its monitor
-        # fails on its initial frame, before the member joins the batch.
+        # fails on its initial frame, before the member joins the batch.  The
+        # sixth member's d = 1e308 overflows its diffusion ratio r at the first
+        # step, so it ends before its field update.
         h0 = self.P.h0
         bad = InitialData(1.0, phi=lambda x: np.cos(np.pi * x / (2 * h0)),
                           psi=lambda x: np.where(np.abs(x) < 0.5, np.inf, 0.0))
         inits = [InitialData.cosine(s, h0) for s in (0.5, 1.0, 2.0)]
         inits.insert(1, bad)
         members = [(self.P, monod2, init) for init in inits + [InitialData.cosine(1.0, h0)]]
+        members.append((self.P.with_(d=1e308), monod2, InitialData.cosine(1.0, h0)))
         tight = Monitors(BoundCertificate(c1=0.5, c2=10.0, c3=1e9, m=1.0))
         cfg = SolverConfig(n_cells=64, dt_max=0.005, t_max=1.0)
-        results = simulate_batch(members, cfg, [None] * 4 + [tight])
-        traj, err = results[1]
-        assert isinstance(err, BlowUpError)
-        assert (err.t, err.g, err.h) == (0.0, -h0, h0)
-        assert len(traj.frames) == 1
+        results = simulate_batch(members, cfg, [None] * 4 + [tight, None])
+        for i in (1, 5):
+            traj, err = results[i]
+            assert isinstance(err, BlowUpError)
+            assert str(err) == "non-finite field values at t=0.005"
+            assert (err.t, err.g, err.h) == (0.0, -h0, h0)
+            assert len(traj.frames) == 1 and traj.n_steps == 0
         traj, err = results[4]
         assert isinstance(err, MonitorViolation)
         assert (err.monitor, err.t) == ("bounds", 0.0)
@@ -334,16 +333,16 @@ class TestSimulateBatch:
 
 class TestSamplePhysical:
     def test_dirichlet_at_fronts(self, unit_params, monod2):
-        state = initial_state(unit_params, InitialData.cosine(1.0, 1.0), 64)
-        assert sample_physical(state, state.g) == (0.0, 0.0)
-        assert sample_physical(state, state.h) == (0.0, 0.0)
-        assert sample_physical(state, 5.0) == (0.0, 0.0)
+        frame = initial_state(unit_params, monod2, InitialData.cosine(1.0, 1.0), 64)
+        assert sample_physical(frame, frame.g) == (0.0, 0.0)
+        assert sample_physical(frame, frame.h) == (0.0, 0.0)
+        assert sample_physical(frame, 5.0) == (0.0, 0.0)
 
     def test_initial_identity_map(self, unit_params, monod2):
         init = InitialData.cosine(1.3, 1.0)
-        state = initial_state(unit_params, init, 256)
+        frame = initial_state(unit_params, monod2, init, 256)
         xs = np.linspace(-0.95, 0.95, 41)
-        u, v = sample_physical(state, xs)
+        u, v = sample_physical(frame, xs)
         assert np.allclose(u, init.u0(xs), atol=2e-4)
         assert np.allclose(v, init.v0(xs), atol=2e-4)
 
@@ -353,9 +352,8 @@ class TestSamplePhysical:
             SolverConfig(t_max=1.0, early_stop=False),
         )
         f = traj.final
-        state = SolverState(f.t, f.g, f.h, f.w, f.z, traj.y_grid(), 1.0)
         mid = 0.5 * (f.g + f.h)
-        u, _ = sample_physical(state, mid)
+        u, _ = sample_physical(f, mid)
         assert u == pytest.approx(f.w[traj.n_cells // 2], rel=1e-9)
 
 

@@ -1,6 +1,7 @@
 """Checks on the source text of the package itself, on the names the
-benchmark in ``perfbench/`` patches, on the scipy modules the package
-imports, and on the names the README's Python example imports.
+benchmark in ``perfbench/`` patches and the values its trace hooks read,
+on the scipy modules the package imports, and on the names the README's
+Python example imports.
 
 The unread-field scan matches fields by name: a field that shares its
 name with a field that is read somewhere cannot be seen
@@ -17,7 +18,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from epifront import cli, solver
+from epifront import InitialData, analysis, cli, solver, threshold
 from epifront.analysis import Monitors
 from epifront.threshold import BisectConfig
 
@@ -181,6 +182,31 @@ def test_perfbench_patch_targets_exist():
 def test_missing_patch_target_is_flagged(monkeypatch):
     monkeypatch.delattr(solver, "front_speeds")
     assert missing_probe_targets() == ["epifront.solver.front_speeds"]
+
+
+def test_perfbench_hooks_read_the_real_types(unit_params, monod2):
+    # The traced benchmark's hooks read the arguments and results of the calls
+    # they wrap; run each hooked call once under the benchmark's own Tracer.
+    bench = load_perfbench_run()
+    tracer = bench.Tracer()
+    bench.install_probes(tracer, cli)
+    try:
+        init = InitialData.cosine(1.0, unit_params.h0)
+        config = solver.SolverConfig(n_cells=64, t_max=0.05).resolved(unit_params)
+        start = solver.initial_state(unit_params, monod2, init, config.n_cells)
+        solver.step(start, unit_params, monod2, config)
+        traj, _ = threshold.simulate(unit_params, monod2, init, config)
+        analysis.classify(traj)
+    finally:
+        tracer.restore()
+    infos: dict[str, list] = {}
+    for _, name, _, _, _, info in tracer.spans:
+        infos.setdefault(name, []).append(info)
+    # The shapes layer_metrics reads: dt_limited's bool, sim_info's 5-tuple
+    # and the classified trajectory's frame count.
+    assert [type(info) for info in infos["solver.step"]] == [bool]
+    assert [(type(info), len(info)) for info in infos["threshold.simulate"]] == [(tuple, 5)]
+    assert infos["analysis.classify"] and all(type(n) is int for n in infos["analysis.classify"])
 
 
 @functools.cache
