@@ -275,7 +275,7 @@ def load_setup(path: str | None) -> RunSetup:
         return build_setup({})
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
     try:
         return build_setup(parse_config_text(text))
@@ -471,9 +471,9 @@ def svg_heatmap(path: Path, title: str, xlabel: str, ylabel: str,
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def _write_trajectory(traj: Trajectory | None, setup: RunSetup, out: Path) -> Path | None:
+def _write_trajectory(traj: Trajectory, setup: RunSetup, out: Path) -> Path | None:
     """Write trajectory.csv, or nothing when no frame was recorded."""
-    if traj is None or not traj.frames:
+    if not traj.frames:
         return None
     path = out / "trajectory.csv"
     write_trajectory_csv(path, traj, analysis.mass_balance_residual(traj, setup.params))
@@ -500,7 +500,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             monitors=analysis.Monitors(cert, **setup.monitor_toggles),
         )
     except (BlowUpError, MonitorViolation) as exc:
-        path = _write_trajectory(getattr(exc, "trajectory", None), setup, out)
+        path = _write_trajectory(exc.trajectory, setup, out)
         where = f"; last good frames in {path}" if path else ""
         print(f"error: {exc}{where}", file=sys.stderr)
         return 3 if isinstance(exc, BlowUpError) else 4

@@ -212,14 +212,13 @@ def validate_response(p: ModelParams, resp: InfectionResponse) -> ResponseReport
     checks.append(CheckResult("zero_at_origin", abs(g0) <= tol0, f"G(0) = {g0!r}"))
 
     pos = derivs > 0
-    bad = None if bool(pos.all()) and resp.deriv_at_zero > 0 else float(probes[np.argmin(pos)])
-    checks.append(
-        CheckResult(
-            "derivative_positive",
-            bad is None,
-            "G' > 0 at all probes" if bad is None else f"G'({bad!r}) <= 0",
-        )
-    )
+    if not pos.all():
+        bad = f"G'({float(probes[np.argmin(pos)])!r}) <= 0"
+    elif not resp.deriv_at_zero > 0:
+        bad = f"G'(0) = {resp.deriv_at_zero!r} <= 0"
+    else:
+        bad = None
+    checks.append(CheckResult("derivative_positive", bad is None, bad or "G' > 0 at all probes"))
 
     ratios = values / probes
     slack = 1e-12 * np.maximum(np.abs(ratios[:-1]), 1e-300)

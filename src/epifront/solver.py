@@ -23,10 +23,11 @@ numbers it would get solved alone.  The run loop (``simulate_batch``)
 owns, per member, the record times, the frame stride, the classifier
 cadence, early stopping and failures, and drops a member from the batch
 once it is done.  One ``_Run`` record per member holds both the scalars
-the stepper advances and the run loop's bookkeeping, and builds the
-member's frames.  ``simulate`` is the run loop's one-member case and
-``step`` the stepper's.  A ``Frame`` is the one snapshot of a run: ``step``
-takes one and returns the next, and ``initial_state`` gives the first.
+the stepper advances and the run loop's bookkeeping.  ``simulate`` is the
+run loop's one-member case and ``step`` the stepper's.  A ``Frame`` is the
+one snapshot of a run, and ``_frame`` the one place that builds it: every
+run starts from the frame ``initial_state`` gives, and ``step`` takes a
+frame and returns the next.
 """
 
 from __future__ import annotations
@@ -129,7 +130,6 @@ class Trajectory:
     """Recorded frames plus run provenance."""
 
     h0: float
-    n_cells: int
     frames: list[Frame] = field(default_factory=list)
     n_steps: int = 0
     terminated_by: str = ""
@@ -159,7 +159,7 @@ class Trajectory:
 
     def x_grid(self, frame: Frame) -> np.ndarray:
         """Physical positions x(y) of the y-grid nodes at ``frame``."""
-        y = np.linspace(-self.h0, self.h0, self.n_cells + 1)
+        y = np.linspace(-self.h0, self.h0, frame.w.size)
         return (y * frame.width + self.h0 * (frame.h + frame.g)) / (2.0 * self.h0)
 
 
@@ -183,65 +183,49 @@ def _stefan_speeds(w0, w1, w2, wr2, wr1, wr0, dy, scale):
     return min(0.0, -scale * wy_left), max(0.0, -scale * wy_right)
 
 
-def _initial_fields(
-    p: ModelParams, init: InitialData, n_cells: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """(w, z): the initial data sampled on the y-grid (identity map at t = 0)."""
-    y = np.linspace(-p.h0, p.h0, n_cells + 1)
-    w = np.asarray(init.u0(y), dtype=float).copy()
-    z = np.asarray(init.v0(y), dtype=float).copy()
-    for name, arr, shape in (("phi", w, init.phi), ("psi", z, init.psi)):
-        edge = max(abs(float(shape(-p.h0))), abs(float(shape(p.h0))))
-        interior_sup = float(np.max(np.abs(arr[1:-1]))) if n_cells > 2 else 0.0
-        if edge > 1e-9 * (1.0 + interior_sup):
-            raise DomainError(f"initial shape {name} must vanish at x = +/-h0 (got {edge!r})")
-        if np.min(arr) < -1e-12 * (1.0 + interior_sup):
-            raise DomainError(f"initial shape {name} must be nonnegative on (-h0, h0)")
-    np.maximum(w, 0.0, out=w)
-    np.maximum(z, 0.0, out=z)
-    w[0] = w[-1] = 0.0
-    z[0] = z[-1] = 0.0
-    return w, z
+def _frame(
+    p: ModelParams, resp: InfectionResponse, t: float, g: float, h: float,
+    w: np.ndarray, z: np.ndarray, clipped: float,
+) -> Frame:
+    """The frame of the fields w, z (one member's rows) at time t, fronts g, h."""
+    dy = 2.0 * p.h0 / (w.size - 1)
+    width = h - g
+    jac = width / (2.0 * p.h0)
+    mass = float(np.trapezoid(w + (p.a12 / p.a22) * z, dx=dy)) * jac
+    reaction = float(np.trapezoid(-p.a11 * w + (p.a12 / p.a22) * resp(w), dx=dy)) * jac
+    g_speed, h_speed = _stefan_speeds(*w[_EDGE_NODES], dy, 2.0 * p.h0 * p.mu / width)
+    return Frame(
+        t=t, g=g, h=h, width=width, sup_w=float(w.max()), sup_z=float(z.max()), mass=mass,
+        r0f=free_boundary_reproduction_number(p, resp, width),
+        g_speed=g_speed, h_speed=h_speed, reaction=reaction,
+        clipped=clipped, w=w.copy(), z=z.copy(),
+    )
 
 
 @dataclass(eq=False)
 class _Run:
     """One member of a batch: the scalars the stepper reads and advances,
-    what ``record`` needs to build its frames, then the run loop's
-    bookkeeping, which a bare ``step`` leaves unset."""
+    then the run loop's bookkeeping, which a bare ``step`` leaves unset.
+    ``clipped`` is the mass clipped since the last frame."""
 
     p: ModelParams
+    resp: InfectionResponse
     config: SolverConfig  # resolved
     t: float
     g: float
     h: float
-    clipped_total: float = 0.0
+    clipped: float = 0.0
     index: int = 0  # position in the members of simulate_batch
-    resp: InfectionResponse | None = None
     monitors: "analysis.Monitors | None" = None
     traj: Trajectory | None = None
     targets: list[float] = field(default_factory=list)
     target_idx: int = 0
     steps_since_frame: int = 0
-    clipped_mark: float = 0.0
 
     def record(self, w: np.ndarray, z: np.ndarray) -> None:
         """Append the frame of the fields w, z (this member's rows) at the current t."""
-        p = self.p
-        dy = 2.0 * p.h0 / (w.size - 1)
-        width = self.h - self.g
-        jac = width / (2.0 * p.h0)
-        mass = float(np.trapezoid(w + (p.a12 / p.a22) * z, dx=dy)) * jac
-        reaction = float(np.trapezoid(-p.a11 * w + (p.a12 / p.a22) * self.resp(w), dx=dy)) * jac
-        g_speed, h_speed = _stefan_speeds(*w[_EDGE_NODES], dy, 2.0 * p.h0 * p.mu / width)
-        frame = Frame(
-            t=self.t, g=self.g, h=self.h, width=width, sup_w=float(w.max()),
-            sup_z=float(z.max()), mass=mass,
-            r0f=free_boundary_reproduction_number(p, self.resp, width),
-            g_speed=g_speed, h_speed=h_speed, reaction=reaction,
-            clipped=self.clipped_total - self.clipped_mark, w=w.copy(), z=z.copy(),
-        )
-        self.clipped_mark = self.clipped_total
+        frame = _frame(self.p, self.resp, self.t, self.g, self.h, w, z, self.clipped)
+        self.clipped = 0.0
         self.traj.frames.append(frame)
         if self.monitors is not None:
             self.monitors.on_frame(frame, self.traj)
@@ -289,7 +273,6 @@ _IDLE_ROW = (0.0, 1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0)
 
 def _step_batch(
     members: list[_Run],
-    resp: InfectionResponse,
     w: np.ndarray,
     z: np.ndarray,
     y: np.ndarray,
@@ -302,9 +285,10 @@ def _step_batch(
     within a step: front speeds from the current field, fronts by forward
     Euler, then the field update with the new geometry (implicit
     diffusion, upwind advection, explicit reactions, floor at zero).  G
-    is evaluated once on the whole block, so it must act elementwise.
+    is evaluated once on the whole block, with the response the members
+    share, so it must act elementwise.
 
-    Advances each surviving member's t, g, h and clipped_total in place and
+    Advances each surviving member's t, g, h and clipped in place and
     returns (w_new, z_new, failed).  ``failed`` maps a row to the exception
     that ended its member; that row of w_new and z_new is meaningless.  An
     exception raised here concerns the whole batch.
@@ -343,7 +327,7 @@ def _step_batch(
         fronts.append(None)
 
     dt, dy, c1, c2, width, r, a11, a12, a22 = np.array(rows).T[:, :, None]
-    gw = np.asarray(resp(w), dtype=float)
+    gw = np.asarray(members[0].resp(w), dtype=float)
     a = (y[:, 1:-1] * c1 + c2) / width  # A(y) at the interior nodes
     up = a > 0.0
     grad_w = (w[:, 1:] - w[:, :-1]) / dy
@@ -396,20 +380,31 @@ def _step_batch(
         m.t = m.t + dt_i
         m.g, m.h = g_new, h_new
         if i in clipped:
-            m.clipped_total = (m.clipped_total
-                               + clipped[i] * dy_i * (h_new - g_new) / (2.0 * m.p.h0))
+            m.clipped = m.clipped + clipped[i] * dy_i * (h_new - g_new) / (2.0 * m.p.h0)
     return w_new, z_new, failed
 
 
 def initial_state(
     p: ModelParams, resp: InfectionResponse, init: InitialData, n_cells: int
 ) -> Frame:
-    """The frame a run on ``n_cells`` cells starts from: the first frame
-    ``simulate`` records."""
-    run = _Run(p, SolverConfig(n_cells=n_cells).resolved(p), 0.0, -p.h0, p.h0, resp=resp,
-               traj=Trajectory(h0=p.h0, n_cells=n_cells))
-    run.record(*_initial_fields(p, init, n_cells))
-    return run.traj.final
+    """The frame every run on ``n_cells`` cells starts from: the initial
+    data sampled on the y-grid (the identity map at t = 0), whose shapes
+    must vanish at x = +/-h0 and be nonnegative."""
+    y = np.linspace(-p.h0, p.h0, n_cells + 1)
+    w = np.asarray(init.u0(y), dtype=float).copy()
+    z = np.asarray(init.v0(y), dtype=float).copy()
+    for name, arr, shape in (("phi", w, init.phi), ("psi", z, init.psi)):
+        edge = max(abs(float(shape(-p.h0))), abs(float(shape(p.h0))))
+        interior_sup = float(np.max(np.abs(arr[1:-1]))) if n_cells > 2 else 0.0
+        if edge > 1e-9 * (1.0 + interior_sup):
+            raise DomainError(f"initial shape {name} must vanish at x = +/-h0 (got {edge!r})")
+        if np.min(arr) < -1e-12 * (1.0 + interior_sup):
+            raise DomainError(f"initial shape {name} must be nonnegative on (-h0, h0)")
+    np.maximum(w, 0.0, out=w)
+    np.maximum(z, 0.0, out=z)
+    w[0] = w[-1] = 0.0
+    z[0] = z[-1] = 0.0
+    return _frame(p, resp, 0.0, -p.h0, p.h0, w, z, clipped=0.0)
 
 
 def step(
@@ -424,14 +419,12 @@ def step(
     The stepper's one-member case (see ``_step_batch``).  The new frame's
     ``clipped`` is the mass this step clipped.
     """
-    m = _Run(p, config.resolved(p), frame.t, frame.g, frame.h, resp=resp,
-             traj=Trajectory(h0=p.h0, n_cells=frame.w.size - 1))
+    m = _Run(p, resp, config.resolved(p), frame.t, frame.g, frame.h)
     y = np.linspace(-p.h0, p.h0, frame.w.size)
-    w, z, failed = _step_batch([m], resp, frame.w[None], frame.z[None], y[None], [dt_cap])
+    w, z, failed = _step_batch([m], frame.w[None], frame.z[None], y[None], [dt_cap])
     if failed:
         raise failed[0]
-    m.record(w[0], z[0])
-    return m.traj.final
+    return _frame(p, resp, m.t, m.g, m.h, w[0], z[0], m.clipped)
 
 
 def sample_physical(frame: Frame, x):
@@ -464,7 +457,7 @@ def simulate_batch(
     members: Sequence[tuple[ModelParams, InfectionResponse, InitialData]],
     config: SolverConfig | None = None,
     monitors: "Sequence[analysis.Monitors | None] | None" = None,
-) -> list[tuple[Trajectory | None, "analysis.Classification | Exception"]]:
+) -> list[tuple[Trajectory, "analysis.Classification | Exception"]]:
     """Integrate several members in lockstep, each to its t_max or verdict.
 
     ``members`` holds (p, resp, init) triples that share one response
@@ -474,11 +467,12 @@ def simulate_batch(
     when given, holds one Monitors (or None) per member, evaluated on every
     frame that member records.
 
-    Returns one (trajectory, outcome) pair per member, in order.  The
-    outcome is the member's Classification, or the exception that ended
-    it: a failure ends only its own member.  The trajectory then holds the
-    frames recorded before the failure, or is None when the member failed
-    before its run started.
+    Every member starts from its :func:`initial_state`, which is its first
+    frame.  Returns one (trajectory, outcome) pair per member, in order.
+    The outcome is the member's Classification, or the exception that
+    ended it: a failure ends only its own member.  The trajectory then
+    holds the frames recorded before the failure, and is empty when the
+    member failed before its first frame.
     """
     config = config or SolverConfig()
     monitors = monitors or [None] * len(members)
@@ -487,29 +481,27 @@ def simulate_batch(
     results: list = [None] * len(members)
     runs, ws, zs = [], [], []
     for index, ((p, resp, init), mon) in enumerate(zip(members, monitors, strict=True)):
+        traj = Trajectory(h0=p.h0)
         try:
             cfg = config.resolved(p)
-            w0, z0 = _initial_fields(p, init, cfg.n_cells)
+            start = initial_state(p, resp, init, cfg.n_cells)
+            traj.frames.append(start)
+            if mon is not None:
+                mon.on_frame(start, traj)
         except Exception as exc:  # noqa: BLE001 - the member's outcome
-            results[index] = (None, exc)
+            results[index] = (traj, exc)
             continue
-        run = _Run(p, cfg, 0.0, -p.h0, p.h0, index=index, resp=resp, monitors=mon,
-                   traj=Trajectory(h0=p.h0, n_cells=cfg.n_cells), targets=_record_targets(cfg))
-        try:
-            run.record(w0, z0)
-        except Exception as exc:  # noqa: BLE001 - the member's outcome
-            results[index] = (run.traj, exc)
-            continue
-        runs.append(run)
-        ws.append(w0)
-        zs.append(z0)
+        runs.append(_Run(p, resp, cfg, start.t, start.g, start.h, index=index, monitors=mon,
+                         traj=traj, targets=_record_targets(cfg)))
+        ws.append(start.w)
+        zs.append(start.z)
     w, z = np.array(ws), np.array(zs)
     y = np.array([np.linspace(-run.p.h0, run.p.h0, run.config.n_cells + 1) for run in runs])
 
     while runs:
         caps = [run.targets[run.target_idx] - run.t for run in runs]
         try:
-            w, z, failed = _step_batch(runs, runs[0].resp, w, z, y, caps)
+            w, z, failed = _step_batch(runs, w, z, y, caps)
         except Exception as exc:  # noqa: BLE001 - not tied to one member, so it ends all
             for run in runs:
                 results[run.index] = (run.traj, exc)
@@ -543,13 +535,12 @@ def simulate(
 
     Returns (Trajectory, Classification).  Monitors, when given, are
     evaluated on every recorded frame and abort the run on a hard
-    violation.  An exception raised once the run has started carries the
-    frames recorded before it as ``exc.trajectory``.  This is
-    :func:`simulate_batch` with one member.
+    violation.  An exception carries the frames recorded before it as
+    ``exc.trajectory``, empty when the run failed before its first frame.
+    This is :func:`simulate_batch` with one member.
     """
     traj, outcome = simulate_batch([(p, resp, init)], config, [monitors])[0]
     if isinstance(outcome, Exception):
-        if traj is not None:
-            outcome.trajectory = traj
+        outcome.trajectory = traj
         raise outcome
     return traj, outcome

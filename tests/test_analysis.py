@@ -162,7 +162,7 @@ class TestClassify:
         from epifront.solver import Trajectory
 
         with pytest.raises(DomainError):
-            classify(Trajectory(h0=1.0, n_cells=64))
+            classify(Trajectory(h0=1.0))
 
     def test_undetermined_at_short_horizon(self, unit_params, monod2):
         _, cls = simulate(unit_params, monod2, InitialData.cosine(0.05, 1.0),

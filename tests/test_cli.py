@@ -303,6 +303,16 @@ class TestRunCommand:
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert "line 2: missing key before '='" in capsys.readouterr().err
 
+    def test_non_utf8_config_exit_code(self, tmp_path, capsys):
+        # One Latin-1 byte, even in a comment, makes the file unreadable as UTF-8.
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(b"# caf\xe9\nmodel.d = 1.0\n")
+        for argv in (["validate"], ["run", "--out", str(tmp_path / "o")]):
+            assert main([*argv, "--config", str(path)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"config error: cannot read config {str(path)!r}: ")
+            assert "can't decode byte 0xe9" in err
+
     def test_blow_up_writes_partial(self, tmp_path, monkeypatch, capsys):
         from epifront import cli as cli_mod
 
@@ -310,7 +320,7 @@ class TestRunCommand:
             from epifront.solver import Trajectory
 
             err = BlowUpError("synthetic blow-up", 0.5, -1.0, 1.0)
-            err.trajectory = Trajectory(h0=1.0, n_cells=64)
+            err.trajectory = Trajectory(h0=1.0)
             raise err
 
         monkeypatch.setattr(cli_mod, "simulate", exploding)
@@ -369,6 +379,15 @@ class TestValidateCommand:
         cfg = write(tmp_path, text)
         assert main(["validate", "--config", cfg]) == 1
         assert "FAIL" in capsys.readouterr().out
+
+    def test_zero_slope_at_origin_named(self, tmp_path, capsys):
+        # G' > 0 at every probe (G'(1e-6) = 5e-7), but G'(0) = 0: the failure names G'(0).
+        text = "response.kind = table\nresponse.z_values = 0,1,2\nresponse.g_values = 0,0,1\n"
+        cfg = write(tmp_path, text)
+        assert main(["validate", "--config", cfg]) == 1
+        out = capsys.readouterr().out
+        assert "[FAIL] derivative_positive: G'(0) = 0.0 <= 0\n" in out
+        assert "G'(1e-06)" not in out
 
     def test_subcritical_reports_absent(self, tmp_path, capsys):
         cfg = write(tmp_path, "response.a21 = 0.8\n")

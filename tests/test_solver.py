@@ -279,7 +279,8 @@ class TestSimulateBatch:
         # The fifth member's certificate puts C1 below sup u0, so its monitor
         # fails on its initial frame, before the member joins the batch.  The
         # sixth member's d = 1e308 overflows its diffusion ratio r at the first
-        # step, so it ends before its field update.
+        # step, so it ends before its field update.  The seventh member's initial
+        # shape does not vanish at +/-h0, so it fails before its first frame.
         h0 = self.P.h0
         bad = InitialData(1.0, phi=lambda x: np.cos(np.pi * x / (2 * h0)),
                           psi=lambda x: np.where(np.abs(x) < 0.5, np.inf, 0.0))
@@ -287,9 +288,12 @@ class TestSimulateBatch:
         inits.insert(1, bad)
         members = [(self.P, monod2, init) for init in inits + [InitialData.cosine(1.0, h0)]]
         members.append((self.P.with_(d=1e308), monod2, InitialData.cosine(1.0, h0)))
+        flat = InitialData(1.0, phi=lambda x: np.ones_like(np.asarray(x, dtype=float)),
+                           psi=lambda x: 0.0 * x)
+        members.append((self.P, monod2, flat))
         tight = Monitors(BoundCertificate(c1=0.5, c2=10.0, c3=1e9, m=1.0))
         cfg = SolverConfig(n_cells=64, dt_max=0.005, t_max=1.0)
-        results = simulate_batch(members, cfg, [None] * 4 + [tight, None])
+        results = simulate_batch(members, cfg, [None] * 4 + [tight, None, None])
         for i in (1, 5):
             traj, err = results[i]
             assert isinstance(err, BlowUpError)
@@ -300,6 +304,12 @@ class TestSimulateBatch:
         assert isinstance(err, MonitorViolation)
         assert (err.monitor, err.t) == ("bounds", 0.0)
         assert len(traj.frames) == 1 and traj.n_steps == 0
+        traj, err = results[6]
+        assert isinstance(err, DomainError) and "must vanish" in str(err)
+        assert traj.frames == [] and traj.n_steps == 0 and traj.h0 == h0
+        with pytest.raises(DomainError, match="must vanish") as raised:
+            simulate(*members[6], cfg)
+        assert raised.value.trajectory.frames == []
         for i in (0, 2, 3):
             assert_same_run(results[i], simulate(*members[i], cfg))
         cells = sweep([self.P], monod2, inits, cfg)
@@ -354,7 +364,7 @@ class TestSamplePhysical:
         f = traj.final
         mid = 0.5 * (f.g + f.h)
         u, _ = sample_physical(f, mid)
-        assert u == pytest.approx(f.w[traj.n_cells // 2], rel=1e-9)
+        assert u == pytest.approx(f.w[f.w.size // 2], rel=1e-9)
 
 
 class TestSolverConfig:

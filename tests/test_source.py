@@ -143,6 +143,37 @@ def test_no_unread_dataclass_fields():
     assert unread_fields(sources, sources + tests, SERIALIZED) == []
 
 
+def frame_builders(source: str) -> list[str]:
+    """The innermost function around each ``Frame(...)`` or ``x.Frame(...)``
+    call of ``source``, or ``<module>`` for a call outside any function."""
+    found = []
+
+    def visit(node: ast.AST, where: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and "Frame" in (getattr(child.func, "id", None),
+                                                           getattr(child.func, "attr", None)):
+                found.append(where)
+            inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+            visit(child, getattr(child, "name", "<lambda>") if inner else where)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_scan_flags_frame_builder():
+    source = ("f0 = Frame(t=0)\nclass R:\n    def record(self):\n        return solver.Frame(1)\n"
+              "def outer():\n    def _frame():\n        return Frame(2)\n"
+              "    return _frame, lambda: Frame(3), Frames(4)\n")
+    assert frame_builders(source) == ["<module>", "record", "_frame", "<lambda>"]
+
+
+def test_frames_built_only_in_one_place():
+    # Every frame of a run, its start included, comes from solver._frame.
+    builders = [f"{path.name}: {where}" for path in sorted(SRC.glob("*.py"))
+                for where in frame_builders(path.read_text(encoding="utf-8"))]
+    assert builders == ["solver.py: _frame"]
+
+
 def load_perfbench_run():
     """``perfbench/run.py`` as a module, executed from its file."""
     bench = ROOT / "perfbench"
