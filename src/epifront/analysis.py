@@ -30,14 +30,13 @@ class Verdict(str, Enum):
 
 @dataclass(frozen=True)
 class Evidence:
-    """What fired the verdict, when, and the supporting state."""
+    """What fired the verdict: the criterion, the time and R0F of the frame
+    it fired on, and the criterion's own figures.  The run's final state
+    is the trajectory's last frame, so it is not copied here."""
 
     criterion: str
     time: float
     r0f: float
-    final_width: float
-    final_sup_u: float
-    final_sup_v: float
     details: dict = field(default_factory=dict)
 
 
@@ -64,7 +63,8 @@ def classify(traj: "Trajectory") -> Classification:
     (R0F(t0) >= 1 for some t0 implies spreading) decides the run; the
     first such frame is the evidence.  Vanishing: sup norms decayed below
     a tiny fraction of their initial sum while the width stalled.
-    Otherwise undetermined at the horizon.
+    Otherwise undetermined at the horizon.  The plateau test scales with
+    the run's own h0, read from ``traj.params``.
 
     Precondition: the frames of one run, in time order.  Its fronts only
     move outward (h' >= 0 >= g'), so width and R0F never decrease: the last
@@ -75,44 +75,30 @@ def classify(traj: "Trajectory") -> Classification:
         raise DomainError("cannot classify an empty trajectory")
     last = frames[-1]
 
-    def evidence(criterion: str, t: float, r0f: float, **details) -> Evidence:
-        return Evidence(
-            criterion=criterion,
-            time=t,
-            r0f=r0f,
-            final_width=last.width,
-            final_sup_u=last.sup_w,
-            final_sup_v=last.sup_z,
-            details=details,
-        )
-
     if last.r0f >= 1.0 + _R0F_MARGIN:
         first = frames[bisect_left(frames, 1.0 + _R0F_MARGIN, key=lambda f: f.r0f)]
         return Classification(
             Verdict.SPREADING,
-            evidence("r0f_threshold", first.t, first.r0f, margin=_R0F_MARGIN),
+            Evidence("r0f_threshold", first.t, first.r0f, {"margin": _R0F_MARGIN}),
         )
 
     initial_sup = frames[0].sup_w + frames[0].sup_z
     tail_start = int(math.floor((len(frames) - 1) * (1.0 - _TRAILING_FRACTION)))
     growth = last.width - frames[tail_start].width
     decayed = last.sup_w + last.sup_z <= _VANISH_RATIO * initial_sup
-    stalled = growth < _PLATEAU_RATIO * traj.h0
+    stalled = growth < _PLATEAU_RATIO * traj.params.h0
     if decayed and stalled:
         return Classification(
             Verdict.VANISHING,
-            evidence(
-                "decay_plateau",
-                last.t,
-                last.r0f,
-                trailing_width_growth=growth,
-                sup_ratio=(last.sup_w + last.sup_z) / initial_sup if initial_sup else 0.0,
-            ),
+            Evidence("decay_plateau", last.t, last.r0f, {
+                "trailing_width_growth": growth,
+                "sup_ratio": (last.sup_w + last.sup_z) / initial_sup if initial_sup else 0.0,
+            }),
         )
 
     return Classification(
         Verdict.UNDETERMINED,
-        evidence("horizon", last.t, last.r0f, trailing_width_growth=growth),
+        Evidence("horizon", last.t, last.r0f, {"trailing_width_growth": growth}),
     )
 
 
@@ -177,20 +163,22 @@ def bound_certificate(
 # Conservation and symmetry diagnostics
 # ---------------------------------------------------------------------------
 
-def mass_balance_residual(traj: "Trajectory", p: ModelParams) -> np.ndarray:
-    """Per-frame residual of the integrated balance law.
+def mass_balance_residual(traj: "Trajectory") -> np.ndarray:
+    """Per-frame residual of the integrated balance law of the run's model.
 
     The exact identity relates the weighted mass, the habitat growth
-    scaled by d/mu, and the time-integrated reaction; the discrete
-    residual uses trapezoid quadrature in x (already folded into the
-    recorded mass and reaction columns) and cumulative trapezoid in t.
+    scaled by d/mu (read from ``traj.params``), and the time-integrated
+    reaction; the discrete residual uses trapezoid quadrature in x (already
+    folded into the recorded mass and reaction columns) and cumulative
+    trapezoid in t.
     A one-frame trajectory gives ``[0.0]``; an empty one raises DomainError.
     """
     if not traj.frames:
         raise DomainError("cannot balance an empty trajectory")
-    t = traj.times
+    p = traj.params
+    t = traj.column("t")
     mass = traj.column("mass")
-    widths = traj.widths
+    widths = traj.column("width")
     reaction = traj.column("reaction")
     slices = np.diff(t) * (reaction[1:] + reaction[:-1]) / 2.0
     cumulative = np.concatenate(([0.0], np.cumsum(slices)))
@@ -200,21 +188,17 @@ def mass_balance_residual(traj: "Trajectory", p: ModelParams) -> np.ndarray:
 def symmetry_band_check(traj: "Trajectory") -> float:
     """Worst excess of |g + h| beyond the 2 h0 symmetry band (0 when respected)."""
     centers = traj.column("g") + traj.column("h")
-    return float(np.max(np.maximum(0.0, np.abs(centers) - 2.0 * traj.h0), initial=0.0))
+    return float(np.max(np.maximum(0.0, np.abs(centers) - 2.0 * traj.params.h0), initial=0.0))
 
 
-def equilibrium_convergence(
-    traj: "Trajectory",
-    p: ModelParams,
-    resp: InfectionResponse,
-    half_width: float,
-) -> np.ndarray:
+def equilibrium_convergence(traj: "Trajectory", half_width: float) -> np.ndarray:
     """Sup of |u - u*| + |v - v*| over the window [-half_width, half_width] per frame.
 
-    Points of the window not yet covered by the habitat contribute the
-    full equilibrium distance u* + v*.
+    (u*, v*) is the endemic equilibrium of the run's own model
+    (``traj.params``, ``traj.resp``).  Points of the window not yet covered
+    by the habitat contribute the full equilibrium distance u* + v*.
     """
-    equilibrium = endemic_equilibrium(p, resp)
+    equilibrium = endemic_equilibrium(traj.params, traj.resp)
     if equilibrium is None:
         raise DomainError("no endemic equilibrium: R0 <= 1")
     u_star, v_star = equilibrium
@@ -270,7 +254,7 @@ class Monitors:
                     "bounds", frame.t, f"clipped mass {frame.clipped!r} vs mass {frame.mass!r}"
                 )
         if self.symmetry:
-            excess = abs(frame.g + frame.h) - 2.0 * traj.h0
+            excess = abs(frame.g + frame.h) - 2.0 * traj.params.h0
             if excess >= 0.0:
                 raise MonitorViolation(
                     "symmetry", frame.t, f"|g + h| = {abs(frame.g + frame.h)!r} >= 2 h0"

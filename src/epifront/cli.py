@@ -471,12 +471,12 @@ def svg_heatmap(path: Path, title: str, xlabel: str, ylabel: str,
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def _write_trajectory(traj: Trajectory, setup: RunSetup, out: Path) -> Path | None:
+def _write_trajectory(traj: Trajectory, out: Path) -> Path | None:
     """Write trajectory.csv, or nothing when no frame was recorded."""
     if not traj.frames:
         return None
     path = out / "trajectory.csv"
-    write_trajectory_csv(path, traj, analysis.mass_balance_residual(traj, setup.params))
+    write_trajectory_csv(path, traj, analysis.mass_balance_residual(traj))
     return path
 
 
@@ -500,12 +500,12 @@ def cmd_run(args: argparse.Namespace) -> int:
             monitors=analysis.Monitors(cert, **setup.monitor_toggles),
         )
     except (BlowUpError, MonitorViolation) as exc:
-        path = _write_trajectory(exc.trajectory, setup, out)
+        path = _write_trajectory(exc.trajectory, out)
         where = f"; last good frames in {path}" if path else ""
         print(f"error: {exc}{where}", file=sys.stderr)
         return 3 if isinstance(exc, BlowUpError) else 4
 
-    _write_trajectory(traj, setup, out)
+    _write_trajectory(traj, out)
 
     payload = _summary_payload(setup, traj, cls, cert)
     _write_json(out / "summary.json", payload)
@@ -517,7 +517,7 @@ def cmd_run(args: argparse.Namespace) -> int:
                   f"(run ended at t = {traj.final.t:.6g})", file=sys.stderr)
 
     if args.svg:
-        t = traj.times
+        t = traj.column("t")
         svg_line_plot(
             out / "fronts.svg", "front positions", "t", "x",
             [("h(t)", t, traj.column("h"), "#c0392b"), ("g(t)", t, traj.column("g"), "#2c6fbb")],

@@ -315,7 +315,8 @@ def endemic_equilibrium(
         hi *= 2.0
     else:
         raise CertificateError("no slope crossing found; (A2) limit appears violated")
-    # Bisection on excess(lo) < 0 < excess(hi) to ROOT_REL_TOL.
+    # Bisection on excess(lo) < 0 < excess(hi) to ROOT_REL_TOL: from [1e-12, hi],
+    # u* >= hi/2 or hi = 1, that takes about 75 halvings, well inside ROOT_MAX_ITER.
     for _ in range(ROOT_MAX_ITER):
         u_star = 0.5 * (lo + hi)
         if hi - lo <= ROOT_REL_TOL * hi:
@@ -327,8 +328,6 @@ def endemic_equilibrium(
             hi = u_star
         else:
             lo = u_star
-    else:
-        u_star = 0.5 * (lo + hi)
     return u_star, float(resp(u_star)) / p.a22
 
 

@@ -91,7 +91,7 @@ def dominance_check(traj: "Trajectory", ode: OdeSeries, tol: float) -> float:
     The ODE must be initialized at the sup norms of the initial data;
     then every frame should sit below it and the return value is 0.
     """
-    times = traj.times
+    times = traj.column("t")
     u_bar, v_bar = ode.at(times)
     worst = 0.0
     for k, frame in enumerate(traj.frames):
@@ -147,7 +147,7 @@ def refinement_study(
         traj, _ = simulate(p, resp, init, cfg)
         n_cells.append(cfg.n_cells)
         final_h.append(traj.final.h)
-        residuals.append(abs(float(mass_balance_residual(traj, p)[-1])))
+        residuals.append(abs(float(mass_balance_residual(traj)[-1])))
 
     diffs = [abs(final_h[k + 1] - final_h[k]) for k in range(levels - 1)]
     front_orders = tuple(

@@ -127,23 +127,18 @@ class Frame:
 
 @dataclass
 class Trajectory:
-    """Recorded frames plus run provenance."""
+    """The one record of a run: its model (``params``, ``resp``), the frames
+    it recorded, its step count and what ended it.  Every verdict and
+    diagnostic is read off it, so no caller passes the model again."""
 
-    h0: float
+    params: ModelParams
+    resp: InfectionResponse
     frames: list[Frame] = field(default_factory=list)
     n_steps: int = 0
     terminated_by: str = ""
 
     def column(self, name: str) -> np.ndarray:
         return np.array([getattr(f, name) for f in self.frames], dtype=float)
-
-    @property
-    def times(self) -> np.ndarray:
-        return self.column("t")
-
-    @property
-    def widths(self) -> np.ndarray:
-        return self.column("width")
 
     @property
     def final(self) -> Frame:
@@ -153,14 +148,15 @@ class Trajectory:
         """The frame recorded at time t, to the tolerance within which the
         run lands on a record time (a record time merged onto an earlier
         one finds that one's frame); None when no frame lies that close."""
-        times = self.times
+        times = self.column("t")
         k = int(np.argmin(np.abs(times - t)))
         return self.frames[k] if abs(times[k] - t) <= _TIME_SNAP * max(1.0, t) else None
 
     def x_grid(self, frame: Frame) -> np.ndarray:
         """Physical positions x(y) of the y-grid nodes at ``frame``."""
-        y = np.linspace(-self.h0, self.h0, frame.w.size)
-        return (y * frame.width + self.h0 * (frame.h + frame.g)) / (2.0 * self.h0)
+        h0 = self.params.h0
+        y = np.linspace(-h0, h0, frame.w.size)
+        return (y * frame.width + h0 * (frame.h + frame.g)) / (2.0 * h0)
 
 
 def front_speeds(frame: Frame, p: ModelParams) -> tuple[float, float]:
@@ -481,7 +477,7 @@ def simulate_batch(
     results: list = [None] * len(members)
     runs, ws, zs = [], [], []
     for index, ((p, resp, init), mon) in enumerate(zip(members, monitors, strict=True)):
-        traj = Trajectory(h0=p.h0)
+        traj = Trajectory(p, resp)
         try:
             cfg = config.resolved(p)
             start = initial_state(p, resp, init, cfg.n_cells)

@@ -157,13 +157,13 @@ def find_threshold(
     def probe(value: float) -> Verdict:
         if value not in verdicts:
             if target == "sigma":
-                _, cls = simulate(p, resp, init.with_sigma(value), horizon)
+                traj, cls = simulate(p, resp, init.with_sigma(value), horizon)
             else:
-                _, cls = simulate(p.with_(mu=value), resp, init, horizon)
+                traj, cls = simulate(p.with_(mu=value), resp, init, horizon)
             ev = cls.evidence
             result.probes.append(ProbeRecord(
                 value=value, verdict=cls.verdict, criterion=ev.criterion, time=ev.time,
-                final_width=ev.final_width, extended=bool(ev.time > sim_config.t_max),
+                final_width=traj.final.width, extended=bool(ev.time > sim_config.t_max),
             ))
             verdicts[value] = cls.verdict
         return verdicts[value]
@@ -231,12 +231,12 @@ def sweep(
     """
     members = [(params, resp, init) for params in param_grid for init in init_grid]
     cells = []
-    for (params, _, init), (_, outcome) in zip(members, simulate_batch(members, sim_config)):
+    for (params, _, init), (traj, outcome) in zip(members, simulate_batch(members, sim_config)):
         if isinstance(outcome, Exception):
             cells.append(SweepCell(params, init.sigma, None, "error", math.nan, math.nan,
                                    error=f"{type(outcome).__name__}: {outcome}"))
             continue
         ev = outcome.evidence
         cells.append(SweepCell(params, init.sigma, outcome.verdict, ev.criterion,
-                               ev.time, ev.final_width))
+                               ev.time, traj.final.width))
     return cells

@@ -104,8 +104,8 @@ def test_criterion_01_vanishing_under_subcritical_r0(vanishing_run):
 
 def test_criterion_02_spreading_supercritical_habitat(spreading_run):
     traj, cls, _ = spreading_run
-    widths = traj.widths
-    eq_errs = equilibrium_convergence(traj, P_SUPER, MONOD2, P_SUPER.h0)
+    widths = traj.column("width")
+    eq_errs = equilibrium_convergence(traj, P_SUPER.h0)
     ok = (
         cls.verdict is Verdict.SPREADING
         and bool(np.all(np.diff(widths) >= 0))

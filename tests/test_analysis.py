@@ -66,7 +66,7 @@ class TestMassBalance:
             unit_params, monod2, InitialData.cosine(0.0, 1.0),
             SolverConfig(t_max=1.0, early_stop=False),
         )
-        res = mass_balance_residual(traj, unit_params)
+        res = mass_balance_residual(traj)
         assert np.all(res == 0.0)
 
     def test_one_frame_balances_to_zero(self, unit_params, monod2):
@@ -75,17 +75,17 @@ class TestMassBalance:
             SolverConfig(t_max=0.001, early_stop=False),
         )
         traj.frames = traj.frames[:1]
-        assert mass_balance_residual(traj, unit_params).tolist() == [0.0]
+        assert mass_balance_residual(traj).tolist() == [0.0]
         traj.frames = []
         with pytest.raises(DomainError, match="empty"):
-            mass_balance_residual(traj, unit_params)
+            mass_balance_residual(traj)
 
     def test_subthreshold_width_bound(self, unit_params, quiet_vanishing_run):
         # the integral identity caps the habitat: (d/mu) width <= M(0) + (d/mu) 2 h0
         resp, _, traj, _ = quiet_vanishing_run
         m0 = traj.frames[0].mass
         cap = m0 + (unit_params.d / unit_params.mu) * 2.0 * unit_params.h0
-        scaled = (unit_params.d / unit_params.mu) * traj.widths
+        scaled = (unit_params.d / unit_params.mu) * traj.column("width")
         assert np.all(scaled <= cap * 1.01)
 
 
@@ -155,14 +155,14 @@ class TestClassify:
                     for h0 in (0.5, 1.0, 2.0) for sigma in (0.1, 1.0)]
             trajectories += [batch_traj for batch_traj, _ in simulate_batch(grid, config)]
         for run in trajectories:
-            assert np.all(np.diff(run.widths) >= 0.0)
+            assert np.all(np.diff(run.column("width")) >= 0.0)
             assert np.all(np.diff(run.column("r0f")) >= 0.0)
 
     def test_empty_trajectory_rejected(self, unit_params, monod2):
         from epifront.solver import Trajectory
 
         with pytest.raises(DomainError):
-            classify(Trajectory(h0=1.0))
+            classify(Trajectory(unit_params, monod2))
 
     def test_undetermined_at_short_horizon(self, unit_params, monod2):
         _, cls = simulate(unit_params, monod2, InitialData.cosine(0.05, 1.0),
@@ -175,7 +175,7 @@ class TestEquilibriumConvergence:
     def test_vanishing_run_tends_to_full_distance(self, unit_params, monod2):
         traj, cls = simulate(unit_params, monod2, InitialData.cosine(0.01, 1.0),
                              SolverConfig(t_max=150.0))
-        errs = equilibrium_convergence(traj, unit_params, monod2, 0.5)
+        errs = equilibrium_convergence(traj, 0.5)
         assert cls.verdict is Verdict.VANISHING
         assert errs[-1] == pytest.approx(2.0, rel=1e-4)  # u* + v* = 2
 
@@ -184,14 +184,14 @@ class TestEquilibriumConvergence:
 
         traj, _ = simulate(unit_params, monod2, InitialData.cosine(1.0, 1.0),
                            SolverConfig(t_max=0.01, early_stop=False))
-        errs = equilibrium_convergence(traj, unit_params, monod2, 5.0)
+        errs = equilibrium_convergence(traj, 5.0)
         u_star, v_star = endemic_equilibrium(unit_params, monod2)
         assert errs[0] >= u_star + v_star
 
-    def test_absent_equilibrium_rejected(self, unit_params, quiet_vanishing_run):
-        resp, _, traj, _ = quiet_vanishing_run
+    def test_absent_equilibrium_rejected(self, quiet_vanishing_run):
+        _, _, traj, _ = quiet_vanishing_run
         with pytest.raises(DomainError):
-            equilibrium_convergence(traj, unit_params, resp, 1.0)
+            equilibrium_convergence(traj, 1.0)
 
 
 class TestMonitors:

@@ -316,11 +316,11 @@ class TestRunCommand:
     def test_blow_up_writes_partial(self, tmp_path, monkeypatch, capsys):
         from epifront import cli as cli_mod
 
-        def exploding(*args, **kwargs):
+        def exploding(p, resp, *args, **kwargs):
             from epifront.solver import Trajectory
 
             err = BlowUpError("synthetic blow-up", 0.5, -1.0, 1.0)
-            err.trajectory = Trajectory(h0=1.0)
+            err.trajectory = Trajectory(p, resp)
             raise err
 
         monkeypatch.setattr(cli_mod, "simulate", exploding)
@@ -388,6 +388,14 @@ class TestValidateCommand:
         out = capsys.readouterr().out
         assert "[FAIL] derivative_positive: G'(0) = 0.0 <= 0\n" in out
         assert "G'(1e-06)" not in out
+
+    def test_falling_table_names_first_bad_probe(self, tmp_path, capsys):
+        # G falls from 1 to 0.5 on [1, 2]: the failure names the first probe there.
+        text = "response.kind = table\nresponse.z_values = 0,1,2\nresponse.g_values = 0,1,0.5\n"
+        cfg = write(tmp_path, text)
+        assert main(["validate", "--config", cfg]) == 1
+        out = capsys.readouterr().out
+        assert "[FAIL] derivative_positive: G'(1.584893192461114) <= 0\n" in out
 
     def test_subcritical_reports_absent(self, tmp_path, capsys):
         cfg = write(tmp_path, "response.a21 = 0.8\n")

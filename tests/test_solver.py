@@ -135,7 +135,7 @@ class TestSimulate:
             unit_params, resp, InitialData.cosine(1.0, 1.0), SolverConfig(t_max=120.0)
         )
         assert cls.verdict is Verdict.VANISHING
-        widths = traj.widths
+        widths = traj.column("width")
         assert np.all(np.diff(widths) >= 0)
 
     def test_supercritical_habitat_spreads(self, monod2):
@@ -159,7 +159,7 @@ class TestSimulate:
             unit_params, monod2, InitialData.cosine(1.0, 1.0),
             SolverConfig(t_max=1.0, record_times=times, early_stop=False),
         )
-        recorded = traj.times
+        recorded = traj.column("t")
         for target in times:
             assert np.any(recorded == target)
 
@@ -270,7 +270,7 @@ class TestSimulateBatch:
             assert_same_run(got, simulate(*member, cfg))
         steps = {traj.n_steps for traj, _ in results}
         assert len(steps) > 1  # members left the batch at different steps
-        assert all(np.any(traj.times == 0.7) for traj, _ in results if traj.final.t > 0.7)
+        assert all(np.any(traj.column("t") == 0.7) for traj, _ in results if traj.final.t > 0.7)
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf - inf in the bad row
     def test_failure_stays_in_its_member(self, monod2):
@@ -306,7 +306,7 @@ class TestSimulateBatch:
         assert len(traj.frames) == 1 and traj.n_steps == 0
         traj, err = results[6]
         assert isinstance(err, DomainError) and "must vanish" in str(err)
-        assert traj.frames == [] and traj.n_steps == 0 and traj.h0 == h0
+        assert traj.frames == [] and traj.n_steps == 0 and traj.params.h0 == h0
         with pytest.raises(DomainError, match="must vanish") as raised:
             simulate(*members[6], cfg)
         assert raised.value.trajectory.frames == []
@@ -316,6 +316,29 @@ class TestSimulateBatch:
         assert cells[1].verdict is None
         assert cells[1].error.startswith("BlowUpError: non-finite field values")
         assert [cells[i].verdict for i in (0, 2, 3)] == [results[i][1].verdict for i in (0, 2, 3)]
+
+    def test_overflow_in_the_solve_is_caught_after_it(self, monod2, monkeypatch):
+        # r = dt b / dy^2 is about 9.6e307, finite, so the member enters the
+        # solve; its diagonal 1 + 2r overflows there, and only the check on the
+        # solved block (the third _nonfinite_rows call) flags the member.
+        from epifront import solver as solver_mod
+
+        real = solver_mod._nonfinite_rows
+        flagged = []
+
+        def spy(block):
+            flagged.append(real(block))
+            return flagged[-1]
+
+        monkeypatch.setattr(solver_mod, "_nonfinite_rows", spy)
+        p = ModelParams(d=1e300, a11=1.0, a12=1.0, a22=1.0, mu=1e-300, h0=1.0)
+        cfg = SolverConfig(n_cells=16, dt_max=1.5e6, t_max=1e7)
+        with np.errstate(over="ignore"):
+            [(traj, err)] = simulate_batch([(p, monod2, InitialData.cosine(1.0, p.h0))], cfg)
+        assert isinstance(err, BlowUpError)
+        assert str(err) == "non-finite field values at t=1.5e+06" and err.t == 0.0
+        assert len(traj.frames) == 1 and traj.frames[0].t == 0.0 and traj.n_steps == 0
+        assert flagged == [[], [], [0]]
 
     def test_singular_solve_ends_every_member(self, monod2, monkeypatch):
         from epifront import solver as solver_mod

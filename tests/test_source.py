@@ -174,6 +174,53 @@ def test_frames_built_only_in_one_place():
     assert builders == ["solver.py: _frame"]
 
 
+def annotation_names(annotation: ast.expr | None) -> set[str]:
+    """The names an annotation mentions, inside string annotations too."""
+    if annotation is None:
+        return set()
+    names = set()
+    for node in ast.walk(annotation):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names |= annotation_names(ast.parse(node.value, mode="eval").body)
+    return names
+
+
+def model_beside_trajectory(source: str) -> list[str]:
+    """Every function that takes a ``Trajectory`` parameter together with a
+    ``ModelParams`` or ``InfectionResponse`` one: the trajectory already
+    carries its run's model, so a second copy can only disagree with it."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = node.args
+        annotated = set().union(*(annotation_names(a.annotation) for a in
+                                  (*args.posonlyargs, *args.args, *args.kwonlyargs)))
+        if "Trajectory" in annotated and annotated & {"ModelParams", "InfectionResponse"}:
+            found.append(node.name)
+    return found
+
+
+def test_scan_flags_model_beside_trajectory():
+    source = ("def a(traj: 'Trajectory', p: ModelParams): ...\n"
+              "def b(traj: solver.Trajectory, *, resp: 'InfectionResponse | None' = None): ...\n"
+              "def c(traj: 'Trajectory', half_width: float): ...\n"
+              "def d(p: ModelParams, resp: InfectionResponse, frames: 'list[Frame]'): ...\n"
+              "class M:\n    def e(self, frame, traj: 'Trajectory | None', p: 'ModelParams'): ...\n")
+    assert model_beside_trajectory(source) == ["a", "b", "e"]
+
+
+def test_trajectory_is_the_one_record_of_its_model():
+    # A function given a trajectory reads the run's model as traj.params and traj.resp.
+    found = [f"{path.name}: {name}" for path in sorted(SRC.glob("*.py"))
+             for name in model_beside_trajectory(path.read_text(encoding="utf-8"))]
+    assert found == []
+
+
 def load_perfbench_run():
     """``perfbench/run.py`` as a module, executed from its file."""
     bench = ROOT / "perfbench"

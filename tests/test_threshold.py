@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -115,7 +116,8 @@ def synthetic_search(monkeypatch, spreads, seed_factor):
 
     def simulate(p, resp, init, config):
         verdict = Verdict.SPREADING if spreads(init.sigma) else Verdict.VANISHING
-        return None, Classification(verdict, Evidence("synthetic", 0.0, 0.0, 0.0, 0.0, 0.0))
+        traj = SimpleNamespace(final=SimpleNamespace(width=0.0))
+        return traj, Classification(verdict, Evidence("synthetic", 0.0, 0.0))
 
     monkeypatch.setattr(threshold_mod, "simulate", simulate)
     bisect = BisectConfig(rel_tol=COARSE.rel_tol, hi_seed_factor=seed_factor)
