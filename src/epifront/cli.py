@@ -325,9 +325,9 @@ def write_profiles_csv(path: Path, traj: Trajectory, times: list[float]) -> list
     return missing
 
 
-def _summary_payload(setup: RunSetup, traj: Trajectory, cls: analysis.Classification,
-                     cert: analysis.BoundCertificate) -> dict:
-    p, resp = setup.params, setup.resp
+def _summary_payload(traj: Trajectory, cls: analysis.Classification,
+                     cert: analysis.BoundCertificate, echo: dict[str, str]) -> dict:
+    p, resp = traj.params, traj.resp
     equilibrium = model.endemic_equilibrium(p, resp)
     h_star = model.critical_width(p, resp)
     last = traj.final
@@ -348,7 +348,7 @@ def _summary_payload(setup: RunSetup, traj: Trajectory, cls: analysis.Classifica
             "final_sup_u": last.sup_w,
             "final_sup_v": last.sup_z,
         },
-        "config": setup.echo,
+        "config": echo,
     }
 
 
@@ -507,7 +507,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     _write_trajectory(traj, out)
 
-    payload = _summary_payload(setup, traj, cls, cert)
+    payload = _summary_payload(traj, cls, cert, setup.echo)
     _write_json(out / "summary.json", payload)
 
     if profile_times:
@@ -553,11 +553,6 @@ def cmd_threshold(args: argparse.Namespace) -> int:
         }
         outcome = f"no threshold: {exc}"
     else:
-        confirmations = {}
-        if result.status == "bracketed":
-            # Each bracket end is a probed value; report the verdict its probe reached.
-            verdicts = {r.value: r.verdict.value for r in result.probes}
-            confirmations = {"lo": verdicts[result.lo], "hi": verdicts[result.hi]}
         payload = {
             "target": result.target,
             "status": result.status,
@@ -567,7 +562,6 @@ def cmd_threshold(args: argparse.Namespace) -> int:
             "n_sims": result.n_sims,
             "monotone_verdicts": result.monotone,
             "probes": [asdict(r) for r in result.probes],
-            "confirmations": confirmations,
             "config": setup.echo,
         }
         outcome = (f"{args.target}* in [{result.lo:.6g}, {result.hi:.6g}] ({result.status}, "

@@ -305,18 +305,19 @@ def endemic_equilibrium(
     def excess(u: float) -> float:
         return p.a11 - (p.a12 / p.a22) * resp(u) / u
 
-    lo = 1e-12
-    if excess(lo) >= 0:  # pragma: no cover - R0 > 1 forces excess(0+) < 0
-        raise DomainError("excess rate not negative near 0 despite R0 > 1")
-    hi = 1.0
+    lo, hi = 1e-12, 1.0
+    while excess(lo) >= 0:  # R0 > 1 makes excess(0+) < 0, but a table may cross below 1e-12
+        if lo < 1e-300:
+            raise DomainError("excess rate not negative near 0 despite R0 > 1")
+        lo, hi = lo / 2.0, lo
     for _ in range(200):
         if excess(hi) > 0:
             break
         hi *= 2.0
     else:
         raise CertificateError("no slope crossing found; (A2) limit appears violated")
-    # Bisection on excess(lo) < 0 < excess(hi) to ROOT_REL_TOL: from [1e-12, hi],
-    # u* >= hi/2 or hi = 1, that takes about 75 halvings, well inside ROOT_MAX_ITER.
+    # Bisection on excess(lo) < 0 < excess(hi) to ROOT_REL_TOL takes about 75 halvings
+    # from [1e-12, hi] (u* >= hi/2 or hi = 1) and 33 from [hi/2, hi]: inside ROOT_MAX_ITER.
     for _ in range(ROOT_MAX_ITER):
         u_star = 0.5 * (lo + hi)
         if hi - lo <= ROOT_REL_TOL * hi:
@@ -364,7 +365,8 @@ class SpreadingBound:
 
 
 def small_data_vanishing_bound(p: ModelParams, resp: InfectionResponse) -> SmallDataBound | None:
-    """Compute the extinction certificate (delta, eps), or None if R0F(0) >= 1.
+    """Compute the extinction certificate (delta, eps), or None if R0F(0) >= 1
+    or the comparison inequalities fail arbitrarily close to delta = 0.
 
     delta is the largest value in (0, 1] satisfying both scalar
     comparison inequalities, found by predicate bisection; eps follows
@@ -407,7 +409,8 @@ def small_data_vanishing_bound(p: ModelParams, resp: InfectionResponse) -> Small
 
 
 def spreading_subsolution_delta(p: ModelParams, resp: InfectionResponse) -> SpreadingBound | None:
-    """Compute the invasion certificate delta, or None unless R0F(0) > 1.
+    """Compute the invasion certificate delta, or None unless R0F(0) > 1 and
+    the comparison inequality holds arbitrarily close to delta = 0.
 
     Requires the strict case (negative eigenvalue); the marginal case
     R0F(0) = 1 spreads by waiting and carries no pointwise certificate.

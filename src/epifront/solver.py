@@ -22,12 +22,13 @@ first and last rows are identity rows, so every member gets exactly the
 numbers it would get solved alone.  The run loop (``simulate_batch``)
 owns, per member, the record times, the frame stride, the classifier
 cadence, early stopping and failures, and drops a member from the batch
-once it is done.  One ``_Run`` record per member holds both the scalars
-the stepper advances and the run loop's bookkeeping.  ``simulate`` is the
-run loop's one-member case and ``step`` the stepper's.  A ``Frame`` is the
-one snapshot of a run, and ``_frame`` the one place that builds it: every
-run starts from the frame ``initial_state`` gives, and ``step`` takes a
-frame and returns the next.
+once it is done.  One ``_Run`` record per member holds its trajectory
+(which carries the member's model), the scalars the stepper advances and
+the run loop's bookkeeping.  ``simulate`` is the run loop's one-member
+case and ``step`` the stepper's.  A ``Frame`` is the one snapshot of a
+run, and ``_frame`` the one place that builds it: every run starts from
+the frame ``initial_state`` gives, and ``step`` takes a frame and returns
+the next.
 """
 
 from __future__ import annotations
@@ -200,12 +201,11 @@ def _frame(
 
 @dataclass(eq=False)
 class _Run:
-    """One member of a batch: the scalars the stepper reads and advances,
-    then the run loop's bookkeeping, which a bare ``step`` leaves unset.
-    ``clipped`` is the mass clipped since the last frame."""
+    """One member of a batch: its trajectory, which carries its model, the
+    scalars the stepper reads and advances, then the run loop's bookkeeping
+    (a bare ``step`` leaves it unset).  ``clipped``: mass clipped since the last frame."""
 
-    p: ModelParams
-    resp: InfectionResponse
+    traj: Trajectory
     config: SolverConfig  # resolved
     t: float
     g: float
@@ -213,18 +213,18 @@ class _Run:
     clipped: float = 0.0
     index: int = 0  # position in the members of simulate_batch
     monitors: "analysis.Monitors | None" = None
-    traj: Trajectory | None = None
     targets: list[float] = field(default_factory=list)
     target_idx: int = 0
     steps_since_frame: int = 0
 
     def record(self, w: np.ndarray, z: np.ndarray) -> None:
         """Append the frame of the fields w, z (this member's rows) at the current t."""
-        frame = _frame(self.p, self.resp, self.t, self.g, self.h, w, z, self.clipped)
+        traj = self.traj
+        frame = _frame(traj.params, traj.resp, self.t, self.g, self.h, w, z, self.clipped)
         self.clipped = 0.0
-        self.traj.frames.append(frame)
+        traj.frames.append(frame)
         if self.monitors is not None:
-            self.monitors.on_frame(frame, self.traj)
+            self.monitors.on_frame(frame, traj)
 
     def after_step(self, w: np.ndarray, z: np.ndarray) -> "analysis.Classification | None":
         """Land on the record time, record and classify after one step of
@@ -294,7 +294,7 @@ def _step_batch(
     rows = []  # per member: dt, dy, A slope, A offset, new width, r, a11, a12, a22
     fronts = []  # per member: new g, new h
     for i, (m, edge, cap) in enumerate(zip(members, w[:, _EDGE_NODES].tolist(), caps)):
-        p, config = m.p, m.config
+        p, config = m.traj.params, m.config
         dy = 2.0 * p.h0 / n
         width = m.h - m.g
         g_speed, h_speed = _stefan_speeds(*edge, dy, 2.0 * p.h0 * p.mu / width)
@@ -323,7 +323,7 @@ def _step_batch(
         fronts.append(None)
 
     dt, dy, c1, c2, width, r, a11, a12, a22 = np.array(rows).T[:, :, None]
-    gw = np.asarray(members[0].resp(w), dtype=float)
+    gw = np.asarray(members[0].traj.resp(w), dtype=float)
     a = (y[:, 1:-1] * c1 + c2) / width  # A(y) at the interior nodes
     up = a > 0.0
     grad_w = (w[:, 1:] - w[:, :-1]) / dy
@@ -376,7 +376,7 @@ def _step_batch(
         m.t = m.t + dt_i
         m.g, m.h = g_new, h_new
         if i in clipped:
-            m.clipped = m.clipped + clipped[i] * dy_i * (h_new - g_new) / (2.0 * m.p.h0)
+            m.clipped = m.clipped + clipped[i] * dy_i * (h_new - g_new) / (2.0 * m.traj.params.h0)
     return w_new, z_new, failed
 
 
@@ -412,10 +412,10 @@ def step(
 ) -> Frame:
     """Advance one IMEX step; the step size obeys dt_max and the front CFL limit.
 
-    The stepper's one-member case (see ``_step_batch``).  The new frame's
-    ``clipped`` is the mass this step clipped.
+    The stepper's one-member case, run on ``Trajectory(p, resp, [frame])``.
+    The new frame's ``clipped`` is the mass this step clipped.
     """
-    m = _Run(p, resp, config.resolved(p), frame.t, frame.g, frame.h)
+    m = _Run(Trajectory(p, resp, [frame]), config.resolved(p), frame.t, frame.g, frame.h)
     y = np.linspace(-p.h0, p.h0, frame.w.size)
     w, z, failed = _step_batch([m], frame.w[None], frame.z[None], y[None], [dt_cap])
     if failed:
@@ -475,7 +475,7 @@ def simulate_batch(
     if len({id(resp) for _, resp, _ in members}) > 1:
         raise DomainError("the members of a batch must share one InfectionResponse")
     results: list = [None] * len(members)
-    runs, ws, zs = [], [], []
+    runs, ws, zs, ys = [], [], [], []
     for index, ((p, resp, init), mon) in enumerate(zip(members, monitors, strict=True)):
         traj = Trajectory(p, resp)
         try:
@@ -487,12 +487,12 @@ def simulate_batch(
         except Exception as exc:  # noqa: BLE001 - the member's outcome
             results[index] = (traj, exc)
             continue
-        runs.append(_Run(p, resp, cfg, start.t, start.g, start.h, index=index, monitors=mon,
-                         traj=traj, targets=_record_targets(cfg)))
+        runs.append(_Run(traj, cfg, start.t, start.g, start.h, index=index, monitors=mon,
+                         targets=_record_targets(cfg)))
         ws.append(start.w)
         zs.append(start.z)
-    w, z = np.array(ws), np.array(zs)
-    y = np.array([np.linspace(-run.p.h0, run.p.h0, run.config.n_cells + 1) for run in runs])
+        ys.append(np.linspace(-p.h0, p.h0, cfg.n_cells + 1))
+    w, z, y = np.array(ws), np.array(zs), np.array(ys)
 
     while runs:
         caps = [run.targets[run.target_idx] - run.t for run in runs]

@@ -397,6 +397,14 @@ class TestValidateCommand:
         out = capsys.readouterr().out
         assert "[FAIL] derivative_positive: G'(1.584893192461114) <= 0\n" in out
 
+    def test_equilibrium_below_first_bracket_end(self, tmp_path, capsys):
+        # R0 = 5, yet G(u)/u falls to a11 = 1 at u* = 4.9e-13 / 0.9, below 1e-12.
+        text = ("response.kind = table\nresponse.z_values = 0,1e-13,1\n"
+                "response.g_values = 0,5e-13,0.1\n")
+        cfg = write(tmp_path, text)
+        assert main(["validate", "--config", cfg]) == 0
+        assert "equilibrium: u* = 5.44444444458e-13, v* = " in capsys.readouterr().out
+
     def test_subcritical_reports_absent(self, tmp_path, capsys):
         cfg = write(tmp_path, "response.a21 = 0.8\n")
         assert main(["validate", "--config", cfg]) == 0
@@ -457,8 +465,8 @@ class TestThresholdCommand:
         assert payload["status"] == "bracketed"
         verdicts = {probe["value"]: probe["verdict"] for probe in payload["probes"]}
         lo, hi = payload["bracket"]
-        assert payload["confirmations"] == {"lo": verdicts[lo], "hi": verdicts[hi]}
-        assert payload["confirmations"]["hi"] == "spreading"
+        assert lo in verdicts and verdicts[hi] == "spreading"
+        assert "confirmations" not in payload
         # Each probe is one simulation, and some probes ran past solver.t_max.
         assert len(sims) == len(payload["probes"])
         assert any(probe["extended"] is True for probe in payload["probes"])
@@ -474,7 +482,9 @@ class TestThresholdCommand:
         assert payload["bracket"] == [0.71875, 0.765625]
         assert payload["n_sims"] == len(payload["probes"]) == 8
         assert payload["probes"][0]["value"] == 2.0  # the search starts from 2 model.mu
-        assert payload["confirmations"]["hi"] == "spreading"
+        verdicts = {probe["value"]: probe["verdict"] for probe in payload["probes"]}
+        assert verdicts[payload["bracket"][1]] == "spreading"
+        assert "confirmations" not in payload
 
     def test_target_choices_are_the_search_targets(self, capsys):
         with pytest.raises(SystemExit) as info:

@@ -159,12 +159,23 @@ class TestEquilibrium:
         p = ModelParams(d=1.0, a11=1.0, a12=a12, a22=1.0, mu=1.0, h0=1.0)
         assert endemic_equilibrium(p, resp) == general_bisection_equilibrium(p, resp)
 
+    def test_root_below_first_bracket_end(self):
+        # R0 = 5, yet the table puts u* near 5.4e-13, below the bracket's first end 1e-12.
+        p, _ = params_with()
+        resp = InfectionResponse.table([0.0, 1e-13, 1.0], [0.0, 5e-13, 0.1])
+        u_star, v_star = endemic_equilibrium(p, resp)
+        assert (u_star, v_star) == general_bisection_equilibrium(p, resp)
+        slope = (0.1 - 5e-13) / (1.0 - 1e-13)  # G(u) = 5e-13 + slope (u - 1e-13) = u
+        assert u_star == pytest.approx((5e-13 - slope * 1e-13) / (1.0 - slope), rel=1e-9)
+
 
 def general_bisection_equilibrium(p, resp):
     """(u*, v*) by a bisection that evaluates both bracket ends and keeps the
     half whose ends differ in sign, or None when R0 <= 1.  The bracket is
-    endemic_equilibrium's own: from 1e-12 up to the first power of 2 where
-    the excess rate turns positive."""
+    endemic_equilibrium's own: the lower end starts at 1e-12 and is halved
+    while the excess rate is not negative there, each halving moving the
+    upper end (1 at first) onto the old lower end; the upper end is then
+    doubled until the excess rate turns positive."""
     if basic_reproduction_number(p, resp) <= 1.0:
         return None
 
@@ -172,6 +183,8 @@ def general_bisection_equilibrium(p, resp):
         return p.a11 - (p.a12 / p.a22) * resp(u) / u
 
     lo, hi = 1e-12, 1.0
+    while f(lo) >= 0:
+        lo, hi = lo / 2.0, lo
     while f(hi) <= 0:
         hi *= 2.0
     flo, fhi = f(lo), f(hi)
@@ -265,6 +278,15 @@ class TestSmallDataBound:
         bound = small_data_vanishing_bound(p, resp)
         assert bound.v_factor > 0
 
+    def test_absent_when_inequalities_fail_near_zero(self):
+        # R0F(0) < 1, but G' jumps from 2 at 0 to 20 just above it, so the
+        # recovery inequality fails for every delta > 0.
+        p, _ = params_with()
+        resp = InfectionResponse(lambda z: 2 * z,
+                                 lambda z: np.where(np.asarray(z) > 0, 20.0, 2.0))
+        assert free_boundary_reproduction_number(p, resp, 2 * p.h0) < 1.0
+        assert small_data_vanishing_bound(p, resp) is None
+
 
 class TestSpreadingDelta:
     def test_absent_when_subcritical(self):
@@ -285,6 +307,15 @@ class TestSpreadingDelta:
         closed = 1.0 / math.sqrt(1.0 - 0.125 / 2.0) - 1.0
         assert bound.delta == pytest.approx(closed, rel=1e-8)
         assert bound.v_factor > 0
+
+    def test_absent_when_inequality_fails_near_zero(self):
+        # R0F(0) > 1, but G' drops from 5 at 0 to 0.1 just above it, so
+        # G'(0) - G'(delta) exceeds the slack for every delta > 0.
+        p, _ = params_with()
+        resp = InfectionResponse(lambda z: 5 * z / (1 + z),
+                                 lambda z: np.where(np.asarray(z) > 0, 0.1, 5.0))
+        assert free_boundary_reproduction_number(p, resp, 2 * p.h0) > 1.0
+        assert spreading_subsolution_delta(p, resp) is None
 
 
 class TestLargestSatisfying:

@@ -45,7 +45,7 @@ class TestFrontSpeeds:
         orders = [math.log2(errors[k] / errors[k + 1]) for k in range(2)]
         assert min(orders) > 1.7
 
-    def test_first_frame_matches_initial_state(self, monod2):
+    def test_first_frame_matches_initial_state(self, monod2, unit_params, cosine_init):
         # The run loop computes a frame's speeds itself; they must stay front_speeds'.
         p = ModelParams(d=1.0, a11=1.0, a12=1.0, a22=1.0, mu=1.3, h0=0.7)
         init = InitialData.skewed_cosine(1.0, p.h0, 0.4)
@@ -58,6 +58,15 @@ class TestFrontSpeeds:
         for name in (f.name for f in dataclasses.fields(Frame)):
             assert np.array_equal(getattr(start, name), getattr(first, name)), name
         assert speeds[0] < 0.0 < speeds[1] and speeds[0] != -speeds[1]
+        # step chained from initial_state gives the run's next frames, every field of them.
+        cfg = SolverConfig(n_cells=64, frame_stride=1, early_stop=False, t_max=0.05)
+        for model, data in ((unit_params, cosine_init), (p, init)):
+            traj, _ = simulate(model, monod2, data, cfg)
+            frame = initial_state(model, monod2, data, cfg.n_cells)
+            for expected in traj.frames[1:6]:
+                frame = step(frame, model, monod2, cfg)
+                for name in (f.name for f in dataclasses.fields(Frame)):
+                    assert np.array_equal(getattr(frame, name), getattr(expected, name)), name
 
     def test_signs_once_positive(self, unit_params, monod2):
         traj, _ = simulate(

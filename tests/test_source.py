@@ -189,18 +189,27 @@ def annotation_names(annotation: ast.expr | None) -> set[str]:
     return names
 
 
+MODEL_CARRIERS = {"ModelParams", "InfectionResponse", "RunSetup"}  # RunSetup holds both
+
+
 def model_beside_trajectory(source: str) -> list[str]:
-    """Every function that takes a ``Trajectory`` parameter together with a
-    ``ModelParams`` or ``InfectionResponse`` one: the trajectory already
-    carries its run's model, so a second copy can only disagree with it."""
+    """Every function that takes a ``Trajectory`` parameter, and every class
+    with a ``Trajectory`` field, together with a model carrier (a
+    ``ModelParams``, ``InfectionResponse`` or ``RunSetup``): the trajectory
+    already carries its run's model, so a second copy can only disagree
+    with it."""
     found = []
     for node in ast.walk(ast.parse(source)):
-        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            annotations = [a.annotation for a in
+                           (*args.posonlyargs, *args.args, *args.kwonlyargs)]
+        elif isinstance(node, ast.ClassDef):
+            annotations = [s.annotation for s in node.body if isinstance(s, ast.AnnAssign)]
+        else:
             continue
-        args = node.args
-        annotated = set().union(*(annotation_names(a.annotation) for a in
-                                  (*args.posonlyargs, *args.args, *args.kwonlyargs)))
-        if "Trajectory" in annotated and annotated & {"ModelParams", "InfectionResponse"}:
+        annotated = set().union(*map(annotation_names, annotations))
+        if "Trajectory" in annotated and annotated & MODEL_CARRIERS:
             found.append(node.name)
     return found
 
@@ -210,8 +219,14 @@ def test_scan_flags_model_beside_trajectory():
               "def b(traj: solver.Trajectory, *, resp: 'InfectionResponse | None' = None): ...\n"
               "def c(traj: 'Trajectory', half_width: float): ...\n"
               "def d(p: ModelParams, resp: InfectionResponse, frames: 'list[Frame]'): ...\n"
-              "class M:\n    def e(self, frame, traj: 'Trajectory | None', p: 'ModelParams'): ...\n")
-    assert model_beside_trajectory(source) == ["a", "b", "e"]
+              "class M:\n    def e(self, frame, traj: 'Trajectory | None', p: 'ModelParams'): ...\n"
+              "def f(setup: RunSetup, traj: Trajectory, echo: dict): ...\n"
+              "def g(setup: 'RunSetup', out: Path): ...\n"
+              "class R:\n    p: ModelParams\n    traj: 'Trajectory | None' = None\n"
+              "class S:\n    traj: Trajectory\n    config: SolverConfig\n"
+              "class T:\n    setup: RunSetup\n    def h(self, traj: Trajectory): ...\n")
+    # S has no model field; T's trajectory is a method parameter, so h has no model beside it.
+    assert model_beside_trajectory(source) == ["a", "b", "f", "R", "e"]
 
 
 def test_trajectory_is_the_one_record_of_its_model():
