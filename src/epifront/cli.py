@@ -505,9 +505,8 @@ def cmd_run(args: argparse.Namespace) -> int:
         print(f"error: {exc}{where}", file=sys.stderr)
         return 3 if isinstance(exc, BlowUpError) else 4
 
-    _write_trajectory(traj, out)
-
     payload = _summary_payload(traj, cls, cert, setup.echo)
+    _write_trajectory(traj, out)
     _write_json(out / "summary.json", payload)
 
     if profile_times:

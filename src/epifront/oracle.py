@@ -141,7 +141,6 @@ def refinement_study(
             dt_max=base.dt_max / 2**k,
             t_max=t_end,
             frame_stride=1,
-            record_times=(t_end,),
             early_stop=False,
         )
         traj, _ = simulate(p, resp, init, cfg)

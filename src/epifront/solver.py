@@ -20,8 +20,8 @@ are solved as one tridiagonal system of size B (n+1) by a single LAPACK
 ``dgtsv`` call.  The couplings between blocks are zero and each block's
 first and last rows are identity rows, so every member gets exactly the
 numbers it would get solved alone.  The run loop (``simulate_batch``)
-owns, per member, the record times, the frame stride, the classifier
-cadence, early stopping and failures, and drops a member from the batch
+owns, per member, the record times, the frame stride, failures and
+early stopping on each recorded frame, and drops a member from the batch
 once it is done.  One ``_Run`` record per member holds its trajectory
 (which carries the member's model), the scalars the stepper advances and
 the run loop's bookkeeping.  ``simulate`` is the run loop's one-member
@@ -54,7 +54,6 @@ _TIME_SNAP = 1e-9  # relative tolerance for landing on a requested time
 # affine in y with its maximum 2 h0 max(h', -g')/width at a boundary node,
 # so this also bounds the advective Courant number max|A| dt/dy.
 _FRONT_CFL = 0.2
-_CLASSIFY_STRIDE = 8  # recorded frames between classifier checks
 
 
 @dataclass(frozen=True)
@@ -64,8 +63,8 @@ class SolverConfig:
     ``dt_max`` defaults to 1e-3 h0^2/d and ``t_max`` to 200/min(a11, a22)
     when left as None; call :meth:`resolved` to materialize them.
     ``record_times`` are exact times the integrator must land on (a frame
-    is recorded there).  With ``early_stop`` a run ends at the first
-    classifier check that reaches a verdict; without it, at t_max.
+    is recorded there).  With ``early_stop`` a run ends on the first
+    recorded frame that has a verdict; without it, at t_max.
     """
 
     n_cells: int = 256
@@ -213,8 +212,7 @@ class _Run:
     clipped: float = 0.0
     index: int = 0  # position in the members of simulate_batch
     monitors: "analysis.Monitors | None" = None
-    targets: list[float] = field(default_factory=list)
-    target_idx: int = 0
+    targets: list[float] = field(default_factory=list)  # still to land on; t_max last
     steps_since_frame: int = 0
 
     def record(self, w: np.ndarray, z: np.ndarray) -> None:
@@ -231,25 +229,24 @@ class _Run:
         this member; return the classification once its run is over."""
         self.traj.n_steps += 1
         self.steps_since_frame += 1
-        target = self.targets[self.target_idx]
-        hit_target = abs(self.t - target) <= _TIME_SNAP * max(1.0, target)
-        if hit_target:
-            self.t = target
-            self.target_idx += 1
-        # Every step is capped at target - t and the last target is t_max,
-        # so the step that reaches t_max hits its target and is recorded.
-        if hit_target or self.steps_since_frame >= self.config.frame_stride:
-            self.record(w, z)
-            self.steps_since_frame = 0
-            if self.config.early_stop and (len(self.traj.frames) - 1) % _CLASSIFY_STRIDE == 0:
-                partial = analysis.classify(self.traj)
-                if partial.verdict is not analysis.Verdict.UNDETERMINED:
-                    self.traj.terminated_by = f"classifier:{partial.verdict.value}"
-                    return partial
-        if self.t < self.config.t_max * (1.0 - 1e-14):
+        target = self.targets[0]
+        if abs(self.t - target) <= _TIME_SNAP * max(1.0, target):
+            self.t = self.targets.pop(0)
+        elif self.steps_since_frame < self.config.frame_stride:
             return None
-        self.traj.terminated_by = "t_max"
-        return analysis.classify(self.traj)
+        self.record(w, z)
+        self.steps_since_frame = 0
+        # Every step is capped at target - t, so the step that reaches t_max
+        # lands on it and is recorded.
+        at_t_max = not self.targets
+        if not (self.config.early_stop or at_t_max):
+            return None
+        cls = analysis.classify(self.traj)
+        decided = self.config.early_stop and cls.verdict is not analysis.Verdict.UNDETERMINED
+        if not (decided or at_t_max):
+            return None
+        self.traj.terminated_by = f"classifier:{cls.verdict.value}" if decided else "t_max"
+        return cls
 
 
 def _blow_up(m: _Run, dt: float) -> BlowUpError:
@@ -436,15 +433,16 @@ def sample_physical(frame: Frame, x):
 
 
 def _record_targets(config: SolverConfig) -> list[float]:
-    """The times a run lands on: its record times in (0, t_max], then t_max.
+    """The times a run lands on: its record times in (0, t_max), then t_max.
 
-    A record time within _TIME_SNAP (relative) of the one kept before it is
-    merged onto that one, whose frame then serves it (see
+    A record time within _TIME_SNAP (relative) of the one kept before it,
+    or of t_max, is merged onto that one, whose frame then serves it (see
     :meth:`Trajectory.frame_at`).
     """
+    snap = 1.0 + _TIME_SNAP
     targets: list[float] = []
-    for s in sorted({float(s) for s in config.record_times if 0.0 < s <= config.t_max}):
-        if not targets or s > targets[-1] * (1.0 + _TIME_SNAP):
+    for s in sorted({float(s) for s in config.record_times if 0.0 < s * snap < config.t_max}):
+        if not targets or s > targets[-1] * snap:
             targets.append(s)
     return targets + [config.t_max]
 
@@ -495,7 +493,7 @@ def simulate_batch(
     w, z, y = np.array(ws), np.array(zs), np.array(ys)
 
     while runs:
-        caps = [run.targets[run.target_idx] - run.t for run in runs]
+        caps = [run.targets[0] - run.t for run in runs]
         try:
             w, z, failed = _step_batch(runs, w, z, y, caps)
         except Exception as exc:  # noqa: BLE001 - not tied to one member, so it ends all

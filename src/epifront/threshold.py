@@ -6,7 +6,8 @@ makes plain bisection on the verdict sound.  :func:`find_threshold`
 brackets either one, named by :data:`TARGETS`: a probe value becomes
 the (params, response, initial data) it runs, and each probe is one
 simulation to twice the solver horizon.  A probe still undetermined
-there counts on the vanishing side of the bracket.
+there is skipped while ``lo`` is sought, but counts as vanishing in
+the bisection, so a "bracketed" result can have it as ``lo``.
 """
 
 from __future__ import annotations

@@ -237,12 +237,12 @@ class TestRunCommand:
         assert times == {"0.5", "1.5"}
 
     def test_unreached_profile_times_reported(self, tmp_path, capsys):
-        # FAST is stopped by the classifier at t = 1.28, before 1.9 and 100.
+        # FAST is stopped by the classifier at t = 1.2, before 1.9 and 100.
         cfg = write(tmp_path, FAST)
         out = tmp_path / "out"
         assert main(["run", "--config", cfg, "--out", str(out), "--profiles", "0.5,1.9,100"]) == 0
         err = capsys.readouterr().err
-        assert "profiles: no frame at t = 1.9, 100.0 (run ended at t = 1.28)" in err
+        assert "profiles: no frame at t = 1.9, 100.0 (run ended at t = 1.2)" in err
         rows = (out / "profiles.csv").read_text().splitlines()
         assert {row.split(",")[0] for row in rows[1:]} == {"0.5"}
 
@@ -327,6 +327,19 @@ class TestRunCommand:
         cfg = write(tmp_path, FAST)
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
         assert "synthetic blow-up" in capsys.readouterr().err
+
+    def test_failed_summary_writes_no_trajectory(self, tmp_path, monkeypatch, capsys):
+        from epifront import cli as cli_mod
+
+        def failing(p, resp):
+            raise DomainError("synthetic")
+
+        monkeypatch.setattr(cli_mod.model, "critical_width", failing)
+        out = tmp_path / "o"
+        assert main(["run", "--config", write(tmp_path, FAST), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: synthetic\n"
+        assert not (out / "trajectory.csv").exists()
+        assert not (out / "summary.json").exists()
 
     # FAST records a frame every 20 steps: the 100th step fails after 5 frames, the
     # 5th monitor check on the 5th frame, and the 1st step leaves only the initial frame.

@@ -15,7 +15,9 @@ from epifront import (
     MonitorViolation,
     Monitors,
     SolverConfig,
+    Trajectory,
     Verdict,
+    classify,
     front_speeds,
     initial_state,
     sample_physical,
@@ -172,6 +174,17 @@ class TestSimulate:
         for target in times:
             assert np.any(recorded == target)
 
+    def test_record_time_next_to_t_max_is_merged(self, unit_params, monod2):
+        # A record time within the landing tolerance of t_max adds no step
+        # of 1e-12 and no frame: the t_max frame serves it.
+        traj, _ = simulate(
+            unit_params, monod2, InitialData.cosine(0.1, 1.0),
+            SolverConfig(n_cells=64, dt_max=0.01, t_max=1.0, record_times=(1.0 - 1e-12,),
+                         early_stop=False),
+        )
+        assert (traj.n_steps, len(traj.frames)) == (100, 3)
+        assert traj.frame_at(1.0 - 1e-12) is traj.final and traj.final.t == 1.0
+
     def test_clipping_stays_negligible(self, unit_params, monod2):
         traj, _ = simulate(
             unit_params, monod2, InitialData.cosine(1.0, 1.0),
@@ -227,17 +240,27 @@ class TestSimulate:
     @pytest.mark.parametrize("early_stop", [pytest.param(True, id="both"),
                                             pytest.param(False, id="none")])
     def test_early_stop_modes(self, unit_params, monod2, early_stop):
-        wide = unit_params.with_(h0=0.6 * math.pi)
+        # Neither run is decided by its initial frame: R0F(0) < 1 for both,
+        # and the vanishing one (R0 = 0.02) takes until t = 1.42 to decay.
+        wide = unit_params.with_(h0=1.2)
+        fast_decay = unit_params.with_(a11=10.0, a22=10.0)
         runs = {
-            "spreading": (wide, InitialData.cosine(1.0, wide.h0)),
-            "vanishing": (unit_params, InitialData.cosine(0.0, unit_params.h0)),
+            "spreading": (wide, InitialData.cosine(2.0, wide.h0)),
+            "vanishing": (fast_decay, InitialData.cosine(1.0, fast_decay.h0)),
         }
-        cfg = SolverConfig(n_cells=64, t_max=1.0, frame_stride=5, early_stop=early_stop)
+        cfg = SolverConfig(n_cells=64, dt_max=0.01, t_max=2.0, frame_stride=5,
+                           early_stop=early_stop)
         for verdict, (p, init) in runs.items():
             traj, cls = simulate(p, monod2, init, cfg)
             assert cls.verdict.value == verdict
             assert traj.terminated_by == (f"classifier:{verdict}" if early_stop else "t_max")
             assert (traj.final.t < cfg.t_max) == early_stop
+            if early_stop:
+                # The run ends on the first recorded frame that decides it.
+                before = classify(Trajectory(p, monod2, traj.frames[:-1]))
+                assert before.verdict is Verdict.UNDETERMINED
+                if cls.verdict is Verdict.SPREADING:
+                    assert traj.final.t == cls.evidence.time
 
     def test_rejects_shape_not_vanishing_at_ends(self, unit_params, monod2):
         bad = InitialData(1.0, phi=lambda x: np.ones_like(np.asarray(x, dtype=float)),
