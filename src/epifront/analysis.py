@@ -85,7 +85,9 @@ def classify(traj: "Trajectory") -> Classification:
     initial_sup = frames[0].sup_w + frames[0].sup_z
     tail_start = int(math.floor((len(frames) - 1) * (1.0 - _TRAILING_FRACTION)))
     growth = last.width - frames[tail_start].width
-    decayed = last.sup_w + last.sup_z <= _VANISH_RATIO * initial_sup
+    # Infinite initial data has no fraction to decay below (inf <= inf).
+    decayed = (math.isfinite(initial_sup)
+               and last.sup_w + last.sup_z <= _VANISH_RATIO * initial_sup)
     stalled = growth < _PLATEAU_RATIO * traj.params.h0
     if decayed and stalled:
         return Classification(

@@ -14,28 +14,32 @@ Stefan conditions, with a CFL limiter on the per-step displacement.
 The code splits into a stepper and a run loop.  The stepper
 (``_step_batch``) advances B members at once, each with its own
 parameters and step size: the per-member scalars (front speeds, dt and
-its limits, new fronts, the diffusion ratio r) are Python floats, the
-field update runs on (B, n+1) blocks, and the B backward-Euler systems
-are solved as one tridiagonal system of size B (n+1) by a single LAPACK
-``dgtsv`` call.  The couplings between blocks are zero and each block's
-first and last rows are identity rows, so every member gets exactly the
-numbers it would get solved alone.  The run loop (``simulate_batch``)
-owns, per member, the record times, the frame stride, failures and
-early stopping on each recorded frame, and drops a member from the batch
-once it is done.  One ``_Run`` record per member holds its trajectory
-(which carries the member's model), the scalars the stepper advances and
-the run loop's bookkeeping.  ``simulate`` is the run loop's one-member
-case and ``step`` the stepper's.  A ``Frame`` is the one snapshot of a
-run, and ``_frame`` the one place that builds it: every run starts from
-the frame ``initial_state`` gives, and ``step`` takes a frame and returns
-the next.
+its limits, new fronts, the diffusion ratio r) are Python floats.  The
+fields travel as one (2, B, n+1) block, w over z, so the explicit part
+(gradient, upwind select, advection, decay and sources, the non-finite
+check and the clip at zero) runs once per step on both fields.  The
+members' constants (a11 over a22, a12, dy and the interior y-nodes) are
+columns built once per batch (``_Columns``).  The B backward-Euler
+systems for w are solved as one tridiagonal system of size B (n+1) by a
+single LAPACK ``dgtsv`` call.  The couplings between blocks are zero and
+each block's first and last rows are identity rows, so every member gets
+exactly the numbers it would get solved alone.  The run loop
+(``simulate_batch``) owns, per member, the record times, the frame
+stride, failures and early stopping on each recorded frame, the first
+one included, and drops a member from the batch once it is done.  One
+``_Run`` record per member holds its trajectory (which carries the
+member's model), the scalars the stepper advances and the run loop's
+bookkeeping.  ``simulate`` is the run loop's one-member case and
+``step`` the stepper's.  A ``Frame`` is the one snapshot of a run, and
+``_frame`` the one place that builds it: every run starts from the frame
+``initial_state`` gives, and ``step`` takes a frame and returns the next.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 from scipy.linalg.lapack import dgtsv
@@ -166,7 +170,7 @@ def front_speeds(frame: Frame, p: ModelParams) -> tuple[float, float]:
     (h' >= 0 >= g') to absorb round-off with the wrong sign.
     """
     dy = 2.0 * p.h0 / (frame.w.size - 1)
-    return _stefan_speeds(*frame.w[_EDGE_NODES], dy, 2.0 * p.h0 * p.mu / frame.width)
+    return _stefan_speeds(*frame.w.take(_EDGE_NODES).tolist(), dy, 2.0 * p.h0 * p.mu / frame.width)
 
 
 _EDGE_NODES = np.array([0, 1, 2, -3, -2, -1])  # the nodes of the one-sided boundary slopes
@@ -179,6 +183,11 @@ def _stefan_speeds(w0, w1, w2, wr2, wr1, wr0, dy, scale):
     return min(0.0, -scale * wy_left), max(0.0, -scale * wy_right)
 
 
+def _trapezoid(f: np.ndarray, dx: float) -> np.float64:
+    """``np.trapezoid(f, dx=dx)`` of a 1-D f: its own expression, without its wrapper."""
+    return (dx * (f[1:] + f[:-1]) / 2.0).sum()
+
+
 def _frame(
     p: ModelParams, resp: InfectionResponse, t: float, g: float, h: float,
     w: np.ndarray, z: np.ndarray, clipped: float,
@@ -187,9 +196,9 @@ def _frame(
     dy = 2.0 * p.h0 / (w.size - 1)
     width = h - g
     jac = width / (2.0 * p.h0)
-    mass = float(np.trapezoid(w + (p.a12 / p.a22) * z, dx=dy)) * jac
-    reaction = float(np.trapezoid(-p.a11 * w + (p.a12 / p.a22) * resp(w), dx=dy)) * jac
-    g_speed, h_speed = _stefan_speeds(*w[_EDGE_NODES], dy, 2.0 * p.h0 * p.mu / width)
+    mass = float(_trapezoid(w + (p.a12 / p.a22) * z, dy)) * jac
+    reaction = float(_trapezoid(-p.a11 * w + (p.a12 / p.a22) * resp(w), dy)) * jac
+    g_speed, h_speed = _stefan_speeds(*w.take(_EDGE_NODES).tolist(), dy, 2.0 * p.h0 * p.mu / width)
     return Frame(
         t=t, g=g, h=h, width=width, sup_w=float(w.max()), sup_z=float(z.max()), mass=mass,
         r0f=free_boundary_reproduction_number(p, resp, width),
@@ -236,6 +245,11 @@ class _Run:
             return None
         self.record(w, z)
         self.steps_since_frame = 0
+        return self.outcome()
+
+    def outcome(self) -> "analysis.Classification | None":
+        """Classify the last frame when the run may end on it; return the
+        classification once the run is over."""
         # Every step is capped at target - t, so the step that reaches t_max
         # lands on it and is recorded.
         at_t_max = not self.targets
@@ -254,43 +268,69 @@ def _blow_up(m: _Run, dt: float) -> BlowUpError:
 
 
 def _nonfinite_rows(block: np.ndarray) -> list[int]:
+    """The members i whose rows ``block[..., i, :]`` hold a non-finite value."""
     # A finite sum has only finite terms, so one reduction clears the common case.
     if math.isfinite(block.sum()):
         return []
-    return np.flatnonzero(~np.isfinite(block).all(axis=1)).tolist()
+    bad = ~np.isfinite(block).all(axis=-1)
+    return np.flatnonzero(bad.reshape(-1, block.shape[-2]).any(axis=0)).tolist()
+
+
+class _Columns(NamedTuple):
+    """The per-member constants of the field update, one row per member of
+    a batch, built once and re-sliced with :meth:`take` as members leave."""
+
+    decay: np.ndarray  # (2, B, 1): a11 over a22
+    a12: np.ndarray    # (B, 1)
+    dy: np.ndarray     # (B, 1)
+    y: np.ndarray      # (B, n-1): the interior nodes of the y-grid
+
+    @classmethod
+    def of(cls, members: Sequence[_Run], n: int) -> "_Columns":
+        ps = [m.traj.params for m in members]
+        return cls(
+            np.array([[[p.a11] for p in ps], [[p.a22] for p in ps]]),
+            np.array([[p.a12] for p in ps]),
+            np.array([[2.0 * p.h0 / n] for p in ps]),
+            np.array([np.linspace(-p.h0, p.h0, n + 1)[1:-1] for p in ps]),
+        )
+
+    def take(self, keep: list[int]) -> "_Columns":
+        return _Columns(self.decay[:, keep], self.a12[keep], self.dy[keep], self.y[keep])
 
 
 # The per-member scalars of a failed member: a step of size 0.
-_IDLE_ROW = (0.0, 1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0)
+_IDLE_ROW = (0.0, 0.0, 0.0, 1.0, 0.0)
 
 
 def _step_batch(
     members: list[_Run],
-    w: np.ndarray,
-    z: np.ndarray,
-    y: np.ndarray,
+    f: np.ndarray,
+    cols: _Columns,
     caps: Sequence[float],
-) -> tuple[np.ndarray, np.ndarray, dict[int, Exception]]:
+) -> tuple[np.ndarray, dict[int, Exception]]:
     """Advance every member of a batch by one IMEX step.
 
-    Row i of the (B, n+1) arrays w, z (fields) and y (grid) belongs to
-    ``members[i]``, whose step is also capped at ``caps[i]``.  Order
+    ``f`` is the (2, B, n+1) field block: f[0] holds w and f[1] holds z,
+    and row i of each belongs to ``members[i]``, whose constants are row i
+    of ``cols`` and whose step is also capped at ``caps[i]``.  Order
     within a step: front speeds from the current field, fronts by forward
     Euler, then the field update with the new geometry (implicit
     diffusion, upwind advection, explicit reactions, floor at zero).  G
-    is evaluated once on the whole block, with the response the members
+    is evaluated once on the whole w block, with the response the members
     share, so it must act elementwise.
 
     Advances each surviving member's t, g, h and clipped in place and
-    returns (w_new, z_new, failed).  ``failed`` maps a row to the exception
-    that ended its member; that row of w_new and z_new is meaningless.  An
-    exception raised here concerns the whole batch.
+    returns (f_new, failed).  ``failed`` maps a row to the exception that
+    ended its member; that row of f_new is meaningless.  An exception
+    raised here concerns the whole batch.
     """
-    n = w.shape[1] - 1
+    n = f.shape[2] - 1
     failed: dict[int, Exception] = {}
-    rows = []  # per member: dt, dy, A slope, A offset, new width, r, a11, a12, a22
-    fronts = []  # per member: new g, new h
-    for i, (m, edge, cap) in enumerate(zip(members, w[:, _EDGE_NODES].tolist(), caps)):
+    rows = []  # per member: dt, A slope, A offset, new width, r
+    fronts = []  # per member: new g, new h, dy
+    edges = f[0].take(_EDGE_NODES, axis=1).tolist()
+    for i, (m, edge, cap) in enumerate(zip(members, edges, caps)):
         p, config = m.traj.params, m.config
         dy = 2.0 * p.h0 / n
         width = m.h - m.g
@@ -311,70 +351,71 @@ def _step_batch(
             b = 4.0 * p.h0 * p.h0 * p.d / (new_width * new_width)
             r = dt * b / (dy * dy)
             if math.isfinite(r):
-                rows.append((dt, dy, h_speed - g_speed, p.h0 * (h_speed + g_speed), new_width,
-                             r, p.a11, p.a12, p.a22))
-                fronts.append((g_new, h_new))
+                rows.append((dt, h_speed - g_speed, p.h0 * (h_speed + g_speed), new_width, r))
+                fronts.append((g_new, h_new, dy))
                 continue
             failed[i] = _blow_up(m, dt)
         rows.append(_IDLE_ROW)
         fronts.append(None)
 
-    dt, dy, c1, c2, width, r, a11, a12, a22 = np.array(rows).T[:, :, None]
-    gw = np.asarray(members[0].traj.resp(w), dtype=float)
-    a = (y[:, 1:-1] * c1 + c2) / width  # A(y) at the interior nodes
-    up = a > 0.0
-    grad_w = (w[:, 1:] - w[:, :-1]) / dy
-    grad_z = (z[:, 1:] - z[:, :-1]) / dy
-    adv_w = np.where(up, grad_w[:, 1:], grad_w[:, :-1]) * a
-    adv_z = np.where(up, grad_z[:, 1:], grad_z[:, :-1]) * a
-    w_new = np.zeros(w.shape)
-    z_new = np.zeros(z.shape)
-    w_new[:, 1:-1] = w[:, 1:-1] + dt * (adv_w - a11 * w[:, 1:-1] + a12 * z[:, 1:-1])
-    z_new[:, 1:-1] = z[:, 1:-1] + dt * (adv_z - a22 * z[:, 1:-1] + gw[:, 1:-1])
+    # Explicit part, once on both fields: f + dt ((adv - decay f) + src) on
+    # the interior nodes, with src = a12 z for w and G(w) for z.
+    dt, c1, c2, width, r = np.array(rows).T[:, :, None]
+    inner = f[:, :, 1:-1]
+    a = (cols.y * c1 + c2) / width  # A(y) at the interior nodes
+    grad = (f[:, :, 1:] - f[:, :, :-1]) / cols.dy
+    rate = np.where(a > 0.0, grad[:, :, 1:], grad[:, :, :-1]) * a  # upwind advection
+    rate -= cols.decay * inner
+    rate[0] += cols.a12 * inner[1]
+    rate[1] += np.asarray(members[0].traj.resp(f[0]), dtype=float)[:, 1:-1]
+    rate *= dt
+    f_new = np.zeros(f.shape)
+    np.add(inner, rate, out=f_new[:, :, 1:-1])
 
-    for i in _nonfinite_rows(w_new) + _nonfinite_rows(z_new):
+    for i in _nonfinite_rows(f_new):
         failed.setdefault(i, _blow_up(members[i], rows[i][0]))
     if failed:
         # A failed member becomes an identity block with a zero right-hand
         # side: a non-finite row would cross the zeroed couplings (0 * inf).
         lost = list(failed)
-        w_new[lost] = 0.0
+        f_new[0, lost] = 0.0
         r[lost] = 0.0
 
-    # Backward Euler diffusion with Dirichlet ends: per member the constant-
-    # coefficient tridiag(-r, 1 + 2r, -r), diagonally dominant, with identity
-    # first and last rows.  Stacked, the couplings between blocks are zero,
-    # so off.ravel() serves as both the super- and the sub-diagonal.
-    off = np.zeros(w.shape)
+    # Backward Euler diffusion of w with Dirichlet ends: per member the
+    # constant-coefficient tridiag(-r, 1 + 2r, -r), diagonally dominant,
+    # with identity first and last rows.  Stacked, the couplings between
+    # blocks are zero, so off.ravel() serves as both the super- and the
+    # sub-diagonal.  The solution overwrites the right-hand side, f_new[0].
+    off = np.zeros(f.shape[1:])
     off[:, 1:n] = -r
     flat = off.ravel()
-    *_, x, info = dgtsv(flat[1:], (1.0 - 2.0 * off).ravel(), flat[:-1], w_new.ravel(),
+    rhs = f_new[0].reshape(-1)
+    *_, x, info = dgtsv(flat[1:], (1.0 - 2.0 * off).ravel(), flat[:-1], rhs,
                         overwrite_d=1, overwrite_b=1)
     if info != 0:
         raise np.linalg.LinAlgError(f"singular tridiagonal system (dgtsv info = {info})")
-    w_new = x.reshape(w.shape)
-    for i in _nonfinite_rows(w_new):
+    if x is not rhs:
+        f_new[0] = x.reshape(off.shape)
+    for i in _nonfinite_rows(f_new[0]):
         failed.setdefault(i, _blow_up(members[i], rows[i][0]))
 
     clipped = {}
     # min() is nan when a failed row holds a nan, which also takes this branch.
-    if not (w_new.min() >= 0.0 and z_new.min() >= 0.0):
-        negative = (w_new.min(axis=1) < 0.0) | (z_new.min(axis=1) < 0.0)
-        clipped = {i: -(w_new[i][w_new[i] < 0.0].sum() + z_new[i][z_new[i] < 0.0].sum())
-                   for i in np.flatnonzero(negative).tolist()}
-        np.maximum(w_new, 0.0, out=w_new)
-        np.maximum(z_new, 0.0, out=z_new)
+    if not f_new.min() >= 0.0:
+        neg = f_new < 0.0
+        clipped = {i: -(f_new[0, i][neg[0, i]].sum() + f_new[1, i][neg[1, i]].sum())
+                   for i in neg.any(axis=(0, 2)).nonzero()[0].tolist()}
+        np.maximum(f_new, 0.0, out=f_new)
 
     for i, m in enumerate(members):
         if i in failed:
             continue
-        dt_i, dy_i = rows[i][:2]
-        g_new, h_new = fronts[i]
-        m.t = m.t + dt_i
+        g_new, h_new, dy_i = fronts[i]
+        m.t = m.t + rows[i][0]
         m.g, m.h = g_new, h_new
         if i in clipped:
             m.clipped = m.clipped + clipped[i] * dy_i * (h_new - g_new) / (2.0 * m.traj.params.h0)
-    return w_new, z_new, failed
+    return f_new, failed
 
 
 def initial_state(
@@ -413,11 +454,11 @@ def step(
     The new frame's ``clipped`` is the mass this step clipped.
     """
     m = _Run(Trajectory(p, resp, [frame]), config.resolved(p), frame.t, frame.g, frame.h)
-    y = np.linspace(-p.h0, p.h0, frame.w.size)
-    w, z, failed = _step_batch([m], frame.w[None], frame.z[None], y[None], [dt_cap])
+    f = np.array([[frame.w], [frame.z]])
+    f, failed = _step_batch([m], f, _Columns.of([m], frame.w.size - 1), [dt_cap])
     if failed:
         raise failed[0]
-    return _frame(p, resp, m.t, m.g, m.h, w[0], z[0], m.clipped)
+    return _frame(p, resp, m.t, m.g, m.h, f[0, 0], f[1, 0], m.clipped)
 
 
 def sample_physical(frame: Frame, x):
@@ -462,18 +503,20 @@ def simulate_batch(
     frame that member records.
 
     Every member starts from its :func:`initial_state`, which is its first
-    frame.  Returns one (trajectory, outcome) pair per member, in order.
-    The outcome is the member's Classification, or the exception that
-    ended it: a failure ends only its own member.  The trajectory then
-    holds the frames recorded before the failure, and is empty when the
-    member failed before its first frame.
+    frame.  With ``early_stop`` that frame is classified too, and a member
+    it decides ends there, after 0 steps.  Returns one (trajectory,
+    outcome) pair per member, in order.  The outcome is the member's
+    Classification, or the exception that ended it: a failure ends only
+    its own member.  The trajectory then holds the frames recorded before
+    the failure, and is empty when the member failed before its first
+    frame.
     """
     config = config or SolverConfig()
     monitors = monitors or [None] * len(members)
     if len({id(resp) for _, resp, _ in members}) > 1:
         raise DomainError("the members of a batch must share one InfectionResponse")
     results: list = [None] * len(members)
-    runs, ws, zs, ys = [], [], [], []
+    runs = []
     for index, ((p, resp, init), mon) in enumerate(zip(members, monitors, strict=True)):
         traj = Trajectory(p, resp)
         try:
@@ -482,20 +525,22 @@ def simulate_batch(
             traj.frames.append(start)
             if mon is not None:
                 mon.on_frame(start, traj)
+            run = _Run(traj, cfg, start.t, start.g, start.h, index=index, monitors=mon,
+                       targets=_record_targets(cfg))
+            outcome = run.outcome()  # a run its first frame decides takes no step
         except Exception as exc:  # noqa: BLE001 - the member's outcome
-            results[index] = (traj, exc)
-            continue
-        runs.append(_Run(traj, cfg, start.t, start.g, start.h, index=index, monitors=mon,
-                         targets=_record_targets(cfg)))
-        ws.append(start.w)
-        zs.append(start.z)
-        ys.append(np.linspace(-p.h0, p.h0, cfg.n_cells + 1))
-    w, z, y = np.array(ws), np.array(zs), np.array(ys)
+            outcome = exc
+        if outcome is None:
+            runs.append(run)
+        else:
+            results[index] = (traj, outcome)
+    f = np.array([[run.traj.final.w for run in runs], [run.traj.final.z for run in runs]])
+    cols = _Columns.of(runs, config.n_cells)
 
     while runs:
         caps = [run.targets[0] - run.t for run in runs]
         try:
-            w, z, failed = _step_batch(runs, w, z, y, caps)
+            f, failed = _step_batch(runs, f, cols, caps)
         except Exception as exc:  # noqa: BLE001 - not tied to one member, so it ends all
             for run in runs:
                 results[run.index] = (run.traj, exc)
@@ -505,7 +550,7 @@ def simulate_batch(
             outcome = failed.get(i)
             if outcome is None:
                 try:
-                    outcome = run.after_step(w[i], z[i])
+                    outcome = run.after_step(f[0, i], f[1, i])
                 except Exception as exc:  # noqa: BLE001 - the member's outcome
                     outcome = exc
             if outcome is None:
@@ -514,7 +559,8 @@ def simulate_batch(
                 results[run.index] = (run.traj, outcome)
         if len(keep) < len(runs):
             runs = [runs[i] for i in keep]
-            w, z, y = w[keep], z[keep], y[keep]
+            f = f[:, keep]
+            cols = cols.take(keep)
     return results
 
 

@@ -164,6 +164,15 @@ class TestClassify:
         with pytest.raises(DomainError):
             classify(Trajectory(unit_params, monod2))
 
+    def test_infinite_initial_data_is_not_vanishing(self, unit_params, monod2):
+        from epifront.solver import Trajectory, initial_state
+
+        init = InitialData(1.0, phi=lambda x: np.cos(np.pi * x / 2),
+                           psi=lambda x: np.where(np.abs(x) < 0.5, np.inf, 0.0))
+        start = initial_state(unit_params, monod2, init, 64)
+        assert start.sup_z == math.inf
+        assert classify(Trajectory(unit_params, monod2, [start])).verdict is Verdict.UNDETERMINED
+
     def test_undetermined_at_short_horizon(self, unit_params, monod2):
         _, cls = simulate(unit_params, monod2, InitialData.cosine(0.05, 1.0),
                           SolverConfig(t_max=0.5))

@@ -262,6 +262,22 @@ class TestSimulate:
                 if cls.verdict is Verdict.SPREADING:
                     assert traj.final.t == cls.evidence.time
 
+    def test_first_frame_decides_early_stopped_run(self, unit_params, monod2):
+        # R0F(0) = 1.18 >= 1 + margin spreads and zero data vanishes: the first
+        # frame decides both, so an early-stopped run ends there, with no step.
+        wide = unit_params.with_(h0=0.6 * math.pi)
+        runs = ((wide, InitialData.cosine(1.0, wide.h0), Verdict.SPREADING),
+                (unit_params, InitialData.cosine(0.0, 1.0), Verdict.VANISHING))
+        cfg = SolverConfig(n_cells=64, t_max=0.5, frame_stride=5)
+        for p, init, verdict in runs:
+            traj, cls = simulate(p, monod2, init, cfg)
+            assert cls.verdict is verdict and cls.evidence.time == 0.0
+            assert (traj.n_steps, len(traj.frames), traj.final.t) == (0, 1, 0.0)
+            assert traj.terminated_by == f"classifier:{verdict.value}"
+            traj, cls = simulate(p, monod2, init, dataclasses.replace(cfg, early_stop=False))
+            assert cls.verdict is verdict
+            assert (traj.final.t, traj.terminated_by) == (cfg.t_max, "t_max")
+
     def test_rejects_shape_not_vanishing_at_ends(self, unit_params, monod2):
         bad = InitialData(1.0, phi=lambda x: np.ones_like(np.asarray(x, dtype=float)),
                           psi=lambda x: 0.0 * x)
@@ -352,7 +368,8 @@ class TestSimulateBatch:
     def test_overflow_in_the_solve_is_caught_after_it(self, monod2, monkeypatch):
         # r = dt b / dy^2 is about 9.6e307, finite, so the member enters the
         # solve; its diagonal 1 + 2r overflows there, and only the check on the
-        # solved block (the third _nonfinite_rows call) flags the member.
+        # solved block (the second _nonfinite_rows call, after the one on the
+        # stacked w, z block) flags the member.
         from epifront import solver as solver_mod
 
         real = solver_mod._nonfinite_rows
@@ -370,7 +387,7 @@ class TestSimulateBatch:
         assert isinstance(err, BlowUpError)
         assert str(err) == "non-finite field values at t=1.5e+06" and err.t == 0.0
         assert len(traj.frames) == 1 and traj.frames[0].t == 0.0 and traj.n_steps == 0
-        assert flagged == [[], [], [0]]
+        assert flagged == [[], [0]]
 
     def test_singular_solve_ends_every_member(self, monod2, monkeypatch):
         from epifront import solver as solver_mod
@@ -386,6 +403,29 @@ class TestSimulateBatch:
         for traj, outcome in simulate_batch(members, SolverConfig(n_cells=64, t_max=1.0)):
             assert isinstance(outcome, np.linalg.LinAlgError)
             assert len(traj.frames) == 1
+
+    def test_member_decided_at_start_leaves_the_batch(self, monod2, monkeypatch):
+        from epifront import analysis as analysis_mod
+
+        real = analysis_mod.classify
+        classified = []
+
+        def spy(traj):
+            classified.append(traj)
+            return real(traj)
+
+        monkeypatch.setattr(analysis_mod, "classify", spy)
+        members = [(self.P, monod2, InitialData.cosine(0.0, self.P.h0)),
+                   (self.P, monod2, InitialData.cosine(1.0, self.P.h0))]
+        cfg = SolverConfig(n_cells=64, t_max=0.5, frame_stride=10)
+        (zero, zero_cls), live = simulate_batch(members, cfg)
+        assert zero_cls.verdict is Verdict.VANISHING
+        assert (zero.n_steps, len(zero.frames), zero.terminated_by) == (
+            0, 1, "classifier:vanishing")
+        assert sum(traj is zero for traj in classified) == 1
+        # The live member, classified on its first frame too, runs as it would alone.
+        assert sum(traj is live[0] for traj in classified) == len(live[0].frames)
+        assert_same_run(live, simulate(*members[1], cfg))
 
     def test_members_must_share_the_response(self, monod2):
         init = InitialData.cosine(1.0, self.P.h0)
