@@ -135,8 +135,8 @@ def bound_certificate(
     response violates the (A2) slope cap.
     """
     x = np.linspace(-p.h0, p.h0, _CERT_SAMPLES)
-    u0 = np.asarray(init.u0(x), dtype=float)
-    v0 = np.asarray(init.v0(x), dtype=float)
+    u0 = np.asarray(init.u0(x, p.h0), dtype=float)
+    v0 = np.asarray(init.v0(x, p.h0), dtype=float)
     sup_u0 = float(np.max(u0, initial=0.0))
     sup_v0 = float(np.max(v0, initial=0.0))
     sup_du0 = float(np.max(np.abs(np.gradient(u0, x))))

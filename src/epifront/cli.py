@@ -237,8 +237,7 @@ def build_setup(entries: dict[str, tuple[str, int]]) -> RunSetup:
 
     init_args = _section(values, "init")
     shape = init_args.pop("shape")
-    init = _build("init", entries,
-                  lambda: getattr(InitialData, shape)(h0=params.h0, **init_args))
+    init = _build("init", entries, lambda: getattr(InitialData, shape)(**init_args))
 
     # The derived dt_max and t_max are checked too, and echoed as the run will use them.
     solver_cfg = _build("solver", entries,

@@ -121,8 +121,10 @@ class InfectionResponse:
 class InitialData:
     """Initial data (u0, v0) = (sigma * phi, sigma * psi) on [-h0, h0].
 
-    ``phi`` and ``psi`` must vanish at the endpoints and be nonnegative
-    inside; independent amplitudes are expressed by scaling psi itself.
+    The shapes ``phi(x, h0)`` and ``psi(x, h0)`` read the half-width of the
+    habitat they are sampled on, so one object runs on any model.  They
+    must vanish at x = +/-h0 and be nonnegative inside; independent
+    amplitudes are expressed by scaling psi itself.
     """
 
     sigma: float
@@ -133,39 +135,34 @@ class InitialData:
         if not (math.isfinite(self.sigma) and self.sigma >= 0):
             raise DomainError(f"sigma must be finite and >= 0 (got {self.sigma!r})", field="sigma")
 
-    def u0(self, x):
-        return self.sigma * self.phi(x)
+    def u0(self, x, h0: float):
+        return self.sigma * self.phi(x, h0)
 
-    def v0(self, x):
-        return self.sigma * self.psi(x)
+    def v0(self, x, h0: float):
+        return self.sigma * self.psi(x, h0)
 
     def with_sigma(self, sigma: float) -> "InitialData":
         return replace(self, sigma=sigma)
 
     @staticmethod
-    def cosine(sigma: float, h0: float) -> "InitialData":
+    def cosine(sigma: float) -> "InitialData":
         """The default hump cos(pi x / (2 h0)) for both components."""
-        shape = _cosine_shape(h0)
-        return InitialData(sigma=sigma, phi=shape, psi=shape)
+        return InitialData(sigma=sigma, phi=_cosine, psi=_cosine)
 
     @staticmethod
-    def skewed_cosine(sigma: float, h0: float, skew: float) -> "InitialData":
+    def skewed_cosine(sigma: float, skew: float) -> "InitialData":
         """Asymmetric hump cos(pi x/(2 h0)) * (1 + skew * sin(pi x/h0))."""
         if not abs(skew) < 1.0:
             raise DomainError(f"skew magnitude must be < 1 (got {skew!r})", field="skew")
-        shape = _cosine_shape(h0)
 
-        def skewed(x):
-            return shape(x) * (1.0 + skew * np.sin(np.pi * x / h0))
+        def skewed(x, h0):
+            return _cosine(x, h0) * (1.0 + skew * np.sin(np.pi * x / h0))
 
         return InitialData(sigma=sigma, phi=skewed, psi=skewed)
 
 
-def _cosine_shape(h0: float) -> Callable:
-    def shape(x):
-        return np.cos(np.pi * x / (2.0 * h0))
-
-    return shape
+def _cosine(x, h0: float):
+    return np.cos(np.pi * x / (2.0 * h0))
 
 
 # ---------------------------------------------------------------------------

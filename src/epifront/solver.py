@@ -425,10 +425,10 @@ def initial_state(
     data sampled on the y-grid (the identity map at t = 0), whose shapes
     must vanish at x = +/-h0 and be nonnegative."""
     y = np.linspace(-p.h0, p.h0, n_cells + 1)
-    w = np.asarray(init.u0(y), dtype=float).copy()
-    z = np.asarray(init.v0(y), dtype=float).copy()
+    w = np.asarray(init.u0(y, p.h0), dtype=float).copy()
+    z = np.asarray(init.v0(y, p.h0), dtype=float).copy()
     for name, arr, shape in (("phi", w, init.phi), ("psi", z, init.psi)):
-        edge = max(abs(float(shape(-p.h0))), abs(float(shape(p.h0))))
+        edge = max(abs(float(shape(-p.h0, p.h0))), abs(float(shape(p.h0, p.h0))))
         interior_sup = float(np.max(np.abs(arr[1:-1]))) if n_cells > 2 else 0.0
         if edge > 1e-9 * (1.0 + interior_sup):
             raise DomainError(f"initial shape {name} must vanish at x = +/-h0 (got {edge!r})")

@@ -145,7 +145,7 @@ def find_threshold(
         equilibrium = endemic_equilibrium(p, resp)
         assert equilibrium is not None
         x = np.linspace(-p.h0, p.h0, 513)
-        sup_phi = float(np.max(np.asarray(init.phi(x), dtype=float)))
+        sup_phi = float(np.max(np.asarray(init.phi(x, p.h0), dtype=float)))
         if not sup_phi > 0:
             raise DomainError("phi must be positive somewhere on (-h0, h0)")
         hi = bisect.hi_seed_factor * equilibrium[0] / sup_phi

@@ -17,7 +17,7 @@ def monod2() -> InfectionResponse:
 
 @pytest.fixture(scope="session")
 def cosine_init(unit_params) -> InitialData:
-    return InitialData.cosine(1.0, unit_params.h0)
+    return InitialData.cosine(1.0)
 
 
 def zero_response() -> InfectionResponse:

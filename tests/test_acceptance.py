@@ -52,7 +52,7 @@ def check(num: int, name: str, ok: bool, detail: str = "") -> None:
 
 @pytest.fixture(scope="session")
 def vanishing_run():
-    init = InitialData.cosine(1.0, UNIT.h0)
+    init = InitialData.cosine(1.0)
     monitors = Monitors(bound_certificate(UNIT, MONOD08, init))
     traj, cls = simulate(UNIT, MONOD08, init, SolverConfig(t_max=100.0), monitors=monitors)
     return traj, cls, monitors.certificate
@@ -60,7 +60,7 @@ def vanishing_run():
 
 @pytest.fixture(scope="session")
 def spreading_run():
-    init = InitialData.cosine(1.0, P_SUPER.h0)
+    init = InitialData.cosine(1.0)
     monitors = Monitors(bound_certificate(P_SUPER, MONOD2, init))
     cfg = SolverConfig(t_max=80.0, dt_max=2e-3, early_stop=False)
     traj, cls = simulate(P_SUPER, MONOD2, init, cfg, monitors=monitors)
@@ -70,14 +70,14 @@ def spreading_run():
 @pytest.fixture(scope="session")
 def sigma_sweep_cells():
     sigmas = np.logspace(math.log10(0.005), math.log10(10.0), 20)
-    inits = [InitialData.cosine(float(s), P_SUB.h0) for s in sigmas]
+    inits = [InitialData.cosine(float(s)) for s in sigmas]
     cfg = SolverConfig(n_cells=256, dt_max=2.5e-3, t_max=250.0)
     return sweep([P_SUB], MONOD2, inits, cfg)
 
 
 @pytest.fixture(scope="session")
 def sigma_star_results():
-    init = InitialData.cosine(1.0, P_SUB.h0)
+    init = InitialData.cosine(1.0)
     out = {}
     for n_cells, dt in ((128, 5e-3), (256, 2.5e-3)):
         cfg = SolverConfig(n_cells=n_cells, dt_max=dt, t_max=250.0)
@@ -140,7 +140,7 @@ def test_criterion_03_vanishing_width_dichotomy(sigma_sweep_cells):
 def test_criterion_04_sharp_sigma_threshold(sigma_star_results):
     coarse = sigma_star_results[128]
     fine = sigma_star_results[256]
-    init = InitialData.cosine(1.0, P_SUB.h0)
+    init = InitialData.cosine(1.0)
     confirm_cfg = SolverConfig(n_cells=256, dt_max=2.5e-3, t_max=500.0)
     _, lo_cls = simulate(P_SUB, MONOD2, init.with_sigma(0.9 * fine.lo), confirm_cfg)
     _, hi_cls = simulate(P_SUB, MONOD2, init.with_sigma(1.1 * fine.hi), confirm_cfg)
@@ -167,9 +167,9 @@ def test_criterion_05_comparison_monotonicity():
                        frame_stride=10**9)
     runs = {}
     for sigma in (0.5, 1.0, 2.0):
-        traj, _ = simulate(UNIT, MONOD2, InitialData.cosine(sigma, UNIT.h0), cfg)
+        traj, _ = simulate(UNIT, MONOD2, InitialData.cosine(sigma), cfg)
         runs[sigma] = traj
-    cert = bound_certificate(UNIT, MONOD2, InitialData.cosine(2.0, UNIT.h0))
+    cert = bound_certificate(UNIT, MONOD2, InitialData.cosine(2.0))
     tol = 1e-3 * cert.c1
     worst = -math.inf
     nested = True
@@ -189,11 +189,11 @@ def test_criterion_05_comparison_monotonicity():
 
 def test_criterion_06_symmetry_band():
     cfg = SolverConfig(t_max=15.0, early_stop=False)
-    asym = InitialData.skewed_cosine(1.0, UNIT.h0, 0.5)
+    asym = InitialData.skewed_cosine(1.0, 0.5)
     traj_a, _ = simulate(UNIT, MONOD2, asym, cfg)
     excess = symmetry_band_check(traj_a)
     centers = max(abs(f.g + f.h) for f in traj_a.frames)
-    sym = InitialData.cosine(1.0, UNIT.h0)
+    sym = InitialData.cosine(1.0)
     traj_s, _ = simulate(UNIT, MONOD2, sym, cfg)
     drift = max(abs(f.g + f.h) for f in traj_s.frames)
     ok = excess == 0.0 and centers < 2.0 * UNIT.h0 and drift < 1e-8
@@ -223,7 +223,7 @@ def test_criterion_07_apriori_bounds_and_speeds(vanishing_run, spreading_run):
 
 def test_criterion_08_mass_balance_refinement():
     p = ModelParams(d=1.0, a11=1.0, a12=1.0, a22=1.0, mu=0.25, h0=1.0)
-    study = refinement_study(p, MONOD2, InitialData.cosine(1.0, p.h0),
+    study = refinement_study(p, MONOD2, InitialData.cosine(1.0),
                              SolverConfig(n_cells=64, dt_max=4e-3), t_end=1.0, levels=3)
     ratios = [study.residuals[k] / study.residuals[k + 1] for k in range(2)]
     ok = study.conclusive and all(r >= 1.8 for r in ratios)
@@ -276,22 +276,21 @@ def test_criterion_12_comparison_certificates():
 
     # extinction certificate: R0F(0) < 1 < R0
     bound = small_data_vanishing_bound(UNIT, MONOD15)
-    shape = InitialData.cosine(1.0, UNIT.h0).phi
+    shape = InitialData.cosine(1.0).phi
     half = 0.5 * bound.eps
     init_small = InitialData(
         1.0,
-        phi=lambda x: half * shape(x),
-        psi=lambda x: half * bound.v_factor * shape(x),
+        phi=lambda x, h0: half * shape(x, h0),
+        psi=lambda x, h0: half * bound.v_factor * shape(x, h0),
     )
     _, small_cls = simulate(UNIT, MONOD15, init_small, SolverConfig(t_max=100.0))
 
     # invasion certificate: R0F(0) > 1
     sub = spreading_subsolution_delta(P_SUPER, MONOD2)
-    shape2 = InitialData.cosine(1.0, P_SUPER.h0).phi
     init_sub = InitialData(
         1.0,
-        phi=lambda x: sub.delta * shape2(x),
-        psi=lambda x: sub.delta * sub.v_factor * shape2(x),
+        phi=lambda x, h0: sub.delta * shape(x, h0),
+        psi=lambda x, h0: sub.delta * sub.v_factor * shape(x, h0),
     )
     traj_sub, sub_cls = simulate(P_SUPER, MONOD2, init_sub,
                                  SolverConfig(t_max=30.0, early_stop=False))

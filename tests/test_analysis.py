@@ -29,7 +29,7 @@ from conftest import linear_response
 @pytest.fixture(scope="module")
 def quiet_vanishing_run(unit_params):
     resp = InfectionResponse.monod(0.8)
-    init = InitialData.cosine(1.0, 1.0)
+    init = InitialData.cosine(1.0)
     traj, cls = simulate(unit_params, resp, init, SolverConfig(t_max=100.0))
     return resp, init, traj, cls
 
@@ -41,7 +41,7 @@ class TestBoundCertificate:
         assert -1.0 * 2 + monod2(3.0) < 0
 
     def test_returned_pair_valid_and_dominates(self, unit_params, monod2):
-        init = InitialData.cosine(0.5, 1.0)
+        init = InitialData.cosine(0.5)
         cert = bound_certificate(unit_params, monod2, init)
         assert -unit_params.a11 * cert.c1 + unit_params.a12 * cert.c2 < 0
         assert -unit_params.a22 * cert.c2 + monod2(cert.c1) < 0
@@ -50,12 +50,12 @@ class TestBoundCertificate:
         assert cert.c3 == pytest.approx(2.0 * cert.m * cert.c1 * unit_params.mu)
 
     def test_uncapped_linear_response_fails(self, unit_params):
-        init = InitialData.cosine(1.0, 1.0)
+        init = InitialData.cosine(1.0)
         with pytest.raises(CertificateError):
             bound_certificate(unit_params, linear_response(2.0), init)
 
     def test_zero_initial_data(self, unit_params, monod2):
-        cert = bound_certificate(unit_params, monod2, InitialData.cosine(0.0, 1.0))
+        cert = bound_certificate(unit_params, monod2, InitialData.cosine(0.0))
         assert cert.c1 > 0 and cert.c2 > 0
         assert -unit_params.a11 * cert.c1 + unit_params.a12 * cert.c2 < 0
 
@@ -63,7 +63,7 @@ class TestBoundCertificate:
 class TestMassBalance:
     def test_zero_run_zero_residual(self, unit_params, monod2):
         traj, _ = simulate(
-            unit_params, monod2, InitialData.cosine(0.0, 1.0),
+            unit_params, monod2, InitialData.cosine(0.0),
             SolverConfig(t_max=1.0, early_stop=False),
         )
         res = mass_balance_residual(traj)
@@ -71,7 +71,7 @@ class TestMassBalance:
 
     def test_one_frame_balances_to_zero(self, unit_params, monod2):
         traj, _ = simulate(
-            unit_params, monod2, InitialData.cosine(1.0, 1.0),
+            unit_params, monod2, InitialData.cosine(1.0),
             SolverConfig(t_max=0.001, early_stop=False),
         )
         traj.frames = traj.frames[:1]
@@ -92,7 +92,7 @@ class TestMassBalance:
 class TestSymmetryBand:
     def test_symmetric_run(self, unit_params, monod2):
         traj, _ = simulate(
-            unit_params, monod2, InitialData.cosine(1.0, 1.0),
+            unit_params, monod2, InitialData.cosine(1.0),
             SolverConfig(t_max=2.0, early_stop=False),
         )
         assert symmetry_band_check(traj) == 0.0
@@ -100,14 +100,14 @@ class TestSymmetryBand:
 
     def test_single_frame(self, unit_params, monod2):
         traj, _ = simulate(
-            unit_params, monod2, InitialData.cosine(1.0, 1.0),
+            unit_params, monod2, InitialData.cosine(1.0),
             SolverConfig(t_max=1e-4, early_stop=False),
         )
         traj.frames = traj.frames[:1]
         assert symmetry_band_check(traj) == 0.0
 
     def test_asymmetric_hump_respects_band(self, unit_params, monod2):
-        init = InitialData.skewed_cosine(1.0, 1.0, 0.5)
+        init = InitialData.skewed_cosine(1.0, 0.5)
         traj, _ = simulate(unit_params, monod2, init, SolverConfig(t_max=10.0, early_stop=False))
         assert symmetry_band_check(traj) == 0.0
         assert max(abs(f.g + f.h) for f in traj.frames) > 1e-6  # genuinely asymmetric
@@ -116,7 +116,7 @@ class TestSymmetryBand:
 class TestClassify:
     def test_subthreshold_vanishes(self, unit_params):
         resp = InfectionResponse.monod(0.5)
-        _, cls = simulate(unit_params, resp, InitialData.cosine(2.0, 1.0),
+        _, cls = simulate(unit_params, resp, InitialData.cosine(2.0),
                           SolverConfig(t_max=120.0))
         assert cls.verdict is Verdict.VANISHING
         assert cls.evidence.criterion == "decay_plateau"
@@ -125,7 +125,7 @@ class TestClassify:
         # R0F(0) = 1 exactly: no trigger at t = 0, but the fronts move and
         # the reproduction number crosses 1 immediately after.
         p = ModelParams(d=1.0, a11=1.0, a12=1.0, a22=1.0, mu=1.0, h0=math.pi / 2)
-        traj, cls = simulate(p, monod2, InitialData.cosine(1.0, p.h0),
+        traj, cls = simulate(p, monod2, InitialData.cosine(1.0),
                              SolverConfig(t_max=30.0))
         assert traj.frames[0].r0f == pytest.approx(1.0, abs=1e-12)
         assert cls.verdict is Verdict.SPREADING
@@ -134,7 +134,7 @@ class TestClassify:
 
     def test_tiny_data_vanishes_below_critical_width(self, unit_params, monod2):
         h_star = critical_width(unit_params, monod2)
-        traj, cls = simulate(unit_params, monod2, InitialData.cosine(0.01, 1.0),
+        traj, cls = simulate(unit_params, monod2, InitialData.cosine(0.01),
                              SolverConfig(t_max=150.0))
         assert cls.verdict is Verdict.VANISHING
         assert traj.final.width <= h_star * 1.02
@@ -143,7 +143,7 @@ class TestClassify:
         # classify relies on it: the fronts only move outward, so the recorded
         # width, and R0F with it, never decrease, not even by rounding.
         _, _, traj, _ = quiet_vanishing_run
-        spreading, cls = simulate(unit_params, monod2, InitialData.cosine(1.0, 1.0),
+        spreading, cls = simulate(unit_params, monod2, InitialData.cosine(1.0),
                                   SolverConfig(t_max=3.0, frame_stride=1, early_stop=False))
         assert cls.verdict is Verdict.SPREADING
         trajectories = [traj, spreading]
@@ -151,7 +151,7 @@ class TestClassify:
                               early_stop=False)
         for a21 in (1.5, 2.0, 4.0):
             resp = InfectionResponse.monod(a21)
-            grid = [(unit_params.with_(h0=h0), resp, InitialData.skewed_cosine(sigma, h0, 0.5))
+            grid = [(unit_params.with_(h0=h0), resp, InitialData.skewed_cosine(sigma, 0.5))
                     for h0 in (0.5, 1.0, 2.0) for sigma in (0.1, 1.0)]
             trajectories += [batch_traj for batch_traj, _ in simulate_batch(grid, config)]
         for run in trajectories:
@@ -167,14 +167,14 @@ class TestClassify:
     def test_infinite_initial_data_is_not_vanishing(self, unit_params, monod2):
         from epifront.solver import Trajectory, initial_state
 
-        init = InitialData(1.0, phi=lambda x: np.cos(np.pi * x / 2),
-                           psi=lambda x: np.where(np.abs(x) < 0.5, np.inf, 0.0))
+        init = InitialData(1.0, phi=lambda x, h0: np.cos(np.pi * x / 2),
+                           psi=lambda x, h0: np.where(np.abs(x) < 0.5, np.inf, 0.0))
         start = initial_state(unit_params, monod2, init, 64)
         assert start.sup_z == math.inf
         assert classify(Trajectory(unit_params, monod2, [start])).verdict is Verdict.UNDETERMINED
 
     def test_undetermined_at_short_horizon(self, unit_params, monod2):
-        _, cls = simulate(unit_params, monod2, InitialData.cosine(0.05, 1.0),
+        _, cls = simulate(unit_params, monod2, InitialData.cosine(0.05),
                           SolverConfig(t_max=0.5))
         assert cls.verdict is Verdict.UNDETERMINED
         assert cls.evidence.criterion == "horizon"
@@ -182,7 +182,7 @@ class TestClassify:
 
 class TestEquilibriumConvergence:
     def test_vanishing_run_tends_to_full_distance(self, unit_params, monod2):
-        traj, cls = simulate(unit_params, monod2, InitialData.cosine(0.01, 1.0),
+        traj, cls = simulate(unit_params, monod2, InitialData.cosine(0.01),
                              SolverConfig(t_max=150.0))
         errs = equilibrium_convergence(traj, 0.5)
         assert cls.verdict is Verdict.VANISHING
@@ -191,7 +191,7 @@ class TestEquilibriumConvergence:
     def test_uncovered_window_counts_equilibrium(self, unit_params, monod2):
         from epifront import endemic_equilibrium
 
-        traj, _ = simulate(unit_params, monod2, InitialData.cosine(1.0, 1.0),
+        traj, _ = simulate(unit_params, monod2, InitialData.cosine(1.0),
                            SolverConfig(t_max=0.01, early_stop=False))
         errs = equilibrium_convergence(traj, 5.0)
         u_star, v_star = endemic_equilibrium(unit_params, monod2)
@@ -205,14 +205,14 @@ class TestEquilibriumConvergence:
 
 class TestMonitors:
     def test_clean_run_passes_all(self, unit_params, monod2):
-        init = InitialData.cosine(1.0, 1.0)
+        init = InitialData.cosine(1.0)
         monitors = Monitors(bound_certificate(unit_params, monod2, init))
         traj, _ = simulate(unit_params, monod2, init,
                            SolverConfig(t_max=3.0, early_stop=False), monitors=monitors)
         assert len(traj.frames) > 10
 
     def test_bound_violation_detected(self, unit_params, monod2):
-        init = InitialData.cosine(1.0, 1.0)
+        init = InitialData.cosine(1.0)
         monitors = Monitors(bound_certificate(unit_params, monod2, init))
         traj, _ = simulate(unit_params, monod2, init, SolverConfig(t_max=0.1))
         frame = traj.frames[-1]
@@ -225,7 +225,7 @@ class TestMonitors:
                 monitors.on_frame(doctored, traj)
 
     def test_symmetry_violation_detected(self, unit_params, monod2):
-        init = InitialData.cosine(1.0, 1.0)
+        init = InitialData.cosine(1.0)
         monitors = Monitors(bound_certificate(unit_params, monod2, init))
         traj, _ = simulate(unit_params, monod2, init, SolverConfig(t_max=0.1))
         doctored = dataclasses.replace(traj.frames[-1], g=1.5, h=2.6)
@@ -233,7 +233,7 @@ class TestMonitors:
             monitors.on_frame(doctored, traj)
 
     def test_speed_violation_detected(self, unit_params, monod2):
-        init = InitialData.cosine(1.0, 1.0)
+        init = InitialData.cosine(1.0)
         monitors = Monitors(bound_certificate(unit_params, monod2, init))
         traj, _ = simulate(unit_params, monod2, init, SolverConfig(t_max=0.1))
         doctored = dataclasses.replace(traj.frames[-1], h_speed=monitors.certificate.c3 * 2)

@@ -1,10 +1,12 @@
 """Golden bits: SHA-256 digests of whole runs, pinned to the bit.
 
-A digest covers every ``Frame`` field of every frame, in field order (the
-floats as little-endian doubles, the bytes of ``w`` and ``z``), then
-``n_steps``.  A change to the stepper or the frame builder that moves any
-bit of any run shows here; a change meant to keep the numbers must leave
-these digests as they are.
+A run digest covers every ``Frame`` field of every frame, in field order
+(the floats as little-endian doubles, the bytes of ``w`` and ``z``), then
+``n_steps``.  A command digest covers every file a ``cli`` command writes.
+A change to the stepper or the frame builder that moves any bit of any run
+shows here, and so does one that moves a byte on the way from a config file
+to the outputs (the init factories, the certificate, the threshold seed);
+a change meant to keep the numbers must leave these digests as they are.
 """
 
 import dataclasses
@@ -12,6 +14,7 @@ import hashlib
 import struct
 
 import numpy as np
+import pytest
 
 from epifront import (
     BlowUpError,
@@ -24,6 +27,7 @@ from epifront import (
     simulate,
     simulate_batch,
 )
+from epifront.cli import main
 from conftest import linear_response
 
 UNIT = ModelParams(d=1.0, a11=1.0, a12=1.0, a22=1.0, mu=1.0, h0=1.0)
@@ -44,7 +48,7 @@ def test_batch_with_a_clipping_and_a_failing_member():
     # Member 1 decays at a11 dt = 1.5 per step, so the explicit update goes
     # negative and is clipped; member 2's a12 = 1e60 overflows its fields at
     # t = 0.4, a failure found before the solve.  Member 0 runs beside them.
-    init = InitialData.cosine(1.0, UNIT.h0)
+    init = InitialData.cosine(1.0)
     resp = linear_response(2.0)
     members = [(UNIT, resp, init),
                (UNIT.with_(a11=30.0, mu=0.05), resp, init),
@@ -65,7 +69,57 @@ def test_batch_with_a_clipping_and_a_failing_member():
 
 def test_simulate_with_record_times():
     cfg = SolverConfig(n_cells=256, t_max=1.0, frame_stride=40, record_times=(0.1, 0.25, 0.6))
-    traj, cls = simulate(UNIT, InfectionResponse.monod(2.0), InitialData.cosine(1.0, UNIT.h0), cfg)
+    traj, cls = simulate(UNIT, InfectionResponse.monod(2.0), InitialData.cosine(1.0), cfg)
     assert cls.verdict is Verdict.UNDETERMINED
     assert (traj.n_steps, len(traj.frames), traj.terminated_by) == (1001, 27, "t_max")
     assert run_digest(traj) == "67abb9524c76709025727e9259e7450e4645d7e6d4e7974f622873d098465d0c"
+
+
+# One config per command path: the cosine and the skewed data, the Monod and
+# the table response, both threshold targets and a 2 x 2 sweep.
+_MONITORS = "monitors.bounds = true\nmonitors.symmetry = true\nmonitors.speed = true\n"
+_BRACKET = ("model.h0 = 1.2566370614359172\nsolver.n_cells = 32\nsolver.dt_max = 0.08\n"
+            "solver.t_max = 60\nthreshold.tol = 0.5\n")
+COMMANDS = {
+    "run_cosine": (
+        ["run", "--svg", "--profiles", "0.5,1.0"],
+        "model.h0 = 1.0\nresponse.a21 = 2.0\ninit.sigma = 1.0\nsolver.n_cells = 64\n"
+        "solver.t_max = 2.0\nsolver.frame_stride = 20\n" + _MONITORS,
+        {"fronts.svg": "6c97a43f6b7db8f6bb6ea42620db5eab24f7c5c5f36cbb986977f7fe4f41e8a2",
+         "profiles.csv": "570d057457bb384fecb79fc7e7a9010ba8465d3f18d846d2487e9e800c03b2de",
+         "summary.json": "ff8ef7cfb526600958db0c9f9cc0aa67280197377a9c2a6e510b176d96d6456d",
+         "supnorms.svg": "a333651a28d80db22493b8bf89e2a1590ee3225595f596958c8f36f10f025b72",
+         "trajectory.csv": "754262d444a91825f45d06d79500cfa4c130081b4a921999b7d7af022d05141e"}),
+    "run_skewed_table": (
+        ["run"],
+        "model.h0 = 1.0\nresponse.kind = table\nresponse.z_values = 0,1,2,4\n"
+        "response.g_values = 0,1.5,2,2.5\ninit.shape = skewed_cosine\ninit.skew = 0.4\n"
+        "init.sigma = 0.8\nsolver.n_cells = 64\nsolver.t_max = 2.0\nsolver.frame_stride = 20\n",
+        {"summary.json": "32603c868f2f5c7f9e4daf64345e352a9d0b24eb86034e45d8bb6da1e6b4ce5d",
+         "trajectory.csv": "741d17cc0c81e3c655b751d887d0c4d15ceb6550abcf74901635fb54019acb9d"}),
+    "threshold_sigma": (
+        ["threshold", "--target", "sigma"],
+        _BRACKET,
+        {"threshold.json": "9cc7499432f279aa587a57c01d0fe61c393e47b4bc454ccaa491fccb145f8feb"}),
+    "threshold_mu": (
+        ["threshold", "--target", "mu"],
+        _BRACKET + "init.sigma = 0.1\n",
+        {"threshold.json": "59e6bd4139bcd98047b68909c7956bb4a315b8b25cbbb7f39a851d5af5f89c72"}),
+    "sweep": (
+        ["sweep", "--svg"],
+        "model.h0 = 1.0\nsolver.n_cells = 32\nsolver.dt_max = 0.02\nsolver.t_max = 4\n"
+        "sweep.sigma = 0.05,1.0\nsweep.mu = 0.5,2.0\n",
+        {"phase.csv": "b9eed7806ea7dd86eb90265b5914a6f1ae1f194ad9916cc4e1b229930fe6f51a",
+         "phase.svg": "45aecd2514dc523e63d6366b4ff32587de8c9d8a8a528e5c4fea329736c6ea68"}),
+}
+
+
+@pytest.mark.parametrize("name", COMMANDS)
+def test_cli_outputs(name, tmp_path):
+    argv, text, expected = COMMANDS[name]
+    config = tmp_path / "config.txt"
+    config.write_text(text, encoding="utf-8")
+    out = tmp_path / "out"
+    assert main([*argv, "--config", str(config), "--out", str(out)]) == 0
+    assert {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted(out.iterdir())} == expected

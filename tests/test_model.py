@@ -46,7 +46,7 @@ class TestParams:
 
     def test_sigma_nonnegative(self):
         with pytest.raises(DomainError):
-            InitialData.cosine(-0.5, 1.0)
+            InitialData.cosine(-0.5)
 
 
 class TestReproductionNumbers:
@@ -168,6 +168,15 @@ class TestEquilibrium:
         slope = (0.1 - 5e-13) / (1.0 - 1e-13)  # G(u) = 5e-13 + slope (u - 1e-13) = u
         assert u_star == pytest.approx((5e-13 - slope * 1e-13) / (1.0 - slope), rel=1e-9)
 
+
+    def test_excess_rate_never_negative_near_zero(self):
+        # G'(0) = 5 gives R0 = 5, yet G itself is 0, so a11 - (a12/a22) G(u)/u
+        # stays at 1 however far the lower bracket end is halved.
+        p, _ = params_with()
+        resp = InfectionResponse(g=lambda z: 0 * z, g_prime=lambda z: 5 + 0 * z)
+        assert basic_reproduction_number(p, resp) == 5.0
+        with pytest.raises(DomainError, match="not negative near 0 despite R0 > 1"):
+            endemic_equilibrium(p, resp)
 
 def general_bisection_equilibrium(p, resp):
     """(u*, v*) by a bisection that evaluates both bracket ends and keeps the
@@ -339,19 +348,29 @@ class TestDerivativeAtZero:
 
 class TestInitialData:
     def test_cosine_shape_endpoints(self):
-        init = InitialData.cosine(1.0, 1.0)
-        assert abs(init.phi(1.0)) < 1e-12
-        assert abs(init.phi(-1.0)) < 1e-12
-        assert init.phi(0.0) == pytest.approx(1.0)
+        init = InitialData.cosine(1.0)
+        for h0 in (1.0, 2.5):
+            assert abs(init.phi(h0, h0)) < 1e-12
+            assert abs(init.phi(-h0, h0)) < 1e-12
+            assert init.phi(0.0, h0) == pytest.approx(1.0)
+
+    def test_factories_hold_no_habitat(self):
+        # The shapes read h0 from the model they are sampled on, so two
+        # cosine data with one sigma are equal and run on any habitat.
+        assert InitialData.cosine(1.0) == InitialData.cosine(1.0)
+        assert InitialData.cosine(1.0) != InitialData.cosine(2.0)
+        init = InitialData.skewed_cosine(0.5, 0.3)
+        x = np.linspace(-1.0, 1.0, 9)
+        assert np.array_equal(init.u0(2.0 * x, 2.0), init.u0(x, 1.0))
 
     def test_skewed_positive_inside(self):
-        init = InitialData.skewed_cosine(1.0, 1.0, 0.5)
+        init = InitialData.skewed_cosine(1.0, 0.5)
         x = np.linspace(-0.999, 0.999, 501)
-        assert np.all(init.phi(x) > 0)
+        assert np.all(init.phi(x, 1.0) > 0)
 
     def test_skew_magnitude_capped(self):
         with pytest.raises(DomainError):
-            InitialData.skewed_cosine(1.0, 1.0, 1.5)
+            InitialData.skewed_cosine(1.0, 1.5)
 
 
 class TestTableResponse:

@@ -64,13 +64,13 @@ class TestOdeSolve:
 
 class TestDominance:
     def test_zero_data_no_violation(self, unit_params, monod2):
-        traj, _ = simulate(unit_params, monod2, InitialData.cosine(0.0, 1.0),
+        traj, _ = simulate(unit_params, monod2, InitialData.cosine(0.0),
                            SolverConfig(t_max=1.0, early_stop=False))
         ode = ode_solve(unit_params, monod2, 0.0, 0.0, traj.final.t)
         assert dominance_check(traj, ode, 0.0) == 0.0
 
     def test_pde_below_ode_envelope(self, unit_params, monod2):
-        init = InitialData.cosine(1.0, 1.0)
+        init = InitialData.cosine(1.0)
         traj, _ = simulate(unit_params, monod2, init,
                            SolverConfig(t_max=3.0, early_stop=False))
         cert = bound_certificate(unit_params, monod2, init)
@@ -80,7 +80,7 @@ class TestDominance:
         assert dominance_check(traj, ode, tol) == 0.0
 
     def test_corrupted_frame_flagged(self, unit_params, monod2):
-        init = InitialData.cosine(1.0, 1.0)
+        init = InitialData.cosine(1.0)
         traj, _ = simulate(unit_params, monod2, init,
                            SolverConfig(t_max=1.0, early_stop=False))
         cert = bound_certificate(unit_params, monod2, init)
@@ -95,21 +95,21 @@ class TestDominance:
 class TestRefinementStudy:
     def test_orders_first_order_scheme(self, monod2):
         p = ModelParams(d=1.0, a11=1.0, a12=1.0, a22=1.0, mu=0.25, h0=1.0)
-        study = refinement_study(p, monod2, InitialData.cosine(1.0, 1.0),
+        study = refinement_study(p, monod2, InitialData.cosine(1.0),
                                  SolverConfig(n_cells=64, dt_max=4e-3), t_end=1.0)
         assert study.conclusive
         assert all(0.8 <= order <= 1.5 for order in study.front_orders)
         assert all(order >= 0.8 for order in study.residual_orders)
 
     def test_zero_solution_inconclusive(self, unit_params, monod2):
-        study = refinement_study(unit_params, monod2, InitialData.cosine(0.0, 1.0),
+        study = refinement_study(unit_params, monod2, InitialData.cosine(0.0),
                                  SolverConfig(n_cells=32, dt_max=4e-3), t_end=0.5)
         assert not study.conclusive
         assert len(set(study.final_h)) == 1
 
     def test_needs_three_levels(self, unit_params, monod2):
         with pytest.raises(DomainError):
-            refinement_study(unit_params, monod2, InitialData.cosine(1.0, 1.0),
+            refinement_study(unit_params, monod2, InitialData.cosine(1.0),
                              SolverConfig(), t_end=1.0, levels=2)
 
 

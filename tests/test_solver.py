@@ -31,7 +31,7 @@ from conftest import zero_response
 
 class TestFrontSpeeds:
     def test_zero_field(self, unit_params, monod2):
-        init = InitialData(0.0, phi=lambda x: np.cos(np.pi * x / 2), psi=lambda x: 0.0 * x)
+        init = InitialData(0.0, phi=lambda x, h0: np.cos(np.pi * x / 2), psi=lambda x, h0: 0.0 * x)
         frame = initial_state(unit_params, monod2, init, 64)
         assert front_speeds(frame, unit_params) == (0.0, 0.0)
 
@@ -40,7 +40,7 @@ class TestFrontSpeeds:
         exact = unit_params.mu * math.pi / 2.0
         errors = []
         for n in (64, 128, 256):
-            frame = initial_state(unit_params, monod2, InitialData.cosine(1.0, 1.0), n)
+            frame = initial_state(unit_params, monod2, InitialData.cosine(1.0), n)
             g_speed, h_speed = front_speeds(frame, unit_params)
             assert g_speed == pytest.approx(-h_speed, abs=1e-14)
             errors.append(abs(h_speed - exact))
@@ -50,7 +50,7 @@ class TestFrontSpeeds:
     def test_first_frame_matches_initial_state(self, monod2, unit_params, cosine_init):
         # The run loop computes a frame's speeds itself; they must stay front_speeds'.
         p = ModelParams(d=1.0, a11=1.0, a12=1.0, a22=1.0, mu=1.3, h0=0.7)
-        init = InitialData.skewed_cosine(1.0, p.h0, 0.4)
+        init = InitialData.skewed_cosine(1.0, 0.4)
         traj, _ = simulate(p, monod2, init, SolverConfig(n_cells=64, t_max=0.01))
         first = traj.frames[0]
         speeds = front_speeds(first, p)
@@ -72,7 +72,7 @@ class TestFrontSpeeds:
 
     def test_signs_once_positive(self, unit_params, monod2):
         traj, _ = simulate(
-            unit_params, monod2, InitialData.cosine(1.0, 1.0),
+            unit_params, monod2, InitialData.cosine(1.0),
             SolverConfig(t_max=0.5, frame_stride=10, early_stop=False),
         )
         for frame in traj.frames:
@@ -82,7 +82,7 @@ class TestFrontSpeeds:
 
 class TestStep:
     def test_preserves_end_zeros_exactly(self, unit_params, monod2):
-        frame = initial_state(unit_params, monod2, InitialData.cosine(1.0, 1.0), 64)
+        frame = initial_state(unit_params, monod2, InitialData.cosine(1.0), 64)
         new = step(frame, unit_params, monod2, SolverConfig(n_cells=64))
         assert new.w[0] == 0.0 and new.w[-1] == 0.0
         assert new.z[0] == 0.0 and new.z[-1] == 0.0
@@ -92,7 +92,7 @@ class TestStep:
     def test_front_limit_sets_dt(self, unit_params, monod2):
         # At dt_max = 1 the step is set by the front limit: the faster front
         # moves exactly 0.2 of a physical cell.
-        frame = initial_state(unit_params, monod2, InitialData.cosine(1.0, 1.0), 64)
+        frame = initial_state(unit_params, monod2, InitialData.cosine(1.0), 64)
         g_speed, h_speed = front_speeds(frame, unit_params)
         speed = max(h_speed, -g_speed)
         h0 = unit_params.h0
@@ -102,7 +102,7 @@ class TestStep:
         assert new.h - frame.h == pytest.approx(0.2 * dx_phys, rel=1e-12)
 
     def test_dt_cap_respected(self, unit_params, monod2):
-        frame = initial_state(unit_params, monod2, InitialData.cosine(1.0, 1.0), 64)
+        frame = initial_state(unit_params, monod2, InitialData.cosine(1.0), 64)
         new = step(frame, unit_params, monod2, SolverConfig(n_cells=64), dt_cap=1e-5)
         assert new.t == pytest.approx(1e-5)
 
@@ -110,7 +110,7 @@ class TestStep:
         # With G = 0 and v0 = 0 the infective field stays zero and the
         # bacteria decay like the leading Dirichlet mode while the fronts
         # creep; an 8x finer run serves as the reference solution.
-        init = InitialData(1.0, phi=lambda x: np.cos(np.pi * x / 2), psi=lambda x: 0.0 * x)
+        init = InitialData(1.0, phi=lambda x, h0: np.cos(np.pi * x / 2), psi=lambda x, h0: 0.0 * x)
         resp = zero_response()
         centers = {}
         for n, dt in ((64, 1e-3), (512, 1.25e-4)):
@@ -125,7 +125,7 @@ class TestStep:
         assert abs(centers[64] - centers[512]) / centers[512] < 0.01
 
     def test_non_positive_step_rejected(self, unit_params, monod2):
-        frame = initial_state(unit_params, monod2, InitialData.cosine(1.0, 1.0), 64)
+        frame = initial_state(unit_params, monod2, InitialData.cosine(1.0), 64)
         with pytest.raises(DomainError, match="non-positive step size"):
             step(frame, unit_params, monod2, SolverConfig(n_cells=64), dt_cap=0.0)
 
@@ -134,7 +134,7 @@ class TestStep:
             lambda z: np.full_like(np.asarray(z, dtype=float), np.inf),
             lambda z: np.ones_like(np.asarray(z, dtype=float)),
         )
-        frame = initial_state(unit_params, diverging, InitialData.cosine(1.0, 1.0), 64)
+        frame = initial_state(unit_params, diverging, InitialData.cosine(1.0), 64)
         with pytest.raises(BlowUpError):
             step(frame, unit_params, diverging, SolverConfig(n_cells=64))
 
@@ -143,7 +143,7 @@ class TestSimulate:
     def test_subthreshold_run_vanishes(self, unit_params):
         resp = InfectionResponse.monod(0.5)
         traj, cls = simulate(
-            unit_params, resp, InitialData.cosine(1.0, 1.0), SolverConfig(t_max=120.0)
+            unit_params, resp, InitialData.cosine(1.0), SolverConfig(t_max=120.0)
         )
         assert cls.verdict is Verdict.VANISHING
         widths = traj.column("width")
@@ -151,13 +151,13 @@ class TestSimulate:
 
     def test_supercritical_habitat_spreads(self, monod2):
         p = ModelParams(d=1.0, a11=1.0, a12=1.0, a22=1.0, mu=1.0, h0=0.6 * math.pi)
-        traj, cls = simulate(p, monod2, InitialData.cosine(1.0, p.h0), SolverConfig(t_max=30.0))
+        traj, cls = simulate(p, monod2, InitialData.cosine(1.0), SolverConfig(t_max=30.0))
         assert cls.verdict is Verdict.SPREADING
         assert cls.evidence.criterion == "r0f_threshold"
 
     def test_zero_data_stays_zero(self, unit_params, monod2):
         traj, cls = simulate(
-            unit_params, monod2, InitialData.cosine(0.0, 1.0), SolverConfig(t_max=2.0)
+            unit_params, monod2, InitialData.cosine(0.0), SolverConfig(t_max=2.0)
         )
         final = traj.final
         assert final.sup_w == 0.0 and final.sup_z == 0.0
@@ -167,7 +167,7 @@ class TestSimulate:
     def test_record_times_hit_exactly(self, unit_params, monod2):
         times = (0.25, 0.5, 0.75)
         traj, _ = simulate(
-            unit_params, monod2, InitialData.cosine(1.0, 1.0),
+            unit_params, monod2, InitialData.cosine(1.0),
             SolverConfig(t_max=1.0, record_times=times, early_stop=False),
         )
         recorded = traj.column("t")
@@ -178,7 +178,7 @@ class TestSimulate:
         # A record time within the landing tolerance of t_max adds no step
         # of 1e-12 and no frame: the t_max frame serves it.
         traj, _ = simulate(
-            unit_params, monod2, InitialData.cosine(0.1, 1.0),
+            unit_params, monod2, InitialData.cosine(0.1),
             SolverConfig(n_cells=64, dt_max=0.01, t_max=1.0, record_times=(1.0 - 1e-12,),
                          early_stop=False),
         )
@@ -187,7 +187,7 @@ class TestSimulate:
 
     def test_clipping_stays_negligible(self, unit_params, monod2):
         traj, _ = simulate(
-            unit_params, monod2, InitialData.cosine(1.0, 1.0),
+            unit_params, monod2, InitialData.cosine(1.0),
             SolverConfig(t_max=2.0, early_stop=False),
         )
         clipped = traj.column("clipped")
@@ -196,7 +196,7 @@ class TestSimulate:
 
     def test_symmetric_run_stays_symmetric(self, unit_params, monod2):
         traj, _ = simulate(
-            unit_params, monod2, InitialData.cosine(1.0, 1.0),
+            unit_params, monod2, InitialData.cosine(1.0),
             SolverConfig(t_max=5.0, early_stop=False),
         )
         drift = max(abs(f.g + f.h) for f in traj.frames)
@@ -208,7 +208,7 @@ class TestSimulate:
         finals = []
         for n, dt in ((64, 2e-3), (128, 1e-3), (256, 5e-4)):
             traj, _ = simulate(
-                unit_params, monod2, InitialData.cosine(1.0, 1.0),
+                unit_params, monod2, InitialData.cosine(1.0),
                 SolverConfig(n_cells=n, dt_max=dt, t_max=1.0, record_times=(1.0,),
                              early_stop=False, frame_stride=10**9),
             )
@@ -221,7 +221,7 @@ class TestSimulate:
         frames = {}
         for sigma in (0.5, 2.0):
             traj, _ = simulate(
-                unit_params, monod2, InitialData.cosine(sigma, 1.0),
+                unit_params, monod2, InitialData.cosine(sigma),
                 SolverConfig(t_max=1.0, record_times=(1.0,), early_stop=False,
                              frame_stride=10**9),
             )
@@ -245,8 +245,8 @@ class TestSimulate:
         wide = unit_params.with_(h0=1.2)
         fast_decay = unit_params.with_(a11=10.0, a22=10.0)
         runs = {
-            "spreading": (wide, InitialData.cosine(2.0, wide.h0)),
-            "vanishing": (fast_decay, InitialData.cosine(1.0, fast_decay.h0)),
+            "spreading": (wide, InitialData.cosine(2.0)),
+            "vanishing": (fast_decay, InitialData.cosine(1.0)),
         }
         cfg = SolverConfig(n_cells=64, dt_max=0.01, t_max=2.0, frame_stride=5,
                            early_stop=early_stop)
@@ -266,8 +266,8 @@ class TestSimulate:
         # R0F(0) = 1.18 >= 1 + margin spreads and zero data vanishes: the first
         # frame decides both, so an early-stopped run ends there, with no step.
         wide = unit_params.with_(h0=0.6 * math.pi)
-        runs = ((wide, InitialData.cosine(1.0, wide.h0), Verdict.SPREADING),
-                (unit_params, InitialData.cosine(0.0, 1.0), Verdict.VANISHING))
+        runs = ((wide, InitialData.cosine(1.0), Verdict.SPREADING),
+                (unit_params, InitialData.cosine(0.0), Verdict.VANISHING))
         cfg = SolverConfig(n_cells=64, t_max=0.5, frame_stride=5)
         for p, init, verdict in runs:
             traj, cls = simulate(p, monod2, init, cfg)
@@ -279,13 +279,13 @@ class TestSimulate:
             assert (traj.final.t, traj.terminated_by) == (cfg.t_max, "t_max")
 
     def test_rejects_shape_not_vanishing_at_ends(self, unit_params, monod2):
-        bad = InitialData(1.0, phi=lambda x: np.ones_like(np.asarray(x, dtype=float)),
-                          psi=lambda x: 0.0 * x)
+        bad = InitialData(1.0, phi=lambda x, h0: np.ones_like(np.asarray(x, dtype=float)),
+                          psi=lambda x, h0: 0.0 * x)
         with pytest.raises(DomainError, match="vanish"):
             simulate(unit_params, monod2, bad, SolverConfig(t_max=1.0))
 
     def test_rejects_negative_shape(self, unit_params, monod2):
-        bad = InitialData(1.0, phi=lambda x: -np.cos(np.pi * x / 2), psi=lambda x: 0.0 * x)
+        bad = InitialData(1.0, phi=lambda x, h0: -np.cos(np.pi * x / 2), psi=lambda x, h0: 0.0 * x)
         with pytest.raises(DomainError, match="nonnegative"):
             simulate(unit_params, monod2, bad, SolverConfig(t_max=1.0))
 
@@ -308,9 +308,9 @@ class TestSimulateBatch:
     def test_members_equal_solo_runs(self, monod2):
         # The perfbench sweep_grid grid, shortened, plus a member with another d;
         # dt_max is left to each member's own resolution (1e-3 h0^2 / d).
-        members = [(self.P.with_(mu=mu), monod2, InitialData.cosine(sigma, self.P.h0))
+        members = [(self.P.with_(mu=mu), monod2, InitialData.cosine(sigma))
                    for mu in (0.5, 1.0) for sigma in (0.02, 0.05, 0.1, 0.2, 0.5, 1.0, 2.0, 5.0)]
-        members.append((self.P.with_(d=0.6), monod2, InitialData.cosine(0.3, self.P.h0)))
+        members.append((self.P.with_(d=0.6), monod2, InitialData.cosine(0.3)))
         cfg = SolverConfig(n_cells=64, t_max=2.0, record_times=(0.7,))
         results = simulate_batch(members, cfg)
         assert len(results) == len(members)
@@ -330,14 +330,14 @@ class TestSimulateBatch:
         # step, so it ends before its field update.  The seventh member's initial
         # shape does not vanish at +/-h0, so it fails before its first frame.
         h0 = self.P.h0
-        bad = InitialData(1.0, phi=lambda x: np.cos(np.pi * x / (2 * h0)),
-                          psi=lambda x: np.where(np.abs(x) < 0.5, np.inf, 0.0))
-        inits = [InitialData.cosine(s, h0) for s in (0.5, 1.0, 2.0)]
+        bad = InitialData(1.0, phi=lambda x, h0: np.cos(np.pi * x / (2 * h0)),
+                          psi=lambda x, h0: np.where(np.abs(x) < 0.5, np.inf, 0.0))
+        inits = [InitialData.cosine(s) for s in (0.5, 1.0, 2.0)]
         inits.insert(1, bad)
-        members = [(self.P, monod2, init) for init in inits + [InitialData.cosine(1.0, h0)]]
-        members.append((self.P.with_(d=1e308), monod2, InitialData.cosine(1.0, h0)))
-        flat = InitialData(1.0, phi=lambda x: np.ones_like(np.asarray(x, dtype=float)),
-                           psi=lambda x: 0.0 * x)
+        members = [(self.P, monod2, init) for init in inits + [InitialData.cosine(1.0)]]
+        members.append((self.P.with_(d=1e308), monod2, InitialData.cosine(1.0)))
+        flat = InitialData(1.0, phi=lambda x, h0: np.ones_like(np.asarray(x, dtype=float)),
+                           psi=lambda x, h0: 0.0 * x)
         members.append((self.P, monod2, flat))
         tight = Monitors(BoundCertificate(c1=0.5, c2=10.0, c3=1e9, m=1.0))
         cfg = SolverConfig(n_cells=64, dt_max=0.005, t_max=1.0)
@@ -383,7 +383,7 @@ class TestSimulateBatch:
         p = ModelParams(d=1e300, a11=1.0, a12=1.0, a22=1.0, mu=1e-300, h0=1.0)
         cfg = SolverConfig(n_cells=16, dt_max=1.5e6, t_max=1e7)
         with np.errstate(over="ignore"):
-            [(traj, err)] = simulate_batch([(p, monod2, InitialData.cosine(1.0, p.h0))], cfg)
+            [(traj, err)] = simulate_batch([(p, monod2, InitialData.cosine(1.0))], cfg)
         assert isinstance(err, BlowUpError)
         assert str(err) == "non-finite field values at t=1.5e+06" and err.t == 0.0
         assert len(traj.frames) == 1 and traj.frames[0].t == 0.0 and traj.n_steps == 0
@@ -399,10 +399,28 @@ class TestSimulateBatch:
             return (*out, 5)
 
         monkeypatch.setattr(solver_mod, "dgtsv", singular)
-        members = [(self.P, monod2, InitialData.cosine(s, self.P.h0)) for s in (0.5, 1.0)]
+        members = [(self.P, monod2, InitialData.cosine(s)) for s in (0.5, 1.0)]
         for traj, outcome in simulate_batch(members, SolverConfig(n_cells=64, t_max=1.0)):
             assert isinstance(outcome, np.linalg.LinAlgError)
             assert len(traj.frames) == 1
+
+    def test_solve_that_returns_a_copy_is_written_back(self, monod2, monkeypatch):
+        # dgtsv overwrites the right-hand side in place when it can; a LAPACK
+        # wrapper that hands back a copy instead must give the same run.
+        from epifront import solver as solver_mod
+
+        real = solver_mod.dgtsv
+
+        def copying(*args, **kwargs):
+            *out, x, info = real(*args, **kwargs)
+            return (*out, x.copy(), info)
+
+        members = [(self.P, monod2, InitialData.cosine(s)) for s in (0.5, 1.0)]
+        cfg = SolverConfig(n_cells=64, t_max=0.5, frame_stride=10)
+        expected = simulate_batch(members, cfg)
+        monkeypatch.setattr(solver_mod, "dgtsv", copying)
+        for got, want in zip(simulate_batch(members, cfg), expected):
+            assert_same_run(got, want)
 
     def test_member_decided_at_start_leaves_the_batch(self, monod2, monkeypatch):
         from epifront import analysis as analysis_mod
@@ -415,8 +433,8 @@ class TestSimulateBatch:
             return real(traj)
 
         monkeypatch.setattr(analysis_mod, "classify", spy)
-        members = [(self.P, monod2, InitialData.cosine(0.0, self.P.h0)),
-                   (self.P, monod2, InitialData.cosine(1.0, self.P.h0))]
+        members = [(self.P, monod2, InitialData.cosine(0.0)),
+                   (self.P, monod2, InitialData.cosine(1.0))]
         cfg = SolverConfig(n_cells=64, t_max=0.5, frame_stride=10)
         (zero, zero_cls), live = simulate_batch(members, cfg)
         assert zero_cls.verdict is Verdict.VANISHING
@@ -428,7 +446,7 @@ class TestSimulateBatch:
         assert_same_run(live, simulate(*members[1], cfg))
 
     def test_members_must_share_the_response(self, monod2):
-        init = InitialData.cosine(1.0, self.P.h0)
+        init = InitialData.cosine(1.0)
         with pytest.raises(DomainError, match="share one InfectionResponse"):
             simulate_batch([(self.P, monod2, init), (self.P, InfectionResponse.monod(2.0), init)])
 
@@ -438,22 +456,22 @@ class TestSimulateBatch:
 
 class TestSamplePhysical:
     def test_dirichlet_at_fronts(self, unit_params, monod2):
-        frame = initial_state(unit_params, monod2, InitialData.cosine(1.0, 1.0), 64)
+        frame = initial_state(unit_params, monod2, InitialData.cosine(1.0), 64)
         assert sample_physical(frame, frame.g) == (0.0, 0.0)
         assert sample_physical(frame, frame.h) == (0.0, 0.0)
         assert sample_physical(frame, 5.0) == (0.0, 0.0)
 
     def test_initial_identity_map(self, unit_params, monod2):
-        init = InitialData.cosine(1.3, 1.0)
+        init = InitialData.cosine(1.3)
         frame = initial_state(unit_params, monod2, init, 256)
         xs = np.linspace(-0.95, 0.95, 41)
         u, v = sample_physical(frame, xs)
-        assert np.allclose(u, init.u0(xs), atol=2e-4)
-        assert np.allclose(v, init.v0(xs), atol=2e-4)
+        assert np.allclose(u, init.u0(xs, unit_params.h0), atol=2e-4)
+        assert np.allclose(v, init.v0(xs, unit_params.h0), atol=2e-4)
 
     def test_midpoint_equals_center_node(self, unit_params, monod2):
         traj, _ = simulate(
-            unit_params, monod2, InitialData.cosine(1.0, 1.0),
+            unit_params, monod2, InitialData.cosine(1.0),
             SolverConfig(t_max=1.0, early_stop=False),
         )
         f = traj.final

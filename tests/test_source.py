@@ -284,7 +284,7 @@ def test_perfbench_hooks_read_the_real_types(unit_params, monod2):
     tracer = bench.Tracer()
     bench.install_probes(tracer, cli)
     try:
-        init = InitialData.cosine(1.0, unit_params.h0)
+        init = InitialData.cosine(1.0)
         config = solver.SolverConfig(n_cells=64, t_max=0.05).resolved(unit_params)
         start = solver.initial_state(unit_params, monod2, init, config.n_cells)
         solver.step(start, unit_params, monod2, config)

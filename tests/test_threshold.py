@@ -34,26 +34,29 @@ COARSE = BisectConfig(rel_tol=0.05)
 
 @pytest.fixture(scope="module")
 def sigma_star_result(monod2):
-    init = InitialData.cosine(1.0, P_SUB.h0)
+    init = InitialData.cosine(1.0)
     return find_threshold("sigma", P_SUB, monod2, init, FAST_SIM, COARSE)
 
 
 class TestSigmaStar:
     def test_no_threshold_below_r0_one(self, unit_params):
         resp = InfectionResponse.monod(0.8)
-        init = InitialData.cosine(1.0, 1.0)
+        init = InitialData.cosine(1.0)
         with pytest.raises(ThresholdUndefinedError):
             find_threshold("sigma", unit_params, resp, init, FAST_SIM, COARSE)
 
     def test_zero_phi_rejected(self, monod2):
         # sigma scales phi, so no sigma can make a zero shape spread.
+        def zero(x, h0):
+            return np.zeros_like(x)
+
         with pytest.raises(DomainError, match="phi must be positive"):
-            find_threshold("sigma", P_SUB, monod2, InitialData(1.0, np.zeros_like, np.zeros_like),
+            find_threshold("sigma", P_SUB, monod2, InitialData(1.0, zero, zero),
                            FAST_SIM, COARSE)
 
     def test_degenerate_bracket_when_supercritical(self, monod2):
         p = ModelParams(d=1.0, a11=1.0, a12=1.0, a22=1.0, mu=1.0, h0=0.6 * math.pi)
-        init = InitialData.cosine(1.0, p.h0)
+        init = InitialData.cosine(1.0)
         result = find_threshold("sigma", p, monod2, init, FAST_SIM, COARSE)
         assert result.status == "degenerate"
         assert (result.lo, result.hi) == (0.0, 0.0)
@@ -71,7 +74,7 @@ class TestSigmaStar:
 
     def test_endpoints_confirm(self, monod2, sigma_star_result):
         result = sigma_star_result
-        init = InitialData.cosine(1.0, P_SUB.h0)
+        init = InitialData.cosine(1.0)
         confirm = SolverConfig(n_cells=64, dt_max=5e-3, t_max=400.0)
         _, lo_cls = simulate(P_SUB, monod2, init.with_sigma(0.8 * result.lo), confirm)
         _, hi_cls = simulate(P_SUB, monod2, init.with_sigma(1.2 * result.hi), confirm)
@@ -83,17 +86,17 @@ class TestMuStar:
     def test_no_threshold_below_r0_one(self, unit_params):
         resp = InfectionResponse.monod(0.8)
         with pytest.raises(ThresholdUndefinedError):
-            find_threshold("mu", unit_params, resp, InitialData.cosine(1.0, 1.0), FAST_SIM,
+            find_threshold("mu", unit_params, resp, InitialData.cosine(1.0), FAST_SIM,
                            COARSE)
 
     def test_degenerate_when_supercritical(self, monod2):
         p = ModelParams(d=1.0, a11=1.0, a12=1.0, a22=1.0, mu=1.0, h0=0.6 * math.pi)
-        result = find_threshold("mu", p, monod2, InitialData.cosine(1.0, p.h0), FAST_SIM, COARSE)
+        result = find_threshold("mu", p, monod2, InitialData.cosine(1.0), FAST_SIM, COARSE)
         assert result.status == "degenerate"
         assert (result.lo, result.hi) == (0.0, 0.0)
 
     def test_bracket_and_monotonicity(self, monod2):
-        init = InitialData.cosine(0.05, P_SUB.h0)
+        init = InitialData.cosine(0.05)
         result = find_threshold("mu", P_SUB, monod2, init, FAST_SIM, COARSE)
         assert result.status == "bracketed"
         assert result.monotone
@@ -104,7 +107,7 @@ class TestMuStar:
     def test_tiny_mu_vanishes(self, monod2):
         # fixed moderate data, R0F(0) < 1: a sluggish front cannot rescue it
         p = P_SUB.with_(mu=1e-3)
-        _, cls = simulate(p, monod2, InitialData.cosine(0.5, P_SUB.h0),
+        _, cls = simulate(p, monod2, InitialData.cosine(0.5),
                           SolverConfig(n_cells=64, dt_max=5e-3, t_max=150.0))
         assert cls.verdict is Verdict.VANISHING
 
@@ -122,7 +125,7 @@ def synthetic_search(monkeypatch, spreads, seed_factor):
     monkeypatch.setattr(threshold_mod, "simulate", simulate)
     bisect = BisectConfig(rel_tol=COARSE.rel_tol, hi_seed_factor=seed_factor)
     return find_threshold("sigma", P_SUB, InfectionResponse.monod(2.0),
-                          InitialData.cosine(1.0, P_SUB.h0), FAST_SIM, bisect)
+                          InitialData.cosine(1.0), FAST_SIM, bisect)
 
 
 class TestBracketSearch:
@@ -160,7 +163,7 @@ class TestBracketSearch:
             BisectConfig(**{name: value})
 
     def test_unknown_target_rejected(self, monod2):
-        init = InitialData.cosine(1.0, P_SUB.h0)
+        init = InitialData.cosine(1.0)
         with pytest.raises(DomainError, match="target must be one of sigma, mu") as info:
             find_threshold("h0", P_SUB, monod2, init, FAST_SIM, COARSE)
         assert info.value.field == "target"
@@ -178,7 +181,7 @@ class TestBracketSearch:
 
 class TestSweep:
     def test_single_cell_matches_simulate(self, unit_params, monod2):
-        init = InitialData.cosine(1.0, 1.0)
+        init = InitialData.cosine(1.0)
         cfg = SolverConfig(n_cells=64, t_max=40.0)
         cells = sweep([unit_params], monod2, [init], cfg)
         assert len(cells) == 1
@@ -186,7 +189,7 @@ class TestSweep:
         assert cells[0].verdict is direct.verdict
 
     def test_ascending_sigma_verdicts_monotone(self, monod2):
-        inits = [InitialData.cosine(s, P_SUB.h0) for s in (0.005, 0.02, 0.5, 2.0)]
+        inits = [InitialData.cosine(s) for s in (0.005, 0.02, 0.5, 2.0)]
         cells = sweep([P_SUB], monod2, inits, FAST_SIM)
         seen_spreading = False
         for cell in cells:
@@ -208,16 +211,16 @@ class TestSweep:
 
         monkeypatch.setattr(threshold_mod, "simulate_batch", counted)
         params = [P_SUB.with_(mu=mu) for mu in (0.5, 1.0)]
-        inits = [InitialData.cosine(s, P_SUB.h0) for s in (0.1, 1.0)]
+        inits = [InitialData.cosine(s) for s in (0.1, 1.0)]
         cells = sweep(params, monod2, inits, SolverConfig(n_cells=64, dt_max=5e-3, t_max=1.0))
         assert calls == [4]
         assert [(c.params.mu, c.sigma) for c in cells] == [(0.5, 0.1), (0.5, 1.0),
                                                           (1.0, 0.1), (1.0, 1.0)]
 
     def test_cell_error_recorded_not_fatal(self, unit_params, monod2):
-        bad = InitialData(1.0, phi=lambda x: np.ones_like(np.asarray(x, dtype=float)),
-                          psi=lambda x: 0.0 * x)
-        good = InitialData.cosine(0.0, 1.0)
+        bad = InitialData(1.0, phi=lambda x, h0: np.ones_like(np.asarray(x, dtype=float)),
+                          psi=lambda x, h0: 0.0 * x)
+        good = InitialData.cosine(0.0)
         cells = sweep([unit_params], monod2, [bad, good],
                       SolverConfig(n_cells=64, t_max=1.0))
         assert cells[0].verdict is None

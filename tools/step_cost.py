@@ -42,7 +42,7 @@ def _batch(n: int, size: int):
     config = solver.SolverConfig(n_cells=n).resolved(p)
     runs = []
     for k in range(size):
-        init = InitialData.cosine(0.5 + k / max(1, size - 1), p.h0)
+        init = InitialData.cosine(0.5 + k / max(1, size - 1))
         start = solver.initial_state(p, resp, init, n)
         runs.append(solver._Run(solver.Trajectory(p, resp, [start]), config,
                                 start.t, start.g, start.h))
