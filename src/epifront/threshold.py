@@ -4,17 +4,20 @@ The initial-data scale sigma and the front-response coefficient mu each
 admit a sharp spreading/vanishing threshold; comparison monotonicity
 makes plain bisection on the verdict sound.  :func:`find_threshold`
 brackets either one, named by :data:`TARGETS`: a probe value becomes
-the (params, response, initial data) it runs, and each probe is one
-simulation to twice the solver horizon.  A probe still undetermined
-there is skipped while ``lo`` is sought, but counts as vanishing in
-the bisection, so a "bracketed" result can have it as ``lo``.
+the (params, response, initial data) it runs to twice the solver horizon.
+Each probe runs in one batch with every value the search can ask for
+right after it, so two probes in a row cost about one batched run; the
+probes, bracket and status are those of one probe at a time.  A probe
+still undetermined at the horizon is skipped while ``lo`` is sought, but
+counts as vanishing in the bisection, so a "bracketed" result can have it
+as ``lo``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -28,7 +31,7 @@ from .model import (
     endemic_equilibrium,
     free_boundary_reproduction_number,
 )
-from .solver import SolverConfig, simulate, simulate_batch
+from .solver import SolverConfig, Trajectory, simulate, simulate_batch
 
 _MAX_EXPAND = 40   # doublings of hi, then halvings of lo, before giving up
 _MAX_ITER = 80     # bisection steps once both sides are found
@@ -69,11 +72,14 @@ class ThresholdResult:
 
     ``status`` is "bracketed" for a converged bisection, "degenerate"
     when the threshold is 0 (the habitat already super-critical), or
-    "inconclusive" when the probe budget ran out.  ``monotone`` is false
-    when a spreading probe lies below a vanishing one.  The bisection
-    cannot produce such a list: it keeps every spreading probe at or above
-    ``hi`` and every vanishing probe at or below ``lo``, so the flag reads
-    true on every result it returns.
+    "inconclusive" when the probe budget ran out.  ``probes`` are the
+    runs the search asked for, in order; ``speculative`` are the runs it
+    made ahead and then did not need (see :func:`find_threshold`).
+    ``monotone`` is false when a spreading run, of either list, lies
+    below a vanishing one.  The probes alone cannot show that: the
+    bisection keeps every spreading probe at or above ``hi`` and every
+    vanishing one at or below ``lo``.  The speculative runs fall off the
+    path, so they can.
     """
 
     target: str
@@ -81,15 +87,17 @@ class ThresholdResult:
     lo: float
     hi: float
     probes: list[ProbeRecord] = field(default_factory=list)
+    speculative: list[ProbeRecord] = field(default_factory=list)
 
     @property
     def n_sims(self) -> int:
+        """The probes the search asked for; the speculative runs are not counted."""
         return len(self.probes)
 
     @property
     def monotone(self) -> bool:
         seen_spreading = False
-        for rec in sorted(self.probes, key=lambda r: r.value):
+        for rec in sorted(self.probes + self.speculative, key=lambda r: r.value):
             if rec.verdict is Verdict.SPREADING:
                 seen_spreading = True
             elif seen_spreading and rec.verdict is Verdict.VANISHING:
@@ -118,9 +126,17 @@ def find_threshold(
     "sigma" scales the shapes of ``init`` (its own sigma is not read); the
     search starts from ``hi_seed_factor`` u*/sup phi.  "mu" runs ``init``
     as it is and starts from 2 ``p.mu``; monotonicity in mu is cited, not
-    proved here, and the bisection cannot observe a violation, so the
-    result's ``monotone`` flag is no check of it (see
+    proved here.  The result's ``monotone`` flag checks it on the verdicts
+    the search saw, its speculative runs among them (see
     :class:`ThresholdResult`).
+
+    Each value the search asks for without a result yet runs in one
+    :func:`simulate_batch` with the values it could ask for next, one for
+    each verdict of that value, so at most three members; a value with no
+    successor runs alone through :func:`simulate`.  The search reads the
+    runs in its own order, so ``probes``, ``lo``, ``hi`` and ``status``
+    are those of one probe at a time.  A batched run that fails raises
+    its error, with its ``trajectory``, only when the search asks for it.
 
     Requires R0 > 1 (below that everything vanishes and no threshold
     exists).  When the initial habitat is already super-critical the
@@ -148,34 +164,68 @@ def find_threshold(
         sup_phi = float(np.max(np.asarray(init.phi(x, p.h0), dtype=float)))
         if not sup_phi > 0:
             raise DomainError("phi must be positive somewhere on (-h0, h0)")
-        hi = bisect.hi_seed_factor * equilibrium[0] / sup_phi
+        seed = bisect.hi_seed_factor * equilibrium[0] / sup_phi
     else:
-        hi = 2.0 * p.mu
+        seed = 2.0 * p.mu
 
     horizon = replace(sim_config, t_max=2.0 * sim_config.t_max)
-    verdicts: dict[float, Verdict] = {}
+    verdicts: dict[float, Verdict] = {}  # every run that returned, on the path or off it
+    failures: dict[float, tuple[Exception, Trajectory]] = {}  # failed batched runs
+    unread: dict[float, ProbeRecord] = {}  # run, but not yet asked for by the search
+
+    def member(value: float) -> tuple[ModelParams, InfectionResponse, InitialData]:
+        if target == "sigma":
+            return p, resp, init.with_sigma(value)
+        return p.with_(mu=value), resp, init
+
+    def run(values: list[float]) -> None:
+        if len(values) == 1:
+            # The value asked for, alone: simulate raises its failure.
+            outcomes = [simulate(*member(values[0]), horizon)]
+        else:
+            outcomes = simulate_batch([member(v) for v in values], horizon)
+        for value, (traj, outcome) in zip(values, outcomes):
+            if isinstance(outcome, Exception):
+                failures[value] = (outcome, traj)
+                continue
+            ev = outcome.evidence
+            unread[value] = ProbeRecord(
+                value=value, verdict=outcome.verdict, criterion=ev.criterion, time=ev.time,
+                final_width=traj.final.width, extended=bool(ev.time > sim_config.t_max),
+            )
+            verdicts[value] = outcome.verdict
 
     def probe(value: float) -> Verdict:
-        if value not in verdicts:
-            if target == "sigma":
-                traj, cls = simulate(p, resp, init.with_sigma(value), horizon)
-            else:
-                traj, cls = simulate(p.with_(mu=value), resp, init, horizon)
-            ev = cls.evidence
-            result.probes.append(ProbeRecord(
-                value=value, verdict=cls.verdict, criterion=ev.criterion, time=ev.time,
-                final_width=traj.final.width, extended=bool(ev.time > sim_config.t_max),
-            ))
-            verdicts[value] = cls.verdict
+        if value not in verdicts and value not in failures:
+            run(_lookahead(value, seed, bisect.rel_tol, verdicts, failures))
+        if value in failures:
+            exc, traj = failures[value]
+            exc.trajectory = traj
+            raise exc
+        if value in unread:
+            result.probes.append(unread.pop(value))
         return verdicts[value]
 
+    result.status, result.lo, result.hi = _search(probe, seed, bisect.rel_tol)
+    result.speculative = list(unread.values())
+    return result
+
+
+def _search(probe: Callable[[float], Verdict], hi: float,
+            rel_tol: float) -> tuple[str, float, float]:
+    """The bracket search, given the verdict of each value it asks for.
+
+    Doubles ``hi`` until a probe spreads, halves ``lo`` from hi/2 until one
+    vanishes, then bisects until (hi - lo) <= rel_tol hi.  Returns
+    (status, lo, hi), with lo = 0 when no probe spread.  It depends on
+    nothing but the verdicts ``probe`` returns.
+    """
     for _ in range(_MAX_EXPAND):
         if probe(hi) is Verdict.SPREADING:
             break
         hi *= 2.0
     else:
-        result.hi = hi
-        return result
+        return "inconclusive", 0.0, hi
 
     lo = hi / 2.0
     for _ in range(_MAX_EXPAND):
@@ -186,21 +236,54 @@ def find_threshold(
             hi = lo
         lo /= 2.0
     else:
-        result.lo, result.hi = lo, hi
-        return result
+        return "inconclusive", lo, hi
 
     for _ in range(_MAX_ITER):
-        if hi - lo <= bisect.rel_tol * hi:
+        if hi - lo <= rel_tol * hi:
             break
         mid = 0.5 * (lo + hi)
         if probe(mid) is Verdict.SPREADING:
             hi = mid
         else:
             lo = mid
+    return ("bracketed" if hi - lo <= rel_tol * hi else "inconclusive"), lo, hi
 
-    result.status = "bracketed" if hi - lo <= bisect.rel_tol * hi else "inconclusive"
-    result.lo, result.hi = lo, hi
-    return result
+
+class _Unknown(Exception):
+    """Ends a replay of :func:`_search` at a value it has no verdict for;
+    ``value`` is None when the value's run failed, where the search would end."""
+
+    def __init__(self, value: float | None):
+        super().__init__(value)
+        self.value = value
+
+
+def _lookahead(value: float, seed: float, rel_tol: float, verdicts: dict[float, Verdict],
+               failures: dict[float, tuple[Exception, Trajectory]]) -> list[float]:
+    """``value``, the next probe, then each value without a result that the
+    search from ``seed`` can ask for right after it, in the order of
+    :class:`Verdict`.  A verdict after which the search ends adds nothing."""
+
+    def next_value(verdict: Verdict) -> float | None:
+        def oracle(v: float) -> Verdict:
+            if v == value:
+                return verdict
+            if v in verdicts:
+                return verdicts[v]
+            raise _Unknown(None if v in failures else v)
+
+        try:
+            _search(oracle, seed, rel_tol)
+        except _Unknown as stop:
+            return stop.value
+        return None
+
+    values = [value]
+    for verdict in Verdict:
+        successor = next_value(verdict)
+        if successor is not None and successor not in values:
+            values.append(successor)
+    return values
 
 
 # ---------------------------------------------------------------------------

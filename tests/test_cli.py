@@ -6,7 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from epifront import BlowUpError, ConfigError, DomainError, Monitors, MonitorViolation, simulate
+from epifront import (BlowUpError, ConfigError, DomainError, Monitors, MonitorViolation, simulate,
+                      simulate_batch)
 from epifront import solver as solver_mod
 from epifront import threshold
 from epifront.cli import SCHEMA, build_setup, main, parse_config_text, svg_line_plot
@@ -462,14 +463,19 @@ class TestThresholdCommand:
         def no_rerun(*args, **kwargs):
             raise AssertionError("threshold must not simulate the bracket ends again")
 
-        sims = []
+        sims = []  # the sigma of every run, alone or batched
 
-        def counted(*args, **kwargs):
-            sims.append(args)
-            return simulate(*args, **kwargs)
+        def counted(p, resp, init, config):
+            sims.append(init.sigma)
+            return simulate(p, resp, init, config)
+
+        def counted_batch(members, config):
+            sims.extend(init.sigma for _, _, init in members)
+            return simulate_batch(members, config)
 
         monkeypatch.setattr(cli_mod, "simulate", no_rerun)
         monkeypatch.setattr(threshold_mod, "simulate", counted)
+        monkeypatch.setattr(threshold_mod, "simulate_batch", counted_batch)
         cfg = write(tmp_path, f"model.h0 = {0.4 * math.pi!r}\nsolver.n_cells = 64\n"
                               "solver.dt_max = 0.04\nsolver.t_max = 60\nthreshold.tol = 0.1\n")
         out = tmp_path / "out"
@@ -480,8 +486,10 @@ class TestThresholdCommand:
         lo, hi = payload["bracket"]
         assert lo in verdicts and verdicts[hi] == "spreading"
         assert "confirmations" not in payload
-        # Each probe is one simulation, and some probes ran past solver.t_max.
-        assert len(sims) == len(payload["probes"])
+        # Each probe value ran exactly once, no value ran twice, and some
+        # probes ran past solver.t_max.
+        assert all(sims.count(probe["value"]) == 1 for probe in payload["probes"])
+        assert len(set(sims)) == len(sims)
         assert any(probe["extended"] is True for probe in payload["probes"])
 
     def test_mu_target_brackets(self, tmp_path):

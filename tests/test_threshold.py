@@ -6,6 +6,7 @@ import pytest
 
 from epifront import (
     BisectConfig,
+    BlowUpError,
     Classification,
     DomainError,
     Evidence,
@@ -23,7 +24,7 @@ from epifront import (
     sweep,
 )
 from epifront import threshold as threshold_mod
-from epifront.threshold import _MAX_EXPAND
+from epifront.threshold import _MAX_EXPAND, _search
 
 # A habitat at 80% of the critical width: R0F(0) < 1 < R0, thresholds exist
 # and the near-critical transients stay short enough for coarse probing.
@@ -112,20 +113,68 @@ class TestMuStar:
         assert cls.verdict is Verdict.VANISHING
 
 
-def synthetic_search(monkeypatch, spreads, seed_factor):
+def synthetic_search(monkeypatch, spreads, seed_factor, batches=None):
     """``find_threshold("sigma", ...)`` on P_SUB with ``spreads(sigma)`` in
     place of a simulation.  The search starts from seed_factor·u*/sup phi,
-    with u* = 1 to about 1e-10 and sup phi = 1; its first probe is that seed."""
+    with u* = 1 to about 1e-10 and sup phi = 1; its first probe is that seed.
 
-    def simulate(p, resp, init, config):
-        verdict = Verdict.SPREADING if spreads(init.sigma) else Verdict.VANISHING
-        traj = SimpleNamespace(final=SimpleNamespace(width=0.0))
+    ``spreads`` returns a bool, a Verdict, or an exception that ends the
+    run; ``batches``, when given, collects the sigmas of each run call."""
+
+    def outcome(sigma):
+        verdict = spreads(sigma)
+        traj = SimpleNamespace(final=SimpleNamespace(width=0.0), sigma=sigma)
+        if isinstance(verdict, Exception):
+            return traj, verdict
+        if not isinstance(verdict, Verdict):
+            verdict = Verdict.SPREADING if verdict else Verdict.VANISHING
         return traj, Classification(verdict, Evidence("synthetic", 0.0, 0.0))
 
+    def simulate(p, resp, init, config):
+        if batches is not None:
+            batches.append([init.sigma])
+        traj, result = outcome(init.sigma)
+        if isinstance(result, Exception):
+            result.trajectory = traj
+            raise result
+        return traj, result
+
+    def simulate_batch(members, config):
+        if batches is not None:
+            batches.append([init.sigma for _, _, init in members])
+        return [outcome(init.sigma) for _, _, init in members]
+
     monkeypatch.setattr(threshold_mod, "simulate", simulate)
+    monkeypatch.setattr(threshold_mod, "simulate_batch", simulate_batch)
     bisect = BisectConfig(rel_tol=COARSE.rel_tol, hi_seed_factor=seed_factor)
     return find_threshold("sigma", P_SUB, InfectionResponse.monod(2.0),
                           InitialData.cosine(1.0), FAST_SIM, bisect)
+
+
+def one_at_a_time(verdict_of, hi, rel_tol=COARSE.rel_tol):
+    """The reference search: :func:`_search` asking ``verdict_of`` for one
+    value at a time.  Returns (status, lo, hi) and the (value, verdict) of
+    each distinct value asked for, in order."""
+    asked = {}
+
+    def probe(value):
+        if value not in asked:
+            asked[value] = verdict_of(value)
+        return asked[value]
+
+    return _search(probe, hi, rel_tol), list(asked.items())
+
+
+# Verdict maps in sigma, for a search from the seed 0.1.
+VERDICT_MAPS = {
+    "threshold": lambda v: Verdict.SPREADING if v >= 5.0 else Verdict.VANISHING,
+    "undetermined_band": lambda v: (Verdict.SPREADING if v >= 5.0 else
+                                    Verdict.UNDETERMINED if v >= 1.3 else Verdict.VANISHING),
+    "band_below_the_seed": lambda v: (Verdict.SPREADING if v >= 0.07 else
+                                      Verdict.UNDETERMINED if v >= 0.01 else Verdict.VANISHING),
+    "always_spreading": lambda v: Verdict.SPREADING,
+    "never_spreading": lambda v: Verdict.VANISHING,
+}
 
 
 class TestBracketSearch:
@@ -150,6 +199,78 @@ class TestBracketSearch:
         assert result.status == "inconclusive"
         assert result.n_sims == _MAX_EXPAND == 40
         assert result.hi == result.probes[0].value * 2.0**_MAX_EXPAND
+
+    @pytest.mark.parametrize("name", sorted(VERDICT_MAPS))
+    def test_lookahead_matches_one_probe_at_a_time(self, monkeypatch, name):
+        verdict_of = VERDICT_MAPS[name]
+        batches = []
+        result = synthetic_search(monkeypatch, verdict_of, seed_factor=0.1, batches=batches)
+        (status, lo, hi), asked = one_at_a_time(verdict_of, result.probes[0].value)
+        assert [(r.value, r.verdict) for r in result.probes] == asked
+        assert (result.status, result.lo, result.hi) == (status, lo, hi)
+        assert result.monotone
+        # Every value runs once, as a probe or as a speculative run, and no
+        # batch holds more than the next probe and its successors.
+        ran = [value for batch in batches for value in batch]
+        assert sorted(ran) == sorted(r.value for r in result.probes + result.speculative)
+        assert max(map(len, batches)) <= 3
+
+    def test_real_search_matches_one_probe_at_a_time(self, monod2, monkeypatch):
+        # At this tolerance both successors of the last probe end the search,
+        # so it runs alone through simulate; every earlier probe runs batched.
+        config = SolverConfig(n_cells=64, dt_max=0.04, t_max=60.0)
+        bisect = BisectConfig(rel_tol=0.3)
+        alone = []
+
+        def counted(p, resp, init, cfg):
+            alone.append(init.sigma)
+            return simulate(p, resp, init, cfg)
+
+        monkeypatch.setattr(threshold_mod, "simulate", counted)
+        result = find_threshold("sigma", P_SUB, monod2, InitialData.cosine(1.0), config, bisect)
+        horizon = SolverConfig(n_cells=64, dt_max=0.04, t_max=120.0)
+
+        def verdict_of(sigma):
+            return simulate(P_SUB, monod2, InitialData.cosine(sigma), horizon)[1].verdict
+
+        (status, lo, hi), asked = one_at_a_time(verdict_of, result.probes[0].value,
+                                                bisect.rel_tol)
+        assert [(r.value, r.verdict) for r in result.probes] == asked
+        assert (result.status, result.lo, result.hi) == (status, lo, hi)
+        assert result.status == "bracketed"
+        assert alone == [result.probes[-1].value]
+        assert result.speculative and result.monotone
+
+    def test_off_path_blow_up_does_not_end_the_search(self, monkeypatch):
+        threshold = VERDICT_MAPS["threshold"]
+        clean = synthetic_search(monkeypatch, threshold, seed_factor=0.1)
+        seed = clean.probes[0].value
+        # The seed vanishes, so seed / 2, its successor had it spread, is off the path.
+        off_path = seed / 2.0
+        batches = []
+        result = synthetic_search(
+            monkeypatch,
+            lambda v: BlowUpError("synthetic", 0.0, 0.0, 0.0) if v == off_path else threshold(v),
+            seed_factor=0.1, batches=batches)
+        assert off_path in batches[0]
+        assert result.probes == clean.probes
+        assert (result.status, result.lo, result.hi) == (clean.status, clean.lo, clean.hi)
+        assert off_path not in {r.value for r in result.speculative}
+
+    @pytest.mark.parametrize("batched", [True, False])
+    def test_on_path_blow_up_raises_with_its_trajectory(self, monkeypatch, batched):
+        threshold = VERDICT_MAPS["threshold"]
+        batches = []
+        clean = synthetic_search(monkeypatch, threshold, seed_factor=0.1, batches=batches)
+        # A probe that ran with its successors, or one that ran alone through simulate.
+        value = next(b[0] for b in batches if (len(b) > 1) == batched)
+        assert value in {r.value for r in clean.probes}
+        with pytest.raises(BlowUpError) as info:
+            synthetic_search(
+                monkeypatch,
+                lambda v: BlowUpError("synthetic", 0.0, 0.0, 0.0) if v == value else threshold(v),
+                seed_factor=0.1)
+        assert info.value.trajectory.sigma == value
 
     @pytest.mark.parametrize("name, value", [
         ("rel_tol", 0.0), ("rel_tol", -1.0), ("rel_tol", math.nan), ("rel_tol", 1.0),
@@ -177,6 +298,10 @@ class TestBracketSearch:
 
         assert not monotone(probe(2.0, Verdict.VANISHING), probe(1.0, Verdict.SPREADING))
         assert monotone(probe(2.0, Verdict.SPREADING), probe(1.0, Verdict.VANISHING))
+        # A speculative run counts as much as a probe.
+        spec = ThresholdResult("sigma", "bracketed", 1.0, 2.0, [probe(2.0, Verdict.SPREADING)],
+                               [probe(3.0, Verdict.VANISHING)])
+        assert not spec.monotone
 
 
 class TestSweep:
