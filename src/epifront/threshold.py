@@ -5,19 +5,21 @@ admit a sharp spreading/vanishing threshold; comparison monotonicity
 makes plain bisection on the verdict sound.  :func:`find_threshold`
 brackets either one, named by :data:`TARGETS`: a probe value becomes
 the (params, response, initial data) it runs to twice the solver horizon.
-Each probe runs in one batch with every value the search can ask for
-right after it, so two probes in a row cost about one batched run; the
-probes, bracket and status are those of one probe at a time.  A probe
-still undetermined at the horizon is skipped while ``lo`` is sought, but
-counts as vanishing in the bisection, so a "bracketed" result can have it
-as ``lo``.
+The bracket search, :func:`_search`, is a plain function of a table of
+known verdicts: it reads values until it finishes or reaches one without
+a verdict.  That value runs in one batch with the values the search reads
+next after each verdict it can get, so two probes in a row cost about one
+batched run; the probes, bracket and status are those of one probe at a
+time.  A probe still undetermined at the horizon is skipped while ``lo``
+is sought, but counts as vanishing in the bisection, so a "bracketed"
+result can have it as ``lo``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -31,7 +33,7 @@ from .model import (
     endemic_equilibrium,
     free_boundary_reproduction_number,
 )
-from .solver import SolverConfig, Trajectory, simulate, simulate_batch
+from .solver import SolverConfig, simulate, simulate_batch
 
 _MAX_EXPAND = 40   # doublings of hi, then halvings of lo, before giving up
 _MAX_ITER = 80     # bisection steps once both sides are found
@@ -130,13 +132,18 @@ def find_threshold(
     the search saw, its speculative runs among them (see
     :class:`ThresholdResult`).
 
-    Each value the search asks for without a result yet runs in one
-    :func:`simulate_batch` with the values it could ask for next, one for
-    each verdict of that value, so at most three members; a value with no
-    successor runs alone through :func:`simulate`.  The search reads the
-    runs in its own order, so ``probes``, ``lo``, ``hi`` and ``status``
-    are those of one probe at a time.  A batched run that fails raises
-    its error, with its ``trajectory``, only when the search asks for it.
+    One table holds every run by value.  The search runs on the verdicts
+    of the runs that succeeded; where it stops at a value not yet run,
+    that value runs in one :func:`simulate_batch` with the value the search
+    stops at next for each verdict the first can get, skipping values
+    already run, so at most three members; a value with no such successor
+    runs alone through :func:`simulate`.  The search reads the table in
+    its own order, so ``probes``, ``lo``, ``hi`` and ``status`` are those
+    of one probe at a time.  ``probes`` are the runs of the final path in
+    the order first read, and ``speculative`` the successful runs off it,
+    in run order.  A run that fails raises its error, with its
+    ``trajectory``, only when the search stops at its value; a failed run
+    off the path is in neither list.
 
     Requires R0 > 1 (below that everything vanishes and no threshold
     exists).  When the initial habitat is already super-critical the
@@ -169,59 +176,67 @@ def find_threshold(
         seed = 2.0 * p.mu
 
     horizon = replace(sim_config, t_max=2.0 * sim_config.t_max)
-    verdicts: dict[float, Verdict] = {}  # every run that returned, on the path or off it
-    failures: dict[float, tuple[Exception, Trajectory]] = {}  # failed batched runs
-    unread: dict[float, ProbeRecord] = {}  # run, but not yet asked for by the search
+    runs: dict[float, ProbeRecord | Exception] = {}  # every value run, in run order
 
     def member(value: float) -> tuple[ModelParams, InfectionResponse, InitialData]:
         if target == "sigma":
             return p, resp, init.with_sigma(value)
         return p.with_(mu=value), resp, init
 
-    def run(values: list[float]) -> None:
-        if len(values) == 1:
-            # The value asked for, alone: simulate raises its failure.
-            outcomes = [simulate(*member(values[0]), horizon)]
+    while True:
+        verdicts = {v: r.verdict for v, r in runs.items() if isinstance(r, ProbeRecord)}
+        path: list[float] = []
+        found = _search(verdicts, seed, bisect.rel_tol, path)
+        if found is not None:
+            break
+        value = path[-1]
+        if value in runs:  # its run failed
+            raise runs[value]
+        batch = [value]
+        for verdict in Verdict:
+            after: list[float] = []
+            if (_search({**verdicts, value: verdict}, seed, bisect.rel_tol, after) is None
+                    and after[-1] not in runs and after[-1] not in batch):
+                batch.append(after[-1])
+        if len(batch) == 1:
+            # The value the search stopped at, alone: simulate raises its failure.
+            outcomes = [simulate(*member(value), horizon)]
         else:
-            outcomes = simulate_batch([member(v) for v in values], horizon)
-        for value, (traj, outcome) in zip(values, outcomes):
+            outcomes = simulate_batch([member(v) for v in batch], horizon)
+        for v, (traj, outcome) in zip(batch, outcomes):
             if isinstance(outcome, Exception):
-                failures[value] = (outcome, traj)
+                outcome.trajectory = traj
+                runs[v] = outcome
                 continue
             ev = outcome.evidence
-            unread[value] = ProbeRecord(
-                value=value, verdict=outcome.verdict, criterion=ev.criterion, time=ev.time,
+            runs[v] = ProbeRecord(
+                value=v, verdict=outcome.verdict, criterion=ev.criterion, time=ev.time,
                 final_width=traj.final.width, extended=bool(ev.time > sim_config.t_max),
             )
-            verdicts[value] = outcome.verdict
 
-    def probe(value: float) -> Verdict:
-        if value not in verdicts and value not in failures:
-            run(_lookahead(value, seed, bisect.rel_tol, verdicts, failures))
-        if value in failures:
-            exc, traj = failures[value]
-            exc.trajectory = traj
-            raise exc
-        if value in unread:
-            result.probes.append(unread.pop(value))
-        return verdicts[value]
-
-    result.status, result.lo, result.hi = _search(probe, seed, bisect.rel_tol)
-    result.speculative = list(unread.values())
+    result.status, result.lo, result.hi = found
+    on_path = dict.fromkeys(path)
+    result.probes = [runs[v] for v in on_path]
+    result.speculative = [r for v, r in runs.items()
+                          if v not in on_path and isinstance(r, ProbeRecord)]
     return result
 
 
-def _search(probe: Callable[[float], Verdict], hi: float,
-            rel_tol: float) -> tuple[str, float, float]:
-    """The bracket search, given the verdict of each value it asks for.
+def _search(verdicts: dict[float, Verdict], hi: float, rel_tol: float,
+            path: list[float]) -> tuple[str, float, float] | None:
+    """The bracket search from ``hi``, on the verdicts known so far.
 
-    Doubles ``hi`` until a probe spreads, halves ``lo`` from hi/2 until one
-    vanishes, then bisects until (hi - lo) <= rel_tol hi.  Returns
-    (status, lo, hi), with lo = 0 when no probe spread.  It depends on
-    nothing but the verdicts ``probe`` returns.
+    Doubles ``hi`` until a value spreads, halves ``lo`` from hi/2 until one
+    vanishes, then bisects until (hi - lo) <= rel_tol hi.  Appends each
+    value it reads to ``path``, repeats included, and returns (status, lo,
+    hi), with lo = 0 when no value spread; or None at the first value
+    without a verdict, which is then ``path[-1]``.
     """
     for _ in range(_MAX_EXPAND):
-        if probe(hi) is Verdict.SPREADING:
+        path.append(hi)
+        if hi not in verdicts:
+            return None
+        if verdicts[hi] is Verdict.SPREADING:
             break
         hi *= 2.0
     else:
@@ -229,10 +244,12 @@ def _search(probe: Callable[[float], Verdict], hi: float,
 
     lo = hi / 2.0
     for _ in range(_MAX_EXPAND):
-        verdict = probe(lo)
-        if verdict is Verdict.VANISHING:
+        path.append(lo)
+        if lo not in verdicts:
+            return None
+        if verdicts[lo] is Verdict.VANISHING:
             break
-        if verdict is Verdict.SPREADING:
+        if verdicts[lo] is Verdict.SPREADING:
             hi = lo
         lo /= 2.0
     else:
@@ -242,48 +259,14 @@ def _search(probe: Callable[[float], Verdict], hi: float,
         if hi - lo <= rel_tol * hi:
             break
         mid = 0.5 * (lo + hi)
-        if probe(mid) is Verdict.SPREADING:
+        path.append(mid)
+        if mid not in verdicts:
+            return None
+        if verdicts[mid] is Verdict.SPREADING:
             hi = mid
         else:
             lo = mid
     return ("bracketed" if hi - lo <= rel_tol * hi else "inconclusive"), lo, hi
-
-
-class _Unknown(Exception):
-    """Ends a replay of :func:`_search` at a value it has no verdict for;
-    ``value`` is None when the value's run failed, where the search would end."""
-
-    def __init__(self, value: float | None):
-        super().__init__(value)
-        self.value = value
-
-
-def _lookahead(value: float, seed: float, rel_tol: float, verdicts: dict[float, Verdict],
-               failures: dict[float, tuple[Exception, Trajectory]]) -> list[float]:
-    """``value``, the next probe, then each value without a result that the
-    search from ``seed`` can ask for right after it, in the order of
-    :class:`Verdict`.  A verdict after which the search ends adds nothing."""
-
-    def next_value(verdict: Verdict) -> float | None:
-        def oracle(v: float) -> Verdict:
-            if v == value:
-                return verdict
-            if v in verdicts:
-                return verdicts[v]
-            raise _Unknown(None if v in failures else v)
-
-        try:
-            _search(oracle, seed, rel_tol)
-        except _Unknown as stop:
-            return stop.value
-        return None
-
-    values = [value]
-    for verdict in Verdict:
-        successor = next_value(verdict)
-        if successor is not None and successor not in values:
-            values.append(successor)
-    return values
 
 
 # ---------------------------------------------------------------------------

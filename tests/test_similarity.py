@@ -31,6 +31,7 @@ from epifront import (
     SolverConfig,
     find_threshold,
     simulate,
+    sweep,
 )
 
 A21 = 2.0
@@ -126,13 +127,36 @@ def test_time_map_needs_a_scaled_step(base_runs):
         assert_scaled(base_runs[0.1], traj, time_scale(2.0))
 
 
-def test_sigma_threshold_under_the_space_map():
+@pytest.mark.parametrize("target, sigma, bracket", [
+    pytest.param("sigma", 1.0, (0.0354, 0.039062), id="sigma"),
+    pytest.param("mu", 0.05, (0.71875, 0.765625), id="mu"),
+])
+def test_threshold_under_the_space_map(target, sigma, bracket):
+    # sigma is a density and keeps its value under the map; mu scales by d.
     resp = InfectionResponse.monod(A21)
-    init = InitialData.cosine(1.0)
+    init = InitialData.cosine(sigma)
     bisect = BisectConfig(rel_tol=0.1)
-    base = find_threshold("sigma", BASE, resp, init, CONFIG, bisect)
-    partner = find_threshold("sigma", BASE.with_(d=4.0, h0=2.0 * BASE.h0, mu=4.0), resp, init,
+    base = find_threshold(target, BASE, resp, init, CONFIG, bisect)
+    partner = find_threshold(target, BASE.with_(d=4.0, h0=2.0 * BASE.h0, mu=4.0), resp, init,
                              CONFIG, bisect)
-    assert (base.status, round(base.lo, 6), round(base.hi, 6)) == ("bracketed", 0.0354, 0.039062)
-    assert (partner.status, partner.lo, partner.hi) == (base.status, base.lo, base.hi)
-    assert [replace(r, final_width=r.final_width / 2.0) for r in partner.probes] == base.probes
+    k = 4.0 if target == "mu" else 1.0
+    assert (base.status, round(base.lo, 6), round(base.hi, 6)) == ("bracketed", *bracket)
+    assert (partner.status, partner.lo, partner.hi) == (base.status, k * base.lo, k * base.hi)
+    assert base.speculative
+    for runs, partner_runs in ((base.probes, partner.probes),
+                               (base.speculative, partner.speculative)):
+        assert partner_runs == [replace(r, value=k * r.value, final_width=2.0 * r.final_width)
+                                for r in runs]
+
+
+def test_sweep_under_the_space_map():
+    resp = InfectionResponse.monod(A21)
+    inits = list(INITS.values())
+    mus = (0.5, 1.0)
+    base = sweep([BASE.with_(mu=mu) for mu in mus], resp, inits, CONFIG)
+    partner = sweep([BASE.with_(d=4.0, h0=2.0 * BASE.h0, mu=4.0 * mu) for mu in mus], resp,
+                    inits, CONFIG)
+    assert len(partner) == len(base) == len(mus) * len(inits)
+    for cell, cell2 in zip(base, partner):
+        assert (cell2.sigma, cell2.verdict, cell2.criterion, cell2.time, cell2.final_width) == (
+            cell.sigma, cell.verdict, cell.criterion, cell.time, 2.0 * cell.final_width)

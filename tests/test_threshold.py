@@ -152,17 +152,17 @@ def synthetic_search(monkeypatch, spreads, seed_factor, batches=None):
 
 
 def one_at_a_time(verdict_of, hi, rel_tol=COARSE.rel_tol):
-    """The reference search: :func:`_search` asking ``verdict_of`` for one
-    value at a time.  Returns (status, lo, hi) and the (value, verdict) of
-    each distinct value asked for, in order."""
+    """The reference search: :func:`_search` given the verdict of
+    ``verdict_of`` for the value it stops at, one value at a time.  Returns
+    (status, lo, hi) and the (value, verdict) of each distinct value asked
+    for, in order."""
     asked = {}
-
-    def probe(value):
-        if value not in asked:
-            asked[value] = verdict_of(value)
-        return asked[value]
-
-    return _search(probe, hi, rel_tol), list(asked.items())
+    while True:
+        path = []
+        found = _search(asked, hi, rel_tol, path)
+        if found is not None:
+            return found, list(asked.items())
+        asked[path[-1]] = verdict_of(path[-1])
 
 
 # Verdict maps in sigma, for a search from the seed 0.1.
