@@ -14,22 +14,23 @@ Stefan conditions, with a CFL limiter on the per-step displacement.
 The code splits into a stepper and a run loop.  The stepper
 (``_step_batch``) advances B members at once, each with its own
 parameters and step size: the per-member scalars (front speeds, dt and
-its limits, new fronts, the diffusion ratio r) are Python floats.  The
-fields travel as one (2, B, n+1) block, w over z, so the explicit part
-(gradient, upwind select, advection, decay and sources, the non-finite
-check and the clip at zero) runs once per step on both fields.  The
-members' constants (a11 over a22, a12, dy and the interior y-nodes) are
-columns built once per batch (``_Columns``).  The B backward-Euler
-systems for w are solved as one tridiagonal system of size B (n+1) by a
-single LAPACK ``dgtsv`` call.  The couplings between blocks are zero and
-each block's first and last rows are identity rows, so every member gets
-exactly the numbers it would get solved alone.  The run loop
-(``simulate_batch``) owns, per member, the record times, the frame
-stride, failures and early stopping on each recorded frame, the first
-one included, and drops a member from the batch once it is done.  One
-``_Run`` record per member holds its trajectory (which carries the
+its limits, new fronts, the diffusion ratio r) are Python floats, and
+one row per member holds them beside the member's constants (a12, dy,
+a11, a22).  The fields travel as one (2, B, n+1) block, w over z, so the
+explicit part (gradient, upwind select, advection, decay and sources,
+the non-finite check and the clip at zero) runs once per step on both
+fields; only the interior y-nodes are a per-batch array.  The B
+backward-Euler systems for w are solved as one tridiagonal system of
+size B (n+1) by a single LAPACK ``dgtsv`` call.  The couplings between
+blocks are zero and each block's first and last rows are identity rows,
+so every member gets exactly the numbers it would get solved alone.  The
+run loop (``simulate_batch``) owns, per member, the record times, the
+frame stride, failures and early stopping on each recorded frame, the
+first one included, and drops a member from the batch once it is done.
+One ``_Run`` record per member holds its trajectory (which carries the
 member's model), the scalars the stepper advances and the run loop's
-bookkeeping.  ``simulate`` is the run loop's one-member case and
+bookkeeping; ``_Run.record`` appends every frame of a run, its first
+one included.  ``simulate`` is the run loop's one-member case and
 ``step`` the stepper's.  A ``Frame`` is the one snapshot of a run, and
 ``_frame`` the one place that builds it: every run starts from the frame
 ``initial_state`` gives, and ``step`` takes a frame and returns the next.
@@ -39,7 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.linalg.lapack import dgtsv
@@ -163,21 +164,18 @@ class Trajectory:
         return (y * frame.width + h0 * (frame.h + frame.g)) / (2.0 * h0)
 
 
-def front_speeds(frame: Frame, p: ModelParams) -> tuple[float, float]:
-    """Discrete Stefan speeds (g', h') from one-sided 3-point boundary slopes.
-
-    Clamped to the signs the strong maximum principle dictates
-    (h' >= 0 >= g') to absorb round-off with the wrong sign.
-    """
-    dy = 2.0 * p.h0 / (frame.w.size - 1)
-    return _stefan_speeds(*frame.w.take(_EDGE_NODES).tolist(), dy, 2.0 * p.h0 * p.mu / frame.width)
+def front_speeds(frame: Frame) -> tuple[float, float]:
+    """The discrete Stefan speeds (g', h') of ``frame``."""
+    return frame.g_speed, frame.h_speed
 
 
 _EDGE_NODES = np.array([0, 1, 2, -3, -2, -1])  # the nodes of the one-sided boundary slopes
 
 
 def _stefan_speeds(w0, w1, w2, wr2, wr1, wr0, dy, scale):
-    """(g', h') from the edge values w[0], w[1], w[2], w[-3], w[-2], w[-1]."""
+    """(g', h') from one-sided 3-point slopes at the edge values w[0], w[1],
+    w[2], w[-3], w[-2], w[-1], clamped to the signs the strong maximum
+    principle dictates (h' >= 0 >= g') to absorb round-off with the wrong sign."""
     wy_right = (wr2 - 4.0 * wr1 + 3.0 * wr0) / (2.0 * dy)
     wy_left = (-3.0 * w0 + 4.0 * w1 - w2) / (2.0 * dy)
     return min(0.0, -scale * wy_left), max(0.0, -scale * wy_right)
@@ -224,14 +222,12 @@ class _Run:
     targets: list[float] = field(default_factory=list)  # still to land on; t_max last
     steps_since_frame: int = 0
 
-    def record(self, w: np.ndarray, z: np.ndarray) -> None:
-        """Append the frame of the fields w, z (this member's rows) at the current t."""
-        traj = self.traj
-        frame = _frame(traj.params, traj.resp, self.t, self.g, self.h, w, z, self.clipped)
+    def record(self, frame: Frame) -> None:
+        """Append ``frame`` and run the monitors on it."""
         self.clipped = 0.0
-        traj.frames.append(frame)
+        self.traj.frames.append(frame)
         if self.monitors is not None:
-            self.monitors.on_frame(frame, traj)
+            self.monitors.on_frame(frame, self.traj)
 
     def after_step(self, w: np.ndarray, z: np.ndarray) -> "analysis.Classification | None":
         """Land on the record time, record and classify after one step of
@@ -243,7 +239,8 @@ class _Run:
             self.t = self.targets.pop(0)
         elif self.steps_since_frame < self.config.frame_stride:
             return None
-        self.record(w, z)
+        traj = self.traj
+        self.record(_frame(traj.params, traj.resp, self.t, self.g, self.h, w, z, self.clipped))
         self.steps_since_frame = 0
         return self.outcome()
 
@@ -276,44 +273,23 @@ def _nonfinite_rows(block: np.ndarray) -> list[int]:
     return np.flatnonzero(bad.reshape(-1, block.shape[-2]).any(axis=0)).tolist()
 
 
-class _Columns(NamedTuple):
-    """The per-member constants of the field update, one row per member of
-    a batch, built once and re-sliced with :meth:`take` as members leave."""
-
-    decay: np.ndarray  # (2, B, 1): a11 over a22
-    a12: np.ndarray    # (B, 1)
-    dy: np.ndarray     # (B, 1)
-    y: np.ndarray      # (B, n-1): the interior nodes of the y-grid
-
-    @classmethod
-    def of(cls, members: Sequence[_Run], n: int) -> "_Columns":
-        ps = [m.traj.params for m in members]
-        return cls(
-            np.array([[[p.a11] for p in ps], [[p.a22] for p in ps]]),
-            np.array([[p.a12] for p in ps]),
-            np.array([[2.0 * p.h0 / n] for p in ps]),
-            np.array([np.linspace(-p.h0, p.h0, n + 1)[1:-1] for p in ps]),
-        )
-
-    def take(self, keep: list[int]) -> "_Columns":
-        return _Columns(self.decay[:, keep], self.a12[keep], self.dy[keep], self.y[keep])
-
-
-# The per-member scalars of a failed member: a step of size 0.
-_IDLE_ROW = (0.0, 0.0, 0.0, 1.0, 0.0)
+def _interior_nodes(members: Sequence[_Run], n: int) -> np.ndarray:
+    """The (B, n-1) interior nodes of each member's y-grid on n cells."""
+    return np.array([np.linspace(-m.traj.params.h0, m.traj.params.h0, n + 1)[1:-1]
+                     for m in members])
 
 
 def _step_batch(
     members: list[_Run],
     f: np.ndarray,
-    cols: _Columns,
+    y: np.ndarray,
     caps: Sequence[float],
 ) -> tuple[np.ndarray, dict[int, Exception]]:
     """Advance every member of a batch by one IMEX step.
 
     ``f`` is the (2, B, n+1) field block: f[0] holds w and f[1] holds z,
-    and row i of each belongs to ``members[i]``, whose constants are row i
-    of ``cols`` and whose step is also capped at ``caps[i]``.  Order
+    and row i of each belongs to ``members[i]``, whose interior y-nodes are
+    row i of ``y`` and whose step is also capped at ``caps[i]``.  Order
     within a step: front speeds from the current field, fronts by forward
     Euler, then the field update with the new geometry (implicit
     diffusion, upwind advection, explicit reactions, floor at zero).  G
@@ -327,7 +303,7 @@ def _step_batch(
     """
     n = f.shape[2] - 1
     failed: dict[int, Exception] = {}
-    rows = []  # per member: dt, A slope, A offset, new width, r
+    rows = []  # per member: dt, A slope, A offset, new width, r, then its constants
     fronts = []  # per member: new g, new h, dy
     edges = f[0].take(_EDGE_NODES, axis=1).tolist()
     for i, (m, edge, cap) in enumerate(zip(members, edges, caps)):
@@ -345,28 +321,32 @@ def _step_batch(
         # The sign clamps give h_new >= h and g_new <= g, and rounding is monotone,
         # so new_width >= width > 0 (a run starts at width 2 h0).
         new_width = h_new - g_new
+        constants = (p.a12, dy, p.a11, p.a22)
         if not dt > 0:
             failed[i] = DomainError(f"non-positive step size {dt!r}")
         else:
             b = 4.0 * p.h0 * p.h0 * p.d / (new_width * new_width)
             r = dt * b / (dy * dy)
             if math.isfinite(r):
-                rows.append((dt, h_speed - g_speed, p.h0 * (h_speed + g_speed), new_width, r))
+                rows.append((dt, h_speed - g_speed, p.h0 * (h_speed + g_speed), new_width, r,
+                             *constants))
                 fronts.append((g_new, h_new, dy))
                 continue
             failed[i] = _blow_up(m, dt)
-        rows.append(_IDLE_ROW)
+        rows.append((0.0, 0.0, 0.0, 1.0, 0.0, *constants))  # a step of size 0
         fronts.append(None)
 
     # Explicit part, once on both fields: f + dt ((adv - decay f) + src) on
     # the interior nodes, with src = a12 z for w and G(w) for z.
-    dt, c1, c2, width, r = np.array(rows).T[:, :, None]
+    block = np.array(rows).T[:, :, None]
+    dt, c1, c2, width, r, a12, dy = block[:7]
+    decay = block[7:]  # a11 over a22
     inner = f[:, :, 1:-1]
-    a = (cols.y * c1 + c2) / width  # A(y) at the interior nodes
-    grad = (f[:, :, 1:] - f[:, :, :-1]) / cols.dy
+    a = (y * c1 + c2) / width  # A(y) at the interior nodes
+    grad = (f[:, :, 1:] - f[:, :, :-1]) / dy
     rate = np.where(a > 0.0, grad[:, :, 1:], grad[:, :, :-1]) * a  # upwind advection
-    rate -= cols.decay * inner
-    rate[0] += cols.a12 * inner[1]
+    rate -= decay * inner
+    rate[0] += a12 * inner[1]
     rate[1] += np.asarray(members[0].traj.resp(f[0]), dtype=float)[:, 1:-1]
     rate *= dt
     f_new = np.zeros(f.shape)
@@ -455,7 +435,7 @@ def step(
     """
     m = _Run(Trajectory(p, resp, [frame]), config.resolved(p), frame.t, frame.g, frame.h)
     f = np.array([[frame.w], [frame.z]])
-    f, failed = _step_batch([m], f, _Columns.of([m], frame.w.size - 1), [dt_cap])
+    f, failed = _step_batch([m], f, _interior_nodes([m], frame.w.size - 1), [dt_cap])
     if failed:
         raise failed[0]
     return _frame(p, resp, m.t, m.g, m.h, f[0, 0], f[1, 0], m.clipped)
@@ -522,11 +502,9 @@ def simulate_batch(
         try:
             cfg = config.resolved(p)
             start = initial_state(p, resp, init, cfg.n_cells)
-            traj.frames.append(start)
-            if mon is not None:
-                mon.on_frame(start, traj)
             run = _Run(traj, cfg, start.t, start.g, start.h, index=index, monitors=mon,
                        targets=_record_targets(cfg))
+            run.record(start)
             outcome = run.outcome()  # a run its first frame decides takes no step
         except Exception as exc:  # noqa: BLE001 - the member's outcome
             outcome = exc
@@ -535,12 +513,12 @@ def simulate_batch(
         else:
             results[index] = (traj, outcome)
     f = np.array([[run.traj.final.w for run in runs], [run.traj.final.z for run in runs]])
-    cols = _Columns.of(runs, config.n_cells)
+    y = _interior_nodes(runs, config.n_cells)
 
     while runs:
         caps = [run.targets[0] - run.t for run in runs]
         try:
-            f, failed = _step_batch(runs, f, cols, caps)
+            f, failed = _step_batch(runs, f, y, caps)
         except Exception as exc:  # noqa: BLE001 - not tied to one member, so it ends all
             for run in runs:
                 results[run.index] = (run.traj, exc)
@@ -560,7 +538,7 @@ def simulate_batch(
         if len(keep) < len(runs):
             runs = [runs[i] for i in keep]
             f = f[:, keep]
-            cols = cols.take(keep)
+            y = y[keep]
     return results
 
 

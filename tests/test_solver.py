@@ -33,7 +33,7 @@ class TestFrontSpeeds:
     def test_zero_field(self, unit_params, monod2):
         init = InitialData(0.0, phi=lambda x, h0: np.cos(np.pi * x / 2), psi=lambda x, h0: 0.0 * x)
         frame = initial_state(unit_params, monod2, init, 64)
-        assert front_speeds(frame, unit_params) == (0.0, 0.0)
+        assert front_speeds(frame) == (0.0, 0.0)
 
     def test_cosine_matches_analytic_slope_second_order(self, unit_params, monod2):
         # exact boundary derivative of cos(pi y / (2 h0)) gives h' = mu pi/(2 h0)
@@ -41,19 +41,19 @@ class TestFrontSpeeds:
         errors = []
         for n in (64, 128, 256):
             frame = initial_state(unit_params, monod2, InitialData.cosine(1.0), n)
-            g_speed, h_speed = front_speeds(frame, unit_params)
+            g_speed, h_speed = front_speeds(frame)
             assert g_speed == pytest.approx(-h_speed, abs=1e-14)
             errors.append(abs(h_speed - exact))
         orders = [math.log2(errors[k] / errors[k + 1]) for k in range(2)]
         assert min(orders) > 1.7
 
     def test_first_frame_matches_initial_state(self, monod2, unit_params, cosine_init):
-        # The run loop computes a frame's speeds itself; they must stay front_speeds'.
+        # front_speeds reads a frame's speeds off it.
         p = ModelParams(d=1.0, a11=1.0, a12=1.0, a22=1.0, mu=1.3, h0=0.7)
         init = InitialData.skewed_cosine(1.0, 0.4)
         traj, _ = simulate(p, monod2, init, SolverConfig(n_cells=64, t_max=0.01))
         first = traj.frames[0]
-        speeds = front_speeds(first, p)
+        speeds = front_speeds(first)
         assert (first.g_speed, first.h_speed) == speeds
         # initial_state is the first frame simulate records, every field of it.
         start = initial_state(p, monod2, init, 64)
@@ -93,7 +93,7 @@ class TestStep:
         # At dt_max = 1 the step is set by the front limit: the faster front
         # moves exactly 0.2 of a physical cell.
         frame = initial_state(unit_params, monod2, InitialData.cosine(1.0), 64)
-        g_speed, h_speed = front_speeds(frame, unit_params)
+        g_speed, h_speed = front_speeds(frame)
         speed = max(h_speed, -g_speed)
         h0 = unit_params.h0
         dx_phys = (2.0 * h0 / 64) * frame.width / (2.0 * h0)

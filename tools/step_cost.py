@@ -9,7 +9,9 @@ Usage, from the repository root:
 For n = 64 and 256 cells and B = 1, 5 and 16 members, a repeat times
 ``--calls`` consecutive ``solver._step_batch`` calls on one batch and
 divides by their number; the line shows the least of ``--repeats`` such
-figures.  The ``frame`` lines time ``solver._frame`` on the initial
+figures.  Each batch is set up outside the timed calls the way
+``solver.simulate_batch`` sets one up: its runs, its (2, B, n+1) field
+block and its interior y-nodes.  The ``frame`` lines time ``solver._frame`` on the initial
 state of a one-member batch in the same way.  Each batch runs the unit
 model (every rate, d, mu and h0 equal to 1) with a Monod response, from
 cosine data of scales spread over [0.5, 1.5], with the default dt_max.
@@ -36,7 +38,7 @@ MEMBERS = (1, 5, 16)
 
 
 def _batch(n: int, size: int):
-    """Runs, field block and constant columns of a fresh batch."""
+    """Runs, field block and interior y-nodes of a fresh batch."""
     p = ModelParams(d=1.0, a11=1.0, a12=1.0, a22=1.0, mu=1.0, h0=1.0)
     resp = InfectionResponse.monod(2.0)
     config = solver.SolverConfig(n_cells=n).resolved(p)
@@ -47,7 +49,7 @@ def _batch(n: int, size: int):
         runs.append(solver._Run(solver.Trajectory(p, resp, [start]), config,
                                 start.t, start.g, start.h))
     f = np.array([[run.traj.final.w for run in runs], [run.traj.final.z for run in runs]])
-    return runs, f, solver._Columns.of(runs, n)
+    return runs, f, solver._interior_nodes(runs, n)
 
 
 def _min_us(fn, calls: int, repeats: int) -> float:
@@ -61,12 +63,12 @@ def _min_us(fn, calls: int, repeats: int) -> float:
 
 
 def step_cost(n: int, size: int, calls: int, repeats: int) -> float:
-    runs, f, cols = _batch(n, size)
+    runs, f, y = _batch(n, size)
     caps = [math.inf] * size
     block = [f]
 
     def one_step():
-        block[0], failed = solver._step_batch(runs, block[0], cols, caps)
+        block[0], failed = solver._step_batch(runs, block[0], y, caps)
         if failed:
             raise RuntimeError(f"member failed while timing: {failed}")
 
