@@ -327,7 +327,7 @@ def _step_batch(
         else:
             b = 4.0 * p.h0 * p.h0 * p.d / (new_width * new_width)
             r = dt * b / (dy * dy)
-            if math.isfinite(r):
+            if math.isfinite(1.0 + 2.0 * r):  # the diagonal of the solve
                 rows.append((dt, h_speed - g_speed, p.h0 * (h_speed + g_speed), new_width, r,
                              *constants))
                 fronts.append((g_new, h_new, dy))
@@ -362,16 +362,20 @@ def _step_batch(
         r[lost] = 0.0
 
     # Backward Euler diffusion of w with Dirichlet ends: per member the
-    # constant-coefficient tridiag(-r, 1 + 2r, -r), diagonally dominant,
-    # with identity first and last rows.  Stacked, the couplings between
-    # blocks are zero, so off.ravel() serves as both the super- and the
-    # sub-diagonal.  The solution overwrites the right-hand side, f_new[0].
+    # constant-coefficient tridiag(-r, 1 + 2r, -r) couples the interior
+    # nodes only, and each end node is an uncoupled identity row with a
+    # zero right-hand side.  The stacked matrix is symmetric and diagonally
+    # dominant, so dgtsv never pivots and w stays exactly 0 at the ends;
+    # the couplings between blocks are zero, so one off-diagonal serves as
+    # both the super- and the sub-diagonal.  The solution overwrites the
+    # right-hand side, f_new[0].
     off = np.zeros(f.shape[1:])
-    off[:, 1:n] = -r
-    flat = off.ravel()
+    off[:, 1:n - 1] = -r
+    diag = np.ones(f.shape[1:])
+    diag[:, 1:n] = 1.0 + 2.0 * r
+    flat = off.ravel()[:-1]
     rhs = f_new[0].reshape(-1)
-    *_, x, info = dgtsv(flat[1:], (1.0 - 2.0 * off).ravel(), flat[:-1], rhs,
-                        overwrite_d=1, overwrite_b=1)
+    *_, x, info = dgtsv(flat, diag.ravel(), flat, rhs, overwrite_d=1, overwrite_b=1)
     if info != 0:
         raise np.linalg.LinAlgError(f"singular tridiagonal system (dgtsv info = {info})")
     if x is not rhs:

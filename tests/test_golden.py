@@ -61,9 +61,9 @@ def test_batch_with_a_clipping_and_a_failing_member():
     assert [(t.n_steps, len(t.frames)) for t in (plain, clipping, failing)] == [
         (70, 25), (20, 8), (16, 6)]
     assert [run_digest(t) for t in (plain, clipping, failing)] == [
-        "9f77b25334ffde77213e2be5aa7cb43778bb3b95f8b62eb8ec3ada0ba9fa2ebe",
-        "e6773f29989b4157a4d331d47d89448524c52949575cb5f8a114bbf938f49239",
-        "90ec38a8130739ee236c6b3b4bb5a34b3964dbec579e0b848aa67b019faeeb57",
+        "04a0d94efa1fb20cf00b963aac8412e903fb9a2a22ee9efbfc8da17128cb021d",
+        "2a98ac36313fc9810648277dc27b8de15a7f522972153fc1c2db781cfd8264b5",
+        "7347358c52d3129ce1fe791834a78c3f07c9334c818354ca9b1ed5258c129037",
     ]
 
 
@@ -72,7 +72,7 @@ def test_simulate_with_record_times():
     traj, cls = simulate(UNIT, InfectionResponse.monod(2.0), InitialData.cosine(1.0), cfg)
     assert cls.verdict is Verdict.UNDETERMINED
     assert (traj.n_steps, len(traj.frames), traj.terminated_by) == (1001, 27, "t_max")
-    assert run_digest(traj) == "67abb9524c76709025727e9259e7450e4645d7e6d4e7974f622873d098465d0c"
+    assert run_digest(traj) == "debfe57948de3b917ae1d341524c0b22dd4dfd4e48b661077a8b18bae4b6b854"
 
 
 # One config per command path: the cosine and the skewed data, the Monod and
@@ -86,10 +86,10 @@ COMMANDS = {
         "model.h0 = 1.0\nresponse.a21 = 2.0\ninit.sigma = 1.0\nsolver.n_cells = 64\n"
         "solver.t_max = 2.0\nsolver.frame_stride = 20\n" + _MONITORS,
         {"fronts.svg": "6c97a43f6b7db8f6bb6ea42620db5eab24f7c5c5f36cbb986977f7fe4f41e8a2",
-         "profiles.csv": "570d057457bb384fecb79fc7e7a9010ba8465d3f18d846d2487e9e800c03b2de",
+         "profiles.csv": "45b24c05e458326e31aa30e74a610adc359a71a66c6c9bf9f0268753dd4a777b",
          "summary.json": "ff8ef7cfb526600958db0c9f9cc0aa67280197377a9c2a6e510b176d96d6456d",
          "supnorms.svg": "a333651a28d80db22493b8bf89e2a1590ee3225595f596958c8f36f10f025b72",
-         "trajectory.csv": "754262d444a91825f45d06d79500cfa4c130081b4a921999b7d7af022d05141e"}),
+         "trajectory.csv": "6a34b7d3c5b6325d9a6549ea7af253de05980e493e599dc7ba59e33e4ba23ca2"}),
     "run_skewed_table": (
         ["run"],
         "model.h0 = 1.0\nresponse.kind = table\nresponse.z_values = 0,1,2,4\n"
@@ -100,16 +100,16 @@ COMMANDS = {
     "threshold_sigma": (
         ["threshold", "--target", "sigma"],
         _BRACKET,
-        {"threshold.json": "9cc7499432f279aa587a57c01d0fe61c393e47b4bc454ccaa491fccb145f8feb"}),
+        {"threshold.json": "92be8025214b333fccba1d57137b8a9b1d6257c39dd7d9c87c4cbb5aff429919"}),
     "threshold_mu": (
         ["threshold", "--target", "mu"],
         _BRACKET + "init.sigma = 0.1\n",
-        {"threshold.json": "59e6bd4139bcd98047b68909c7956bb4a315b8b25cbbb7f39a851d5af5f89c72"}),
+        {"threshold.json": "130da489a09590cfa8a0e4d3007053eea477da1b33f7604915ecfa75d58a8147"}),
     "sweep": (
         ["sweep", "--svg"],
         "model.h0 = 1.0\nsolver.n_cells = 32\nsolver.dt_max = 0.02\nsolver.t_max = 4\n"
         "sweep.sigma = 0.05,1.0\nsweep.mu = 0.5,2.0\n",
-        {"phase.csv": "b9eed7806ea7dd86eb90265b5914a6f1ae1f194ad9916cc4e1b229930fe6f51a",
+        {"phase.csv": "671e314db8675559514d218dc645b029eac956e502e7df93897adcf1505c6524",
          "phase.svg": "45aecd2514dc523e63d6366b4ff32587de8c9d8a8a528e5c4fea329736c6ea68"}),
 }
 

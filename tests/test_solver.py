@@ -149,6 +149,16 @@ class TestSimulate:
         widths = traj.column("width")
         assert np.all(np.diff(widths) >= 0)
 
+    def test_dirichlet_ends_stay_exactly_zero_at_large_r(self, unit_params, monod2):
+        # n = 256 at the default dt gives r = dt b / dy^2 of about 16, where a
+        # solve that couples the end rows pivots and leaves round-off there.
+        traj, cls = simulate(unit_params, monod2, InitialData.cosine(0.02),
+                             SolverConfig(n_cells=256))
+        assert cls.verdict is Verdict.VANISHING and len(traj.frames) > 800
+        for frame in traj.frames:
+            assert frame.w[0] == frame.w[-1] == 0.0
+            assert frame.clipped == 0.0
+
     def test_supercritical_habitat_spreads(self, monod2):
         p = ModelParams(d=1.0, a11=1.0, a12=1.0, a22=1.0, mu=1.0, h0=0.6 * math.pi)
         traj, cls = simulate(p, monod2, InitialData.cosine(1.0), SolverConfig(t_max=30.0))
@@ -365,11 +375,9 @@ class TestSimulateBatch:
         assert cells[1].error.startswith("BlowUpError: non-finite field values")
         assert [cells[i].verdict for i in (0, 2, 3)] == [results[i][1].verdict for i in (0, 2, 3)]
 
-    def test_overflow_in_the_solve_is_caught_after_it(self, monod2, monkeypatch):
-        # r = dt b / dy^2 is about 9.6e307, finite, so the member enters the
-        # solve; its diagonal 1 + 2r overflows there, and only the check on the
-        # solved block (the second _nonfinite_rows call, after the one on the
-        # stacked w, z block) flags the member.
+    @staticmethod
+    def spy_nonfinite_rows(monkeypatch) -> list:
+        """Record what every _nonfinite_rows call of the stepper returns."""
         from epifront import solver as solver_mod
 
         real = solver_mod._nonfinite_rows
@@ -380,14 +388,35 @@ class TestSimulateBatch:
             return flagged[-1]
 
         monkeypatch.setattr(solver_mod, "_nonfinite_rows", spy)
+        return flagged
+
+    def test_overflow_in_the_solve_is_caught_after_it(self, monkeypatch):
+        # The right-hand side, about 1e307, and every step before the solve
+        # are finite, but the elimination overflows; only the check on the
+        # solved block (the second _nonfinite_rows call, after the one on the
+        # stacked w, z block) flags the member.
+        flagged = self.spy_nonfinite_rows(monkeypatch)
+        p = ModelParams(d=1e6, a11=1e-300, a12=1e-300, a22=1e-300, mu=1e-320, h0=1.0)
+        cfg = SolverConfig(n_cells=16, dt_max=1e-3, early_stop=False)
+        with np.errstate(over="ignore"):
+            [(traj, err)] = simulate_batch([(p, zero_response(), InitialData.cosine(1e307))], cfg)
+        assert isinstance(err, BlowUpError)
+        assert str(err) == "non-finite field values at t=0.001" and err.t == 0.0
+        assert len(traj.frames) == 1 and traj.frames[0].t == 0.0 and traj.n_steps == 0
+        assert flagged == [[], [0]]
+
+    def test_overflowing_diagonal_is_caught_before_the_solve(self, monod2, monkeypatch):
+        # r = dt b / dy^2 is about 9.6e307, finite, but the diagonal 1 + 2r of
+        # its solve overflows, so the per-member loop fails the member and
+        # neither check on the field blocks flags it.
+        flagged = self.spy_nonfinite_rows(monkeypatch)
         p = ModelParams(d=1e300, a11=1.0, a12=1.0, a22=1.0, mu=1e-300, h0=1.0)
         cfg = SolverConfig(n_cells=16, dt_max=1.5e6, t_max=1e7)
-        with np.errstate(over="ignore"):
-            [(traj, err)] = simulate_batch([(p, monod2, InitialData.cosine(1.0))], cfg)
+        [(traj, err)] = simulate_batch([(p, monod2, InitialData.cosine(1.0))], cfg)
         assert isinstance(err, BlowUpError)
         assert str(err) == "non-finite field values at t=1.5e+06" and err.t == 0.0
         assert len(traj.frames) == 1 and traj.frames[0].t == 0.0 and traj.n_steps == 0
-        assert flagged == [[], [0]]
+        assert flagged == [[], []]
 
     def test_singular_solve_ends_every_member(self, monod2, monkeypatch):
         from epifront import solver as solver_mod
