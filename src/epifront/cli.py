@@ -194,9 +194,7 @@ class RunSetup:
     solver: SolverConfig
     monitor_toggles: dict[str, bool]
     bisect: threshold.BisectConfig
-    sweep_sigma: tuple[float, ...] | None
-    sweep_mu: tuple[float, ...] | None
-    sweep_d: tuple[float, ...] | None
+    sweep: dict[str, tuple[float, ...]]  # axis -> values; an unset axis holds the model's
     echo: dict[str, str] = field(default_factory=dict)
 
 
@@ -248,11 +246,14 @@ def build_setup(entries: dict[str, tuple[str, int]]) -> RunSetup:
                     lambda: threshold.BisectConfig(**_section(values, "threshold")))
 
     sweep = _section(values, "sweep")
+    for axis, value in (("sigma", init.sigma), ("mu", params.mu), ("d", params.d)):
+        if sweep[axis] is None:
+            sweep[axis] = (value,)
     # A sweep value is checked by building the cell parameters it sets.
     _build("sweep", entries, lambda: (
-        [params.with_(mu=mu) for mu in sweep["mu"] or ()],
-        [params.with_(d=d) for d in sweep["d"] or ()],
-        [init.with_sigma(sigma) for sigma in sweep["sigma"] or ()]))
+        [params.with_(mu=mu) for mu in sweep["mu"]],
+        [params.with_(d=d) for d in sweep["d"]],
+        [init.with_sigma(sigma) for sigma in sweep["sigma"]]))
     return RunSetup(
         params=params,
         resp=resp,
@@ -260,9 +261,7 @@ def build_setup(entries: dict[str, tuple[str, int]]) -> RunSetup:
         solver=solver_cfg,
         monitor_toggles=_section(values, "monitors"),
         bisect=bisect,
-        sweep_sigma=sweep["sigma"],
-        sweep_mu=sweep["mu"],
-        sweep_d=sweep["d"],
+        sweep=sweep,
         # List keys are echoed only when set.
         echo={key.name: _show(values[key.name]) for key in SCHEMA if key.name in values
               and not (key.type is tuple and values[key.name] == key.default)},
@@ -575,10 +574,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     p = setup.params
-
-    sigmas = setup.sweep_sigma if setup.sweep_sigma is not None else [setup.init.sigma]
-    mus = setup.sweep_mu if setup.sweep_mu is not None else [p.mu]
-    ds = setup.sweep_d if setup.sweep_d is not None else [p.d]
+    sigmas, mus, ds = (setup.sweep[axis] for axis in ("sigma", "mu", "d"))
 
     param_grid = [p.with_(mu=mu, d=d) for d in ds for mu in mus]
     init_grid = [setup.init.with_sigma(s) for s in sigmas]

@@ -13,27 +13,26 @@ Stefan conditions, with a CFL limiter on the per-step displacement.
 
 The code splits into a stepper and a run loop.  The stepper
 (``_step_batch``) advances B members at once, each with its own
-parameters and step size: the per-member scalars (front speeds, dt and
-its limits, new fronts, the diffusion ratio r) are Python floats, and
-one row per member holds them beside the member's constants (a12, dy,
-a11, a22).  The fields travel as one (2, B, n+1) block, w over z, so the
-explicit part (gradient, upwind select, advection, decay and sources,
-the non-finite check and the clip at zero) runs once per step on both
-fields; only the interior y-nodes are a per-batch array.  The B
-backward-Euler systems for w are solved as one tridiagonal system of
-size B (n+1) by a single LAPACK ``dgtsv`` call.  The couplings between
-blocks are zero and each block's first and last rows are identity rows,
-so every member gets exactly the numbers it would get solved alone.  The
-run loop (``simulate_batch``) owns, per member, the record times, the
-frame stride, failures and early stopping on each recorded frame, the
-first one included, and drops a member from the batch once it is done.
-One ``_Run`` record per member holds its trajectory (which carries the
-member's model), the scalars the stepper advances and the run loop's
-bookkeeping; ``_Run.record`` appends every frame of a run, its first
-one included.  ``simulate`` is the run loop's one-member case and
-``step`` the stepper's.  A ``Frame`` is the one snapshot of a run, and
-``_frame`` the one place that builds it: every run starts from the frame
-``initial_state`` gives, and ``step`` takes a frame and returns the next.
+parameters and step size.  One row per member holds its scalars (front
+speeds, dt and its limits, new fronts, the diffusion ratio r) beside its
+constants (a12, dy, a11, a22); only the interior y-nodes are a per-batch
+array.  The fields travel as one (2, B, n+1) block, w over z, so the
+explicit part runs once per step on both fields.  The B backward-Euler
+systems for w are one tridiagonal system of size B (n+1), solved by a
+single LAPACK ``dgtsv`` call.  Its couplings between members are zero,
+so each member gets exactly the numbers it would get solved alone, and
+each member's end nodes are uncoupled identity rows, so the solve never
+pivots and w stays exactly 0 there.  The run loop (``simulate_batch``)
+owns, per member, the record times, the frame stride, failures and
+early stopping on each recorded frame, the first one included, and
+drops a member from the batch once it is done.  One ``_Run`` per member
+holds its trajectory (which carries the member's model), the scalars
+the stepper advances and the run loop's bookkeeping; ``_Run.record``
+appends every frame of a run.  ``simulate`` is the run loop's
+one-member case and ``step`` the stepper's.  ``_frame`` is the one place
+that builds a ``Frame``, the one snapshot of a run: every run starts
+from the frame ``initial_state`` gives, and ``step`` takes a frame and
+returns the next.
 """
 
 from __future__ import annotations
@@ -173,9 +172,8 @@ _EDGE_NODES = np.array([0, 1, 2, -3, -2, -1])  # the nodes of the one-sided boun
 
 
 def _stefan_speeds(w0, w1, w2, wr2, wr1, wr0, dy, scale):
-    """(g', h') from one-sided 3-point slopes at the edge values w[0], w[1],
-    w[2], w[-3], w[-2], w[-1], clamped to the signs the strong maximum
-    principle dictates (h' >= 0 >= g') to absorb round-off with the wrong sign."""
+    """(g', h') from one-sided 3-point slopes at w[0], w[1], w[2], w[-3], w[-2], w[-1],
+    clamped to the signs of the strong maximum principle (h' >= 0 >= g') against round-off."""
     wy_right = (wr2 - 4.0 * wr1 + 3.0 * wr0) / (2.0 * dy)
     wy_left = (-3.0 * w0 + 4.0 * w1 - w2) / (2.0 * dy)
     return min(0.0, -scale * wy_left), max(0.0, -scale * wy_right)
@@ -361,14 +359,12 @@ def _step_batch(
         f_new[0, lost] = 0.0
         r[lost] = 0.0
 
-    # Backward Euler diffusion of w with Dirichlet ends: per member the
-    # constant-coefficient tridiag(-r, 1 + 2r, -r) couples the interior
-    # nodes only, and each end node is an uncoupled identity row with a
-    # zero right-hand side.  The stacked matrix is symmetric and diagonally
-    # dominant, so dgtsv never pivots and w stays exactly 0 at the ends;
-    # the couplings between blocks are zero, so one off-diagonal serves as
-    # both the super- and the sub-diagonal.  The solution overwrites the
-    # right-hand side, f_new[0].
+    # Backward Euler diffusion of w with Dirichlet ends: per member,
+    # tridiag(-r, 1 + 2r, -r) on the interior nodes and an uncoupled
+    # identity row with a zero right-hand side at each end.  The stacked
+    # matrix is symmetric and diagonally dominant, so dgtsv never pivots
+    # and w stays exactly 0 at the ends; one off-diagonal serves as both
+    # the super- and the sub-diagonal.  The solution overwrites f_new[0].
     off = np.zeros(f.shape[1:])
     off[:, 1:n - 1] = -r
     diag = np.ones(f.shape[1:])

@@ -551,6 +551,10 @@ class TestSweepCommand:
         assert len(lines) == 1
         assert lines[0].startswith("d,mu,sigma,verdict")
 
+    def test_unset_axes_hold_the_model_values(self):
+        setup = build_setup(parse_config_text(FAST + "sweep.mu = 0.5,2\nsweep.d =\n"))
+        assert setup.sweep == {"sigma": (1.0,), "mu": (0.5, 2.0), "d": ()}
+
     def test_grid_rows_and_heatmap(self, tmp_path):
         cfg = write(tmp_path, FAST + "sweep.sigma = 0.5,1.0\nsweep.mu = 0.5,1.0\n")
         out = tmp_path / "out"

@@ -11,11 +11,12 @@ For n = 64 and 256 cells and B = 1, 5 and 16 members, a repeat times
 divides by their number; the line shows the least of ``--repeats`` such
 figures.  Each batch is set up outside the timed calls the way
 ``solver.simulate_batch`` sets one up: its runs, its (2, B, n+1) field
-block and its interior y-nodes.  The ``frame`` lines time ``solver._frame`` on the initial
-state of a one-member batch in the same way.  Each batch runs the unit
-model (every rate, d, mu and h0 equal to 1) with a Monod response, from
-cosine data of scales spread over [0.5, 1.5], with the default dt_max.
-Taking the minimum discards the runs slowed by other work on the machine.
+block and its interior y-nodes.  The ``frame`` lines time
+``solver._frame`` on the initial state of a one-member batch in the
+same way.  Each batch runs the unit model (every rate, d, mu and h0
+equal to 1) with a Monod response, from cosine data of scales spread
+over [0.5, 1.5], with the default dt_max.  Taking the minimum discards
+the runs slowed by other work on the machine.
 """
 
 from __future__ import annotations
