@@ -296,11 +296,17 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
 
-def write_trajectory_csv(path: Path, traj: Trajectory, residuals: np.ndarray) -> None:
+def write_trajectory_csv(out: Path, traj: Trajectory) -> Path | None:
+    """Write ``out/trajectory.csv``, one row per frame, and return its path;
+    write nothing and return None when no frame was recorded."""
+    if not traj.frames:
+        return None
+    path = out / "trajectory.csv"
     _write_csv(path, "t,g,h,width,sup_u,sup_v,mass,mass_residual,r0f,g_speed,h_speed", (
-        (f.t, f.g, f.h, f.width, f.sup_w, f.sup_z, f.mass, float(residuals[k]),
+        (f.t, f.g, f.h, f.width, f.sup_w, f.sup_z, f.mass, float(residual),
          f.r0f, f.g_speed, f.h_speed)
-        for k, f in enumerate(traj.frames)))
+        for f, residual in zip(traj.frames, analysis.mass_balance_residual(traj))))
+    return path
 
 
 def write_profiles_csv(path: Path, traj: Trajectory, times: list[float]) -> list[float]:
@@ -469,15 +475,6 @@ def svg_heatmap(path: Path, title: str, xlabel: str, ylabel: str,
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def _write_trajectory(traj: Trajectory, out: Path) -> Path | None:
-    """Write trajectory.csv, or nothing when no frame was recorded."""
-    if not traj.frames:
-        return None
-    path = out / "trajectory.csv"
-    write_trajectory_csv(path, traj, analysis.mass_balance_residual(traj))
-    return path
-
-
 def cmd_run(args: argparse.Namespace) -> int:
     setup = load_setup(args.config)
     profile_times = _PROFILES.read({_PROFILES.name: (args.profiles or "", None)})
@@ -498,13 +495,13 @@ def cmd_run(args: argparse.Namespace) -> int:
             monitors=analysis.Monitors(cert, **setup.monitor_toggles),
         )
     except (BlowUpError, MonitorViolation) as exc:
-        path = _write_trajectory(exc.trajectory, out)
+        path = write_trajectory_csv(out, exc.trajectory)
         where = f"; last good frames in {path}" if path else ""
         print(f"error: {exc}{where}", file=sys.stderr)
         return 3 if isinstance(exc, BlowUpError) else 4
 
     payload = _summary_payload(traj, cls, cert, setup.echo)
-    _write_trajectory(traj, out)
+    write_trajectory_csv(out, traj)
     _write_json(out / "summary.json", payload)
 
     if profile_times:

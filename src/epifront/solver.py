@@ -271,10 +271,12 @@ def _nonfinite_rows(block: np.ndarray) -> list[int]:
     return np.flatnonzero(bad.reshape(-1, block.shape[-2]).any(axis=0)).tolist()
 
 
-def _interior_nodes(members: Sequence[_Run], n: int) -> np.ndarray:
-    """The (B, n-1) interior nodes of each member's y-grid on n cells."""
-    return np.array([np.linspace(-m.traj.params.h0, m.traj.params.h0, n + 1)[1:-1]
-                     for m in members])
+def _block(runs: Sequence[_Run], n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (2, B, n+1) field block of the runs' last frames, w over z, and
+    the (B, n-1) interior nodes of each run's y-grid on n cells."""
+    f = np.array([[run.traj.final.w for run in runs], [run.traj.final.z for run in runs]])
+    return f, np.array([np.linspace(-run.traj.params.h0, run.traj.params.h0, n + 1)[1:-1]
+                        for run in runs])
 
 
 def _step_batch(
@@ -434,8 +436,7 @@ def step(
     The new frame's ``clipped`` is the mass this step clipped.
     """
     m = _Run(Trajectory(p, resp, [frame]), config.resolved(p), frame.t, frame.g, frame.h)
-    f = np.array([[frame.w], [frame.z]])
-    f, failed = _step_batch([m], f, _interior_nodes([m], frame.w.size - 1), [dt_cap])
+    f, failed = _step_batch([m], *_block([m], frame.w.size - 1), [dt_cap])
     if failed:
         raise failed[0]
     return _frame(p, resp, m.t, m.g, m.h, f[0, 0], f[1, 0], m.clipped)
@@ -487,9 +488,10 @@ def simulate_batch(
     it decides ends there, after 0 steps.  Returns one (trajectory,
     outcome) pair per member, in order.  The outcome is the member's
     Classification, or the exception that ended it: a failure ends only
-    its own member.  The trajectory then holds the frames recorded before
-    the failure, and is empty when the member failed before its first
-    frame.
+    its own member, except that an error the stepper raises for the whole
+    batch ends every member still running, as one object they all share.
+    The trajectory then holds the frames recorded before the failure, and
+    is empty when the member failed before its first frame.
     """
     config = config or SolverConfig()
     monitors = monitors or [None] * len(members)
@@ -512,8 +514,7 @@ def simulate_batch(
             runs.append(run)
         else:
             results[index] = (traj, outcome)
-    f = np.array([[run.traj.final.w for run in runs], [run.traj.final.z for run in runs]])
-    y = _interior_nodes(runs, config.n_cells)
+    f, y = _block(runs, config.n_cells)
 
     while runs:
         caps = [run.targets[0] - run.t for run in runs]

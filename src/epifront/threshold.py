@@ -33,7 +33,7 @@ from .model import (
     endemic_equilibrium,
     free_boundary_reproduction_number,
 )
-from .solver import SolverConfig, simulate, simulate_batch
+from .solver import SolverConfig, Trajectory, simulate, simulate_batch
 
 _MAX_EXPAND = 40   # doublings of hi, then halvings of lo, before giving up
 _MAX_ITER = 80     # bisection steps once both sides are found
@@ -141,9 +141,10 @@ def find_threshold(
     its own order, so ``probes``, ``lo``, ``hi`` and ``status`` are those
     of one probe at a time.  ``probes`` are the runs of the final path in
     the order first read, and ``speculative`` the successful runs off it,
-    in run order.  A run that fails raises its error, with its
-    ``trajectory``, only when the search stops at its value; a failed run
-    off the path is in neither list.
+    in run order.  A run that fails raises its error, with its own
+    ``trajectory``, only when the search stops at its value, even when one
+    error ended its whole batch; a failed run off the path is in neither
+    list.
 
     Requires R0 > 1 (below that everything vanishes and no threshold
     exists).  When the initial habitat is already super-critical the
@@ -157,12 +158,10 @@ def find_threshold(
         raise ThresholdUndefinedError(f"R0 <= 1: vanishing for every {target}, no threshold")
     sim_config = (sim_config or SolverConfig()).resolved(p)
     bisect = bisect or BisectConfig()
-    result = ThresholdResult(target=target, status="inconclusive", lo=0.0, hi=0.0)
 
     if free_boundary_reproduction_number(p, resp, 2.0 * p.h0) >= 1.0:
         # A super-critical habitat spreads for every sigma > 0 and every mu > 0.
-        result.status = "degenerate"
-        return result
+        return ThresholdResult(target=target, status="degenerate", lo=0.0, hi=0.0)
 
     if target == "sigma":
         equilibrium = endemic_equilibrium(p, resp)
@@ -176,7 +175,8 @@ def find_threshold(
         seed = 2.0 * p.mu
 
     horizon = replace(sim_config, t_max=2.0 * sim_config.t_max)
-    runs: dict[float, ProbeRecord | Exception] = {}  # every value run, in run order
+    # Every value run, in run order: its record, or its (trajectory, error).
+    runs: dict[float, ProbeRecord | tuple[Trajectory, Exception]] = {}
 
     def member(value: float) -> tuple[ModelParams, InfectionResponse, InitialData]:
         if target == "sigma":
@@ -191,7 +191,9 @@ def find_threshold(
             break
         value = path[-1]
         if value in runs:  # its run failed
-            raise runs[value]
+            traj, exc = runs[value]
+            exc.trajectory = traj
+            raise exc
         batch = [value]
         for verdict in Verdict:
             after: list[float] = []
@@ -205,8 +207,7 @@ def find_threshold(
             outcomes = simulate_batch([member(v) for v in batch], horizon)
         for v, (traj, outcome) in zip(batch, outcomes):
             if isinstance(outcome, Exception):
-                outcome.trajectory = traj
-                runs[v] = outcome
+                runs[v] = traj, outcome
                 continue
             ev = outcome.evidence
             runs[v] = ProbeRecord(
@@ -214,12 +215,10 @@ def find_threshold(
                 final_width=traj.final.width, extended=bool(ev.time > sim_config.t_max),
             )
 
-    result.status, result.lo, result.hi = found
     on_path = dict.fromkeys(path)
-    result.probes = [runs[v] for v in on_path]
-    result.speculative = [r for v, r in runs.items()
-                          if v not in on_path and isinstance(r, ProbeRecord)]
-    return result
+    return ThresholdResult(target, *found, probes=[runs[v] for v in on_path],
+                           speculative=[r for v, r in runs.items()
+                                        if v not in on_path and isinstance(r, ProbeRecord)])
 
 
 def _search(verdicts: dict[float, Verdict], hi: float, rel_tol: float,

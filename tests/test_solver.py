@@ -429,9 +429,12 @@ class TestSimulateBatch:
 
         monkeypatch.setattr(solver_mod, "dgtsv", singular)
         members = [(self.P, monod2, InitialData.cosine(s)) for s in (0.5, 1.0)]
-        for traj, outcome in simulate_batch(members, SolverConfig(n_cells=64, t_max=1.0)):
+        results = simulate_batch(members, SolverConfig(n_cells=64, t_max=1.0))
+        for traj, outcome in results:
             assert isinstance(outcome, np.linalg.LinAlgError)
             assert len(traj.frames) == 1
+        # One error ends the whole batch: every member holds that one object.
+        assert results[0][1] is results[1][1]
 
     def test_solve_that_returns_a_copy_is_written_back(self, monod2, monkeypatch):
         # dgtsv overwrites the right-hand side in place when it can; a LAPACK

@@ -257,19 +257,22 @@ class TestBracketSearch:
         assert (result.status, result.lo, result.hi) == (clean.status, clean.lo, clean.hi)
         assert off_path not in {r.value for r in result.speculative}
 
-    @pytest.mark.parametrize("batched", [True, False])
+    @pytest.mark.parametrize("batched", [True, False, "shared"])
     def test_on_path_blow_up_raises_with_its_trajectory(self, monkeypatch, batched):
         threshold = VERDICT_MAPS["threshold"]
         batches = []
         clean = synthetic_search(monkeypatch, threshold, seed_factor=0.1, batches=batches)
-        # A probe that ran with its successors, or one that ran alone through simulate.
-        value = next(b[0] for b in batches if (len(b) > 1) == batched)
+        # A probe that ran with its successors, or one that ran alone through
+        # simulate; "shared": one error object ended its whole batch, as
+        # simulate_batch reports an error the stepper raises for every member.
+        batch = next(b for b in batches if (len(b) > 1) == bool(batched))
+        value = batch[0]
         assert value in {r.value for r in clean.probes}
+        failed = batch if batched == "shared" else [value]
+        error = BlowUpError("synthetic", 0.0, 0.0, 0.0)
         with pytest.raises(BlowUpError) as info:
-            synthetic_search(
-                monkeypatch,
-                lambda v: BlowUpError("synthetic", 0.0, 0.0, 0.0) if v == value else threshold(v),
-                seed_factor=0.1)
+            synthetic_search(monkeypatch, lambda v: error if v in failed else threshold(v),
+                             seed_factor=0.1)
         assert info.value.trajectory.sigma == value
 
     @pytest.mark.parametrize("name, value", [

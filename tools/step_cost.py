@@ -10,13 +10,13 @@ For n = 64 and 256 cells and B = 1, 5 and 16 members, a repeat times
 ``--calls`` consecutive ``solver._step_batch`` calls on one batch and
 divides by their number; the line shows the least of ``--repeats`` such
 figures.  Each batch is set up outside the timed calls the way
-``solver.simulate_batch`` sets one up: its runs, its (2, B, n+1) field
-block and its interior y-nodes.  The ``frame`` lines time
-``solver._frame`` on the initial state of a one-member batch in the
-same way.  Each batch runs the unit model (every rate, d, mu and h0
-equal to 1) with a Monod response, from cosine data of scales spread
-over [0.5, 1.5], with the default dt_max.  Taking the minimum discards
-the runs slowed by other work on the machine.
+``solver.simulate_batch`` sets one up: its runs, then ``solver._block``
+of them, the (2, B, n+1) field block and the interior y-nodes.  The
+``frame`` lines time ``solver._frame`` on the initial state of a
+one-member batch in the same way.  Each batch runs the unit model (every
+rate, d, mu and h0 equal to 1) with a Monod response, from cosine data
+of scales spread over [0.5, 1.5], with the default dt_max.  Taking the
+minimum discards the runs slowed by other work on the machine.
 """
 
 from __future__ import annotations
@@ -28,8 +28,6 @@ import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
-
-import numpy as np  # noqa: E402
 
 from epifront import solver  # noqa: E402
 from epifront.model import InfectionResponse, InitialData, ModelParams  # noqa: E402
@@ -49,8 +47,7 @@ def _batch(n: int, size: int):
         start = solver.initial_state(p, resp, init, n)
         runs.append(solver._Run(solver.Trajectory(p, resp, [start]), config,
                                 start.t, start.g, start.h))
-    f = np.array([[run.traj.final.w for run in runs], [run.traj.final.z for run in runs]])
-    return runs, f, solver._interior_nodes(runs, n)
+    return runs, *solver._block(runs, n)
 
 
 def _min_us(fn, calls: int, repeats: int) -> float:
