@@ -27,8 +27,9 @@ class CertificateError(EpifrontError):
 class BlowUpError(EpifrontError):
     """The numerical state became non-finite.
 
-    Carries the time and front positions of the last finite state so the
-    caller can report or dump the surviving frames.
+    Carries the time and front positions of the last finite state, which
+    no recorded frame need hold.  The surviving frames are in
+    ``exc.trajectory`` once ``simulate`` or ``find_threshold`` raises it.
     """
 
     def __init__(self, message: str, t: float, g: float, h: float):

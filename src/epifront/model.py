@@ -54,6 +54,10 @@ class ModelParams:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise DomainError(f"{name} must be finite and > 0 (got {value!r})", field=name)
+        # (pi / width)^2 enters every eigenvalue, and a run's width is never below 2 h0.
+        if not math.isfinite((math.pi / (2.0 * self.h0)) * (math.pi / (2.0 * self.h0))):
+            raise DomainError(f"h0 must be at least about 1.17e-154, so that (pi / (2 h0))^2 "
+                              f"is finite (got {self.h0!r})", field="h0")
 
     def with_(self, **changes: float) -> "ModelParams":
         return replace(self, **changes)
@@ -85,10 +89,14 @@ class InfectionResponse:
         """Saturating response G(z) = a21 z / (1 + z)."""
         if not (math.isfinite(a21) and a21 > 0):
             raise DomainError(f"a21 must be finite and > 0 (got {a21!r})", field="a21")
-        return cls(
-            g=lambda z: a21 * z / (1.0 + z),
-            g_prime=lambda z: a21 / (1.0 + z) ** 2,
-        )
+
+        def slope(z):
+            try:
+                return a21 / (1.0 + z) ** 2
+            except OverflowError:  # a float (1 + z)^2 past the float range
+                return 0.0  # the slope's limit as z grows
+
+        return cls(g=lambda z: a21 * z / (1.0 + z), g_prime=slope)
 
     @classmethod
     def table(cls, z: Sequence[float], g: Sequence[float]) -> "InfectionResponse":

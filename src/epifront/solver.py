@@ -428,7 +428,6 @@ def step(
     p: ModelParams,
     resp: InfectionResponse,
     config: SolverConfig,
-    dt_cap: float = math.inf,
 ) -> Frame:
     """Advance one IMEX step; the step size obeys dt_max and the front CFL limit.
 
@@ -436,7 +435,7 @@ def step(
     The new frame's ``clipped`` is the mass this step clipped.
     """
     m = _Run(Trajectory(p, resp, [frame]), config.resolved(p), frame.t, frame.g, frame.h)
-    f, failed = _step_batch([m], *_block([m], frame.w.size - 1), [dt_cap])
+    f, failed = _step_batch([m], *_block([m], frame.w.size - 1), [math.inf])
     if failed:
         raise failed[0]
     return _frame(p, resp, m.t, m.g, m.h, f[0, 0], f[1, 0], m.clipped)

@@ -224,7 +224,7 @@ def test_criterion_07_apriori_bounds_and_speeds(vanishing_run, spreading_run):
 def test_criterion_08_mass_balance_refinement():
     p = ModelParams(d=1.0, a11=1.0, a12=1.0, a22=1.0, mu=0.25, h0=1.0)
     study = refinement_study(p, MONOD2, InitialData.cosine(1.0),
-                             SolverConfig(n_cells=64, dt_max=4e-3), t_end=1.0, levels=3)
+                             SolverConfig(n_cells=64, dt_max=4e-3), t_end=1.0)
     ratios = [study.residuals[k] / study.residuals[k + 1] for k in range(2)]
     ok = study.conclusive and all(r >= 1.8 for r in ratios)
     check(8, "mass-balance-refinement", ok,

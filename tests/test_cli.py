@@ -128,6 +128,17 @@ class TestConfigParsing:
         assert (f"config error: {cfg}: solver.dt_max: dt_max must be finite and > 0 (got inf)"
                 in capsys.readouterr().err)
 
+    @pytest.mark.parametrize("command", ["validate", "run", "threshold", "sweep"])
+    def test_habitat_too_narrow_for_its_eigenvalue(self, command, tmp_path, capsys):
+        # (pi / (2 h0))^2 overflows a float at h0 = 1e-160; every command
+        # reports the value instead of raising OverflowError.
+        cfg = write(tmp_path, "model.h0 = 1e-160\n")
+        out = [] if command == "validate" else ["--out", str(tmp_path / "o")]
+        assert main([command, "--config", cfg, *out]) == 2
+        assert (f"config error: {cfg}: line 1: model.h0: h0 must be at least about 1.17e-154"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "o").exists()
+
     def test_defaults_resolve(self):
         setup = build_setup({})
         assert setup.params.d == 1.0
@@ -159,10 +170,13 @@ class TestConfigParsing:
             build_setup(parse_config_text(text))
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
 def readme_config_table() -> dict[str, str]:
     """Key -> default cell of the README "Configuration format" table, with
     the shorthand rows (`a.b` / `.c`) expanded."""
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    readme = README.read_text(encoding="utf-8")
     section = readme.split("## Configuration format", 1)[1].split("\n## ", 1)[0]
     table = {}
     for line in section.splitlines():
@@ -185,6 +199,14 @@ def test_readme_table_matches_schema():
         if key.default in (None, ()):  # derived or empty defaults are described in words
             continue
         assert key.read({name: (text, 1)}) == key.default, name
+
+
+def test_readme_quick_start_config_builds():
+    readme = README.read_text(encoding="utf-8")
+    text = readme.split("cat > scenario.cfg <<'EOF'\n", 1)[1].split("\nEOF\n", 1)[0]
+    setup = build_setup(parse_config_text(text))
+    assert (setup.params.h0, setup.solver.t_max) == (1.0, 50.0)
+    assert setup.sweep["sigma"] == (0.02, 0.05, 0.2, 1.0)
 
 
 class TestRunCommand:
@@ -435,6 +457,14 @@ class TestValidateCommand:
         assert "small-data vanishing bound: absent (R0F(0) >= 1)" in out
         assert "spreading subsolution delta: " in out
         assert "spreading subsolution delta: absent" not in out
+
+    def test_monod_slope_far_past_the_float_range(self, tmp_path, capsys):
+        # mu = 1e-160 puts eps near 1e159, where the float (1 + z)^2 of the
+        # Monod slope overflows; the slope takes its limit, 0.
+        cfg = write(tmp_path, "model.mu = 1e-160\nresponse.a21 = 0.5\n")
+        assert main(["validate", "--config", cfg]) == 0
+        out = capsys.readouterr().out
+        assert "small-data vanishing bound: delta = 0.437091043568, eps = 8.739" in out
 
     def test_package_error_exits_1(self, monkeypatch, capsys):
         from epifront import cli as cli_mod

@@ -107,11 +107,6 @@ class TestRefinementStudy:
         assert not study.conclusive
         assert len(set(study.final_h)) == 1
 
-    def test_needs_three_levels(self, unit_params, monod2):
-        with pytest.raises(DomainError):
-            refinement_study(unit_params, monod2, InitialData.cosine(1.0),
-                             SolverConfig(), t_end=1.0, levels=2)
-
 
 class TestEigenCheck:
     def test_small_discrepancy(self, unit_params, monod2):

@@ -40,9 +40,11 @@ CONFIG = SolverConfig(n_cells=64, dt_max=0.04, t_max=60.0)
 SIGMAS = (0.02, 0.04, 0.1)
 INITS = {sigma: InitialData.cosine(sigma) for sigma in SIGMAS}
 
-# Frame fields that scale with length under the space map: positions,
-# widths, integrals over x and front speeds.  Every other field is unchanged.
-LENGTHS = ("g", "h", "width", "mass", "g_speed", "h_speed", "reaction", "clipped")
+# Frame fields and evidence details that scale with length under the space
+# map: positions, widths, integrals over x and front speeds.  Every other
+# field and detail (the R0F margin, the sup ratio) is unchanged.
+LENGTHS = ("g", "h", "width", "mass", "g_speed", "h_speed", "reaction", "clipped",
+           "trailing_width_growth")
 # Frame fields that are rates, divided by k under the time map; t is times k.
 RATES = ("g_speed", "h_speed", "reaction")
 
@@ -60,8 +62,9 @@ def run(p, resp, init, config):
 
 
 def assert_scaled(base, partner, scale: dict[str, float]):
-    """Every frame field of ``partner`` is the base value times its factor in
-    ``scale`` (1 when absent), with ``==``; so are the step counts."""
+    """Every frame field and evidence detail of ``partner`` is the base value
+    times its factor in ``scale`` (1 when absent), with ``==``; so are the
+    step counts."""
     (traj, cls), (traj2, cls2) = base, partner
     assert (traj2.n_steps, traj2.terminated_by) == (traj.n_steps, traj.terminated_by)
     assert len(traj2.frames) == len(traj.frames)
@@ -77,6 +80,10 @@ def assert_scaled(base, partner, scale: dict[str, float]):
     assert cls2.evidence.criterion == cls.evidence.criterion
     assert cls2.evidence.time == cls.evidence.time * scale.get("t", 1.0)
     assert cls2.evidence.r0f == cls.evidence.r0f
+    details, details2 = cls.evidence.details, cls2.evidence.details
+    assert details2.keys() == details.keys()
+    for key, value in details.items():
+        assert details2[key] == value * scale.get(key, 1.0), (key, value, details2[key])
 
 
 @pytest.fixture(scope="module")

@@ -101,11 +101,6 @@ class TestStep:
         assert new.t == 0.2 * dx_phys / speed
         assert new.h - frame.h == pytest.approx(0.2 * dx_phys, rel=1e-12)
 
-    def test_dt_cap_respected(self, unit_params, monod2):
-        frame = initial_state(unit_params, monod2, InitialData.cosine(1.0), 64)
-        new = step(frame, unit_params, monod2, SolverConfig(n_cells=64), dt_cap=1e-5)
-        assert new.t == pytest.approx(1e-5)
-
     def test_interior_decay_matches_fine_grid_reference(self, unit_params):
         # With G = 0 and v0 = 0 the infective field stays zero and the
         # bacteria decay like the leading Dirichlet mode while the fronts
@@ -125,9 +120,18 @@ class TestStep:
         assert abs(centers[64] - centers[512]) / centers[512] < 0.01
 
     def test_non_positive_step_rejected(self, unit_params, monod2):
+        # The run loop caps a step at the time left to its next target; a
+        # cap of 0 fails the member instead of taking a zero step.
+        from epifront import solver as solver_mod
+
         frame = initial_state(unit_params, monod2, InitialData.cosine(1.0), 64)
-        with pytest.raises(DomainError, match="non-positive step size"):
-            step(frame, unit_params, monod2, SolverConfig(n_cells=64), dt_cap=0.0)
+        config = SolverConfig(n_cells=64).resolved(unit_params)
+        m = solver_mod._Run(Trajectory(unit_params, monod2, [frame]), config,
+                            frame.t, frame.g, frame.h)
+        _, failed = solver_mod._step_batch([m], *solver_mod._block([m], 64), [0.0])
+        assert list(failed) == [0] and isinstance(failed[0], DomainError)
+        assert str(failed[0]) == "non-positive step size 0.0"
+        assert (m.t, m.g, m.h) == (frame.t, frame.g, frame.h)
 
     def test_blow_up_detected(self, unit_params):
         diverging = InfectionResponse(

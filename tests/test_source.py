@@ -107,7 +107,11 @@ def read_names(source: str) -> set[str]:
 
 def unread_fields(checked: list[str], readers: list[str], serialized=frozenset()) -> list[str]:
     """``Class.field`` for every dataclass field of the ``checked`` sources
-    that no source in ``readers`` reads, outside the ``serialized`` classes."""
+    that no source in ``readers`` reads, outside the ``serialized`` classes.
+
+    Reads are matched by name alone, whatever the object: a field that
+    shares its name with one read on another class (``x.n_cells``) is
+    never reported."""
     read = set().union(*map(read_names, readers))
     return [f"{cls}.{name}" for source in checked for cls, name in dataclass_fields(source)
             if cls not in serialized and name not in read]
