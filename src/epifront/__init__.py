@@ -16,7 +16,6 @@ from .analysis import (
     classify,
     equilibrium_convergence,
     mass_balance_residual,
-    symmetry_band_check,
 )
 from .errors import (
     BlowUpError,

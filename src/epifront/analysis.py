@@ -162,7 +162,7 @@ def bound_certificate(
 
 
 # ---------------------------------------------------------------------------
-# Conservation and symmetry diagnostics
+# Conservation and convergence diagnostics
 # ---------------------------------------------------------------------------
 
 def mass_balance_residual(traj: "Trajectory") -> np.ndarray:
@@ -185,12 +185,6 @@ def mass_balance_residual(traj: "Trajectory") -> np.ndarray:
     slices = np.diff(t) * (reaction[1:] + reaction[:-1]) / 2.0
     cumulative = np.concatenate(([0.0], np.cumsum(slices)))
     return mass - mass[0] - (p.d / p.mu) * (widths[0] - widths) - cumulative
-
-
-def symmetry_band_check(traj: "Trajectory") -> float:
-    """Worst excess of |g + h| beyond the 2 h0 symmetry band (0 when respected)."""
-    centers = traj.column("g") + traj.column("h")
-    return float(np.max(np.maximum(0.0, np.abs(centers) - 2.0 * traj.params.h0), initial=0.0))
 
 
 def equilibrium_convergence(traj: "Trajectory", half_width: float) -> np.ndarray:

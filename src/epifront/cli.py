@@ -68,12 +68,9 @@ def parse_config_text(text: str) -> dict[str, tuple[str, int]]:
 
 
 def _parse_bool(text: str) -> bool:
-    value = text.lower()
-    if value in ("true", "yes", "on", "1"):
-        return True
-    if value in ("false", "no", "off", "0"):
-        return False
-    raise ValueError(text)
+    if text not in ("true", "false"):
+        raise ValueError(text)
+    return text == "true"
 
 
 def _parse_floats(text: str) -> tuple[float, ...]:
@@ -311,9 +308,9 @@ def write_trajectory_csv(out: Path, traj: Trajectory) -> Path | None:
 
 def write_profiles_csv(path: Path, traj: Trajectory, times: list[float]) -> list[float]:
     """Write the profile of each requested time that has a frame, once per
-    frame; return the times the run never reached.  Each time is looked up
-    with :meth:`Trajectory.frame_at`, the tolerance within which
-    ``simulate`` lands on a record time."""
+    frame; return the times the run never reached.  A run lands exactly on
+    each record time, so :meth:`Trajectory.frame_at` finds its frame by
+    ``==``; a time requested twice is written once."""
     found: dict[float, Frame] = {}
     missing = []
     for target in times:
@@ -446,7 +443,7 @@ def svg_heatmap(path: Path, title: str, xlabel: str, ylabel: str,
     parts = []
     for j in range(n_y):
         for i in range(n_x):
-            color = _VERDICT_COLORS.get(verdicts[j][i], "#222222")
+            color = _VERDICT_COLORS[verdicts[j][i]]
             x = left + i * cell_w
             y = bottom - (j + 1) * cell_h
             parts.append(f'<rect x="{x:.2f}" y="{y:.2f}" width="{cell_w:.2f}" '

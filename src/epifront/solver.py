@@ -53,7 +53,9 @@ from .model import (
     free_boundary_reproduction_number,
 )
 
-_TIME_SNAP = 1e-9  # relative tolerance for landing on a requested time
+# A step that ends within 1e-9 max(1, target) of a record time lands on it:
+# absolute below t = 1, relative above.
+_TIME_SNAP = 1e-9
 # Largest front displacement per step, as a fraction of a cell.  |A| is
 # affine in y with its maximum 2 h0 max(h', -g')/width at a boundary node,
 # so this also bounds the advective Courant number max|A| dt/dy.
@@ -149,12 +151,9 @@ class Trajectory:
         return self.frames[-1]
 
     def frame_at(self, t: float) -> Frame | None:
-        """The frame recorded at time t, to the tolerance within which the
-        run lands on a record time (a record time merged onto an earlier
-        one finds that one's frame); None when no frame lies that close."""
-        times = self.column("t")
-        k = int(np.argmin(np.abs(times - t)))
-        return self.frames[k] if abs(times[k] - t) <= _TIME_SNAP * max(1.0, t) else None
+        """The frame recorded at exactly time t, or None.  A run lands
+        exactly on each of its record times and on t_max."""
+        return next((f for f in self.frames if f.t == t), None)
 
     def x_grid(self, frame: Frame) -> np.ndarray:
         """Physical positions x(y) of the y-grid nodes at ``frame``."""
@@ -453,21 +452,6 @@ def sample_physical(frame: Frame, x):
     return u, v
 
 
-def _record_targets(config: SolverConfig) -> list[float]:
-    """The times a run lands on: its record times in (0, t_max), then t_max.
-
-    A record time within _TIME_SNAP (relative) of the one kept before it,
-    or of t_max, is merged onto that one, whose frame then serves it (see
-    :meth:`Trajectory.frame_at`).
-    """
-    snap = 1.0 + _TIME_SNAP
-    targets: list[float] = []
-    for s in sorted({float(s) for s in config.record_times if 0.0 < s * snap < config.t_max}):
-        if not targets or s > targets[-1] * snap:
-            targets.append(s)
-    return targets + [config.t_max]
-
-
 def simulate_batch(
     members: Sequence[tuple[ModelParams, InfectionResponse, InitialData]],
     config: SolverConfig | None = None,
@@ -503,8 +487,9 @@ def simulate_batch(
         try:
             cfg = config.resolved(p)
             start = initial_state(p, resp, init, cfg.n_cells)
+            targets = sorted({float(s) for s in cfg.record_times if 0.0 < s < cfg.t_max})
             run = _Run(traj, cfg, start.t, start.g, start.h, index=index, monitors=mon,
-                       targets=_record_targets(cfg))
+                       targets=[*targets, cfg.t_max])
             run.record(start)
             outcome = run.outcome()  # a run its first frame decides takes no step
         except Exception as exc:  # noqa: BLE001 - the member's outcome

@@ -21,7 +21,6 @@ from epifront import (
     mass_balance_residual,
     simulate,
     simulate_batch,
-    symmetry_band_check,
 )
 from conftest import linear_response
 
@@ -95,22 +94,13 @@ class TestSymmetryBand:
             unit_params, monod2, InitialData.cosine(1.0),
             SolverConfig(t_max=2.0, early_stop=False),
         )
-        assert symmetry_band_check(traj) == 0.0
         assert max(abs(f.g + f.h) for f in traj.frames) < 1e-8
-
-    def test_single_frame(self, unit_params, monod2):
-        traj, _ = simulate(
-            unit_params, monod2, InitialData.cosine(1.0),
-            SolverConfig(t_max=1e-4, early_stop=False),
-        )
-        traj.frames = traj.frames[:1]
-        assert symmetry_band_check(traj) == 0.0
 
     def test_asymmetric_hump_respects_band(self, unit_params, monod2):
         init = InitialData.skewed_cosine(1.0, 0.5)
         traj, _ = simulate(unit_params, monod2, init, SolverConfig(t_max=10.0, early_stop=False))
-        assert symmetry_band_check(traj) == 0.0
-        assert max(abs(f.g + f.h) for f in traj.frames) > 1e-6  # genuinely asymmetric
+        centers = max(abs(f.g + f.h) for f in traj.frames)
+        assert 1e-6 < centers < 2.0 * unit_params.h0  # genuinely asymmetric, inside the band
 
 
 class TestClassify:

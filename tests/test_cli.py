@@ -121,6 +121,14 @@ class TestConfigParsing:
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert f"line {line}: {key}: {message}" in capsys.readouterr().err
 
+    # A boolean is spelled true or false; no synonym and no other case.
+    @pytest.mark.parametrize("value", ["yes", "no", "on", "off", "1", "0", "True", "FALSE"])
+    def test_boolean_synonym_rejected(self, value, tmp_path, capsys):
+        cfg = write(tmp_path, f"model.d = 1.0\nsolver.early_stop = {value}\n")
+        assert main(["validate", "--config", cfg]) == 2
+        assert (f"line 2: solver.early_stop: expected true/false, got {value!r}"
+                in capsys.readouterr().err)
+
     def test_derived_solver_value_invalid(self, tmp_path, capsys):
         # The default dt_max = 1e-3 h0^2/d overflows to inf.
         cfg = write(tmp_path, "model.h0 = 1e200\nmodel.d = 1e-200\n")
@@ -269,14 +277,21 @@ class TestRunCommand:
         rows = (out / "profiles.csv").read_text().splitlines()
         assert {row.split(",")[0] for row in rows[1:]} == {"0.5"}
 
-    def test_profile_time_next_to_another_is_merged(self, tmp_path, capsys):
-        # The second time lies within the run's landing tolerance of the
-        # first: both are served by the one frame at t = 1.
+    def test_profile_time_next_to_another_gets_its_own_snapshot(self, tmp_path, capsys):
+        # The run lands on each requested time exactly, however close the two are.
         cfg = write(tmp_path, FAST + "solver.early_stop = false\n")
         out = tmp_path / "out"
         assert main(["run", "--config", cfg, "--out", str(out),
                      "--profiles", "1.0,1.00000000000001"]) == 0
         assert "no frame" not in capsys.readouterr().err
+        rows = (out / "profiles.csv").read_text().splitlines()
+        times = [float(row.split(",")[0]) for row in rows[1:]]
+        assert times == [1.0] * 65 + [1.00000000000001] * 65
+
+    def test_profile_time_requested_twice_is_written_once(self, tmp_path):
+        cfg = write(tmp_path, FAST + "solver.early_stop = false\n")
+        out = tmp_path / "out"
+        assert main(["run", "--config", cfg, "--out", str(out), "--profiles", "1.0,1.0"]) == 0
         rows = (out / "profiles.csv").read_text().splitlines()
         assert [row.split(",")[0] for row in rows[1:]] == ["1"] * 65
 
@@ -584,6 +599,22 @@ class TestSweepCommand:
     def test_unset_axes_hold_the_model_values(self):
         setup = build_setup(parse_config_text(FAST + "sweep.mu = 0.5,2\nsweep.d =\n"))
         assert setup.sweep == {"sigma": (1.0,), "mu": (0.5, 2.0), "d": ()}
+
+    def test_cells_step_with_the_base_models_solver_values(self, tmp_path, monkeypatch):
+        # The config resolves dt_max for model.d = 1, so every sweep.d cell
+        # steps at 1e-3 h0^2 / 1; the library's SolverConfig() would resolve
+        # dt_max per cell instead.
+        configs = []
+
+        def capture(members, config):
+            configs.append(config)
+            return simulate_batch(members, config)
+
+        monkeypatch.setattr(threshold, "simulate_batch", capture)
+        cfg = write(tmp_path, "solver.n_cells = 16\nsolver.t_max = 0.01\nsweep.d = 0.5,4\n")
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        [config] = configs
+        assert config.dt_max == 1e-3
 
     def test_grid_rows_and_heatmap(self, tmp_path):
         cfg = write(tmp_path, FAST + "sweep.sigma = 0.5,1.0\nsweep.mu = 0.5,1.0\n")

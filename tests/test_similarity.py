@@ -29,6 +29,9 @@ from epifront import (
     InitialData,
     ModelParams,
     SolverConfig,
+    Trajectory,
+    Verdict,
+    classify,
     find_threshold,
     simulate,
     sweep,
@@ -167,3 +170,48 @@ def test_sweep_under_the_space_map():
     for cell, cell2 in zip(base, partner):
         assert (cell2.sigma, cell2.verdict, cell2.criterion, cell2.time, cell2.final_width) == (
             cell.sigma, cell.verdict, cell.criterion, cell.time, 2.0 * cell.final_width)
+
+
+def mapped(traj: Trajectory, p: ModelParams, resp: InfectionResponse,
+           scale: dict[str, float]) -> Trajectory:
+    """The frames of ``traj`` carried over to the model (p, resp): each
+    frame field times its factor in ``scale`` (1 when absent)."""
+    names = [f.name for f in fields(Frame) if f.name in scale]
+    frames = [replace(f, **{name: getattr(f, name) * scale[name] for name in names})
+              for f in traj.frames]
+    return Trajectory(p, resp, frames)
+
+
+def assert_same_classification(traj: Trajectory, partner: Trajectory,
+                               scale: dict[str, float]) -> set[Verdict]:
+    """``classify`` on every prefix of the partner's frames gives the base
+    verdict, with its evidence time and details scaled, compared with ``==``;
+    returns the verdicts compared."""
+    verdicts = set()
+    for k in range(1, len(traj.frames) + 1):
+        base = classify(Trajectory(traj.params, traj.resp, traj.frames[:k]))
+        cls = classify(Trajectory(partner.params, partner.resp, partner.frames[:k]))
+        assert (cls.verdict, cls.evidence.criterion, cls.evidence.r0f) == (
+            base.verdict, base.evidence.criterion, base.evidence.r0f), k
+        assert cls.evidence.time == base.evidence.time * scale.get("t", 1.0), k
+        assert cls.evidence.details == {key: value * scale.get(key, 1.0)
+                                        for key, value in base.evidence.details.items()}, k
+        verdicts.add(base.verdict)
+    return verdicts
+
+
+def test_classify_under_the_maps(base_runs):
+    # classify on its own, fed frames mapped by hand, with no run in between.
+    # The small hump runs on to t = 200, where it vanishes.
+    resp = InfectionResponse.monod(A21)
+    vanishing, _ = run(BASE, resp, INITS[0.02], replace(CONFIG, t_max=200.0))
+    space = dict.fromkeys(LENGTHS, 2.0)
+    wide = BASE.with_(d=4.0, h0=2.0 * BASE.h0, mu=4.0)
+    verdicts = set()
+    for traj in [vanishing, *(base_runs[sigma][0] for sigma in SIGMAS)]:
+        verdicts |= assert_same_classification(traj, mapped(traj, wide, resp, space), space)
+        for k in (2.0, 0.5):
+            scale = time_scale(k)
+            verdicts |= assert_same_classification(
+                traj, mapped(traj, *time_map(BASE, k), scale), scale)
+    assert verdicts == set(Verdict)  # every verdict is compared

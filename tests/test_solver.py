@@ -188,16 +188,17 @@ class TestSimulate:
         for target in times:
             assert np.any(recorded == target)
 
-    def test_record_time_next_to_t_max_is_merged(self, unit_params, monod2):
-        # A record time within the landing tolerance of t_max adds no step
-        # of 1e-12 and no frame: the t_max frame serves it.
+    def test_record_time_next_to_t_max_gets_its_own_frame(self, unit_params, monod2):
+        # The run lands on 1 - 1e-12 exactly, then takes a step of 1e-12 to t_max.
         traj, _ = simulate(
             unit_params, monod2, InitialData.cosine(0.1),
             SolverConfig(n_cells=64, dt_max=0.01, t_max=1.0, record_times=(1.0 - 1e-12,),
                          early_stop=False),
         )
-        assert (traj.n_steps, len(traj.frames)) == (100, 3)
-        assert traj.frame_at(1.0 - 1e-12) is traj.final and traj.final.t == 1.0
+        assert (traj.n_steps, len(traj.frames)) == (101, 4)
+        assert traj.frame_at(1.0 - 1e-12) is traj.frames[-2]
+        assert traj.frames[-2].t == 1.0 - 1e-12 and traj.final.t == 1.0
+        assert traj.terminated_by == "t_max"
 
     def test_clipping_stays_negligible(self, unit_params, monod2):
         traj, _ = simulate(
