@@ -30,8 +30,9 @@ class Verdict(str, Enum):
 
 @dataclass(frozen=True)
 class Evidence:
-    """What fired the verdict: the criterion, the time and R0F of the frame
-    it fired on, and the criterion's own figures.  The run's final state
+    """What fired the verdict: the criterion, its time (for spreading, the
+    located crossing of R0F = 1 + margin), the R0F of the frame it fired
+    on, and the criterion's own figures.  The run's final state
     is the trajectory's last frame, so it is not copied here."""
 
     criterion: str
@@ -54,6 +55,7 @@ _R0F_MARGIN = 1e-6
 _VANISH_RATIO = 1e-6
 _PLATEAU_RATIO = 1e-6  # width growth cap, times h0
 _TRAILING_FRACTION = 0.1
+SPREADING_R0F = 1.0 + _R0F_MARGIN  # the R0F at which the spreading theorem fires
 
 
 def classify(traj: "Trajectory") -> Classification:
@@ -61,7 +63,9 @@ def classify(traj: "Trajectory") -> Classification:
 
     Spreading: some frame has R0F >= 1 + margin, which by the theorem
     (R0F(t0) >= 1 for some t0 implies spreading) decides the run; the
-    first such frame is the evidence.  Vanishing: sup norms decayed below
+    first such frame is the evidence, and its time is where R0F,
+    interpolated linearly between that frame and the one before it,
+    reaches 1 + margin.  Vanishing: sup norms decayed below
     a tiny fraction of their initial sum while the width stalled.
     Otherwise undetermined at the horizon.  The plateau test scales with
     the run's own h0, read from ``traj.params``.
@@ -75,11 +79,17 @@ def classify(traj: "Trajectory") -> Classification:
         raise DomainError("cannot classify an empty trajectory")
     last = frames[-1]
 
-    if last.r0f >= 1.0 + _R0F_MARGIN:
-        first = frames[bisect_left(frames, 1.0 + _R0F_MARGIN, key=lambda f: f.r0f)]
+    if last.r0f >= SPREADING_R0F:
+        k = bisect_left(frames, SPREADING_R0F, key=lambda f: f.r0f)
+        first = frames[k]
+        time = first.t
+        if k > 0:  # the frame before lies below the level, so the slope is positive
+            prev = frames[k - 1]
+            rise = (SPREADING_R0F - prev.r0f) / (first.r0f - prev.r0f)
+            time = prev.t + (first.t - prev.t) * rise
         return Classification(
             Verdict.SPREADING,
-            Evidence("r0f_threshold", first.t, first.r0f, {"margin": _R0F_MARGIN}),
+            Evidence("r0f_threshold", time, first.r0f, {"margin": _R0F_MARGIN}),
         )
 
     initial_sup = frames[0].sup_w + frames[0].sup_z

@@ -234,7 +234,8 @@ def build_setup(entries: dict[str, tuple[str, int]]) -> RunSetup:
     shape = init_args.pop("shape")
     init = _build("init", entries, lambda: getattr(InitialData, shape)(**init_args))
 
-    # The derived dt_max and t_max are checked too, and echoed as the run will use them.
+    # The derived first step and t_max are checked too, and t_max is echoed as the run
+    # will use it; an unset dt_max (error-controlled steps) is not echoed.
     solver_cfg = _build("solver", entries,
                         lambda: SolverConfig(**_section(values, "solver")).resolved(params))
     values.update((key.name, getattr(solver_cfg, key.attr))
@@ -259,8 +260,9 @@ def build_setup(entries: dict[str, tuple[str, int]]) -> RunSetup:
         monitor_toggles=_section(values, "monitors"),
         bisect=bisect,
         sweep=sweep,
-        # List keys are echoed only when set.
-        echo={key.name: _show(values[key.name]) for key in SCHEMA if key.name in values
+        # Not echoed: values left unset (such as dt_max) and list keys left empty.
+        echo={key.name: _show(values[key.name]) for key in SCHEMA
+              if values.get(key.name) is not None
               and not (key.type is tuple and values[key.name] == key.default)},
     )
 

@@ -287,9 +287,11 @@ def principal_eigenvalue(p: ModelParams, resp: InfectionResponse, width: float) 
     return p.a11 + p.d * (math.pi / width) ** 2 - resp.deriv_at_zero * p.a12 / p.a22
 
 
-def critical_width(p: ModelParams, resp: InfectionResponse) -> float | None:
-    """The unique width with R0F = 1, or None when R0 <= 1."""
-    gain = resp.deriv_at_zero * p.a12 / p.a22 - p.a11
+def critical_width(
+    p: ModelParams, resp: InfectionResponse, r0f: float = 1.0
+) -> float | None:
+    """The unique width with R0F = r0f, or None when R0 <= r0f."""
+    gain = resp.deriv_at_zero * p.a12 / p.a22 / r0f - p.a11
     if gain <= 0:
         return None
     return math.pi * math.sqrt(p.d / gain)

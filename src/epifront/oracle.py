@@ -115,12 +115,15 @@ def refinement_study(
 ) -> RefinementResult:
     """Run the scenario at N, 2N and 4N cells with dt scaled like the mesh.
 
+    The study refines a fixed step, so ``base_config.dt_max`` must be set;
+    an unset one (error-controlled steps) raises DomainError on ``dt_max``.
     Observed orders come from successive-difference ratios of the final
     right front and from the mass-balance residual at t_end.  The study
     is flagged inconclusive when the differences are not decreasing.
     """
     base = base_config.resolved(p)
-    assert base.dt_max is not None
+    if base.dt_max is None:
+        raise DomainError("refinement_study refines a fixed step: set dt_max", field="dt_max")
     final_h = []
     residuals = []
     for k in range(3):

@@ -11,6 +11,13 @@ backward Euler (tridiagonal solve), advection is first-order upwind, and
 reactions are explicit.  Fronts move first, by forward Euler on the
 Stefan conditions, with a CFL limiter on the per-step displacement.
 
+A set ``SolverConfig.dt_max`` is a fixed step.  Left unset, each step is
+error-controlled by step doubling (``_controlled_step``): one step of H
+and two of H/2, kept as the local Richardson value 2 half - full when
+the two differ by at most ``_RTOL`` relative to the sup of each field
+and to the width, and retried with a smaller H otherwise.  The first H
+is 1e-3 h0^2/d, so the steps, like the model, scale with h0^2/d.
+
 The code splits into a stepper and a run loop.  The stepper
 (``_step_batch``) advances B members at once, each with its own
 parameters and step size.  One row per member holds its scalars (front
@@ -25,7 +32,9 @@ each member's end nodes are uncoupled identity rows, so the solve never
 pivots and w stays exactly 0 there.  The run loop (``simulate_batch``)
 owns, per member, the record times, the frame stride, failures and
 early stopping on each recorded frame, the first one included, and
-drops a member from the batch once it is done.  One ``_Run`` per member
+drops a member from the batch once it is done; it also records the step
+on which the width first reaches the one where R0F = 1 + margin, so
+that ``classify`` can locate the spreading time.  One ``_Run`` per member
 holds its trajectory (which carries the member's model), the scalars
 the stepper advances and the run loop's bookkeeping; ``_Run.record``
 appends every frame of a run.  ``simulate`` is the run loop's
@@ -50,6 +59,7 @@ from .model import (
     InfectionResponse,
     InitialData,
     ModelParams,
+    critical_width,
     free_boundary_reproduction_number,
 )
 
@@ -60,14 +70,20 @@ _TIME_SNAP = 1e-9
 # affine in y with its maximum 2 h0 max(h', -g')/width at a boundary node,
 # so this also bounds the advective Courant number max|A| dt/dy.
 _FRONT_CFL = 0.2
+# Largest local error an error-controlled step accepts, relative to the sup
+# of each field and to the width for the fronts.
+_RTOL = 1e-4
 
 
 @dataclass(frozen=True)
 class SolverConfig:
     """Discretization and orchestration settings.
 
-    ``dt_max`` defaults to 1e-3 h0^2/d and ``t_max`` to 200/min(a11, a22)
-    when left as None; call :meth:`resolved` to materialize them.
+    A set ``dt_max`` is a fixed step: every step has that size, cut only
+    to land on a record time or t_max and to the front CFL limit.  Left as
+    None, the steps are error-controlled (see ``_controlled_step``),
+    starting from 1e-3 h0^2/d.  ``t_max`` defaults to 200/min(a11, a22)
+    when left as None; call :meth:`resolved` to materialize it.
     ``record_times`` are exact times the integrator must land on (a frame
     is recorded there).  With ``early_stop`` a run ends on the first
     recorded frame that has a verdict; without it, at t_max.
@@ -91,7 +107,7 @@ class SolverConfig:
         for name in ("dt_max", "t_max"):
             value = getattr(self, name)
             if value is None:
-                continue  # resolved() derives it from the model
+                continue  # unset: error-controlled steps, or resolved() derives t_max
             if not (math.isfinite(value) and value > 0):
                 raise DomainError(f"{name} must be finite and > 0 (got {value!r})", field=name)
         if self.frame_stride < 1:
@@ -104,10 +120,19 @@ class SolverConfig:
             raise DomainError(f"record_times must be finite and >= 0 (got {self.record_times!r})",
                               field="record_times")
 
+    def first_step(self, p: ModelParams) -> float:
+        """The first step of a run of ``p``: dt_max when set, else 1e-3 h0^2/d."""
+        return self.dt_max if self.dt_max is not None else 1e-3 * p.h0 * p.h0 / p.d
+
     def resolved(self, p: ModelParams) -> "SolverConfig":
-        dt = self.dt_max if self.dt_max is not None else 1e-3 * p.h0 * p.h0 / p.d
+        """This config with t_max derived for ``p`` when unset; an unset
+        dt_max stays unset, and the first step it derives is checked."""
+        first = self.first_step(p)
+        if not (math.isfinite(first) and first > 0):
+            raise DomainError(f"the first step 1e-3 h0^2/d must be finite and > 0 (got {first!r})",
+                              field="dt_max")
         tm = self.t_max if self.t_max is not None else 200.0 / min(p.a11, p.a22)
-        return replace(self, dt_max=dt, t_max=tm)
+        return replace(self, t_max=tm)
 
 
 @dataclass(frozen=True)
@@ -206,7 +231,9 @@ def _frame(
 class _Run:
     """One member of a batch: its trajectory, which carries its model, the
     scalars the stepper reads and advances, then the run loop's bookkeeping
-    (a bare ``step`` leaves it unset).  ``clipped``: mass clipped since the last frame."""
+    (a bare ``step`` leaves it unset).  ``clipped``: mass clipped since the last frame;
+    ``next_dt``: the step the controller tries next; ``spread_width``: the
+    width at which R0F reaches ``analysis.SPREADING_R0F`` (inf if none does)."""
 
     traj: Trajectory
     config: SolverConfig  # resolved
@@ -218,6 +245,8 @@ class _Run:
     monitors: "analysis.Monitors | None" = None
     targets: list[float] = field(default_factory=list)  # still to land on; t_max last
     steps_since_frame: int = 0
+    next_dt: float = 0.0
+    spread_width: float = math.inf
 
     def record(self, frame: Frame) -> None:
         """Append ``frame`` and run the monitors on it."""
@@ -228,13 +257,18 @@ class _Run:
 
     def after_step(self, w: np.ndarray, z: np.ndarray) -> "analysis.Classification | None":
         """Land on the record time, record and classify after one step of
-        this member; return the classification once its run is over."""
+        this member; return the classification once its run is over.  The
+        step on which the width first passes ``spread_width`` is recorded
+        too, so that ``classify`` locates the crossing from the frames on
+        either side of it."""
         self.traj.n_steps += 1
         self.steps_since_frame += 1
         target = self.targets[0]
         if abs(self.t - target) <= _TIME_SNAP * max(1.0, target):
             self.t = self.targets.pop(0)
-        elif self.steps_since_frame < self.config.frame_stride:
+        elif self.steps_since_frame < self.config.frame_stride and not (
+                self.h - self.g >= self.spread_width
+                and self.traj.frames[-1].r0f < analysis.SPREADING_R0F):
             return None
         traj = self.traj
         self.record(_frame(traj.params, traj.resp, self.t, self.g, self.h, w, z, self.clipped))
@@ -278,6 +312,22 @@ def _block(runs: Sequence[_Run], n: int) -> tuple[np.ndarray, np.ndarray]:
                         for run in runs])
 
 
+def _step_size(m: _Run, edge: list[float], n: int, cap: float) -> tuple[float, float, float]:
+    """(g', h', dt) of member m on n cells from the edge nodes of its w:
+    the front speeds, and the step dt_max (when set) and ``cap`` allow,
+    cut to the front CFL limit."""
+    p, config = m.traj.params, m.config
+    dy = 2.0 * p.h0 / n
+    width = m.h - m.g
+    g_speed, h_speed = _stefan_speeds(*edge, dy, 2.0 * p.h0 * p.mu / width)
+    speed = max(h_speed, -g_speed)
+    dt = cap if config.dt_max is None else min(config.dt_max, cap)
+    if speed > 0.0:
+        dx_phys = dy * width / (2.0 * p.h0)
+        dt = min(dt, _FRONT_CFL * dx_phys / speed)
+    return g_speed, h_speed, dt
+
+
 def _step_batch(
     members: list[_Run],
     f: np.ndarray,
@@ -306,15 +356,9 @@ def _step_batch(
     fronts = []  # per member: new g, new h, dy
     edges = f[0].take(_EDGE_NODES, axis=1).tolist()
     for i, (m, edge, cap) in enumerate(zip(members, edges, caps)):
-        p, config = m.traj.params, m.config
+        p = m.traj.params
         dy = 2.0 * p.h0 / n
-        width = m.h - m.g
-        g_speed, h_speed = _stefan_speeds(*edge, dy, 2.0 * p.h0 * p.mu / width)
-        speed = max(h_speed, -g_speed)
-        dt = min(config.dt_max, cap)
-        if speed > 0.0:
-            dx_phys = dy * width / (2.0 * p.h0)
-            dt = min(dt, _FRONT_CFL * dx_phys / speed)
+        g_speed, h_speed, dt = _step_size(m, edge, n, cap)
         g_new = m.g + dt * g_speed
         h_new = m.h + dt * h_speed
         # The sign clamps give h_new >= h and g_new <= g, and rounding is monotone,
@@ -399,6 +443,81 @@ def _step_batch(
     return f_new, failed
 
 
+def _controlled_step(
+    members: list[_Run],
+    f: np.ndarray,
+    y: np.ndarray,
+    caps: Sequence[float],
+) -> tuple[np.ndarray, dict[int, Exception], set[int]]:
+    """Try one error-controlled step of every member of a batch.
+
+    Step doubling on ``_step_batch``: from each member's state, one step
+    of its H and two of H/2, where H is its ``next_dt`` cut to ``caps[i]``
+    and to the front CFL limit.  The error estimate is the largest of
+    |w_half - w_full| / sup w_half, the same for z, and the gaps of the two
+    fronts over the width.  A member whose estimate is at most ``_RTOL``
+    takes the local Richardson value 2 half - full: the fields floored at
+    0 (the floored mass joins ``clipped``, with what the half steps
+    clipped) and the fronts clamped so that h never decreases and g never
+    increases.  Any other member is rejected and keeps its state and its
+    row of ``f``; so is one whose second half step the front CFL limit
+    cut short.  Either way its ``next_dt`` becomes H times
+    0.9 sqrt(_RTOL / error), clipped to [0.2, 2].  Each member's trial
+    runs on copies of its scalars, so members accept or reject on their
+    own and get exactly what they get alone.
+
+    Returns (f_new, failed, rejected) with ``_step_batch``'s ``failed``
+    (the first error of a member's three calls) and the rejected rows.
+    """
+    n = f.shape[2] - 1
+    edges = f[0].take(_EDGE_NODES, axis=1).tolist()
+    steps = [_step_size(m, edge, n, min(m.next_dt, cap))[2]
+             for m, edge, cap in zip(members, edges, caps)]
+    halves = [dt / 2.0 for dt in steps]
+    full = [_Run(m.traj, m.config, m.t, m.g, m.h) for m in members]
+    half = [_Run(m.traj, m.config, m.t, m.g, m.h) for m in members]
+    f_full, failed = _step_batch(full, f, y, steps)
+    f_mid, failed_mid = _step_batch(half, f, y, halves)
+    f_half, failed_half = _step_batch(half, f_mid, y, halves)
+    failed = {**failed_half, **failed_mid, **failed}
+    if failed:  # their rows are meaningless; zero them so the norms below stay finite
+        lost = list(failed)
+        f_full[:, lost] = f_half[:, lost] = 0.0
+
+    gap = np.abs(f_half - f_full).max(axis=2)  # (2, B): w over z
+    sup = f_half.max(axis=2)
+    field_err = np.divide(gap, sup, out=np.where(gap > 0.0, math.inf, 0.0),
+                          where=sup > 0.0).max(axis=0).tolist()
+    f_new = 2.0 * f_half - f_full
+    floored = [0.0] * len(members)
+    if not f_new.min() >= 0.0:
+        floored = (-np.minimum(f_new, 0.0).sum(axis=(0, 2))).tolist()
+        np.maximum(f_new, 0.0, out=f_new)
+
+    rejected = set()
+    for i, (m, a, b) in enumerate(zip(members, full, half)):
+        if i in failed:
+            continue
+        dt = steps[i]
+        width = b.h - b.g
+        err = max(field_err[i], abs(b.g - a.g) / width, abs(b.h - a.h) / width)
+        factor = 2.0 if err == 0.0 else min(2.0, max(0.2, 0.9 * math.sqrt(_RTOL / err)))
+        if b.t != (m.t + halves[i]) + halves[i]:  # the second half step was cut short
+            factor, err = 0.5, math.inf
+        m.next_dt = dt * factor
+        if not err <= _RTOL:
+            rejected.add(i)
+            continue
+        m.t = a.t
+        m.g = min(m.g, 2.0 * b.g - a.g)
+        m.h = max(m.h, 2.0 * b.h - a.h)
+        m.clipped = m.clipped + b.clipped + floored[i] * (m.h - m.g) / n  # dy times the Jacobian
+    if rejected:
+        stay = list(rejected)
+        f_new[:, stay] = f[:, stay]
+    return f_new, failed, rejected
+
+
 def initial_state(
     p: ModelParams, resp: InfectionResponse, init: InitialData, n_cells: int
 ) -> Frame:
@@ -428,13 +547,16 @@ def step(
     resp: InfectionResponse,
     config: SolverConfig,
 ) -> Frame:
-    """Advance one IMEX step; the step size obeys dt_max and the front CFL limit.
+    """Advance one IMEX step of the first step size (``config.first_step``):
+    dt_max when set, else 1e-3 h0^2/d, cut to the front CFL limit.
 
-    The stepper's one-member case, run on ``Trajectory(p, resp, [frame])``.
-    The new frame's ``clipped`` is the mass this step clipped.
+    The stepper's one-member case, run on ``Trajectory(p, resp, [frame])``,
+    with no error control.  The new frame's ``clipped`` is the mass this
+    step clipped.
     """
-    m = _Run(Trajectory(p, resp, [frame]), config.resolved(p), frame.t, frame.g, frame.h)
-    f, failed = _step_batch([m], *_block([m], frame.w.size - 1), [math.inf])
+    cfg = config.resolved(p)
+    m = _Run(Trajectory(p, resp, [frame]), cfg, frame.t, frame.g, frame.h)
+    f, failed = _step_batch([m], *_block([m], frame.w.size - 1), [cfg.first_step(p)])
     if failed:
         raise failed[0]
     return _frame(p, resp, m.t, m.g, m.h, f[0, 0], f[1, 0], m.clipped)
@@ -462,7 +584,9 @@ def simulate_batch(
     ``members`` holds (p, resp, init) triples that share one response
     object: G is evaluated once on the whole (B, n+1) block, so it must act
     elementwise.  ``config`` is shared and resolved per member, so each
-    member's dt_max and t_max follow its own parameters.  ``monitors``,
+    member's t_max and first step follow its own parameters.  With dt_max
+    unset, each member accepts or rejects its own error-controlled steps;
+    ``n_steps`` and ``frame_stride`` count accepted steps.  ``monitors``,
     when given, holds one Monitors (or None) per member, evaluated on every
     frame that member records.
 
@@ -486,10 +610,12 @@ def simulate_batch(
         traj = Trajectory(p, resp)
         try:
             cfg = config.resolved(p)
+            spread_width = critical_width(p, resp, analysis.SPREADING_R0F)
             start = initial_state(p, resp, init, cfg.n_cells)
             targets = sorted({float(s) for s in cfg.record_times if 0.0 < s < cfg.t_max})
             run = _Run(traj, cfg, start.t, start.g, start.h, index=index, monitors=mon,
-                       targets=[*targets, cfg.t_max])
+                       targets=[*targets, cfg.t_max], next_dt=cfg.first_step(p),
+                       spread_width=math.inf if spread_width is None else spread_width)
             run.record(start)
             outcome = run.outcome()  # a run its first frame decides takes no step
         except Exception as exc:  # noqa: BLE001 - the member's outcome
@@ -503,7 +629,11 @@ def simulate_batch(
     while runs:
         caps = [run.targets[0] - run.t for run in runs]
         try:
-            f, failed = _step_batch(runs, f, y, caps)
+            if config.dt_max is None:
+                f, failed, rejected = _controlled_step(runs, f, y, caps)
+            else:
+                f, failed = _step_batch(runs, f, y, caps)
+                rejected = set()
         except Exception as exc:  # noqa: BLE001 - not tied to one member, so it ends all
             for run in runs:
                 results[run.index] = (run.traj, exc)
@@ -511,7 +641,7 @@ def simulate_batch(
         keep = []
         for i, run in enumerate(runs):
             outcome = failed.get(i)
-            if outcome is None:
+            if outcome is None and i not in rejected:
                 try:
                     outcome = run.after_step(f[0, i], f[1, i])
                 except Exception as exc:  # noqa: BLE001 - the member's outcome

@@ -22,6 +22,7 @@ from epifront import (
     simulate,
     simulate_batch,
 )
+from epifront.analysis import SPREADING_R0F
 from conftest import linear_response
 
 
@@ -148,6 +149,20 @@ class TestClassify:
             assert np.all(np.diff(run.column("width")) >= 0.0)
             assert np.all(np.diff(run.column("r0f")) >= 0.0)
 
+    def test_spreading_time_is_located_between_frames(self, unit_params, monod2):
+        # R0F is interpolated linearly between the first frame at or past
+        # 1 + margin and the frame before it; a first frame past it is its own time.
+        from epifront.solver import Trajectory, initial_state
+
+        start = initial_state(unit_params, monod2, InitialData.cosine(1.0), 16)
+        frames = [dataclasses.replace(start, t=t, r0f=r0f)
+                  for t, r0f in ((0.0, 0.9), (1.0, 0.98), (3.0, 1.02), (4.0, 1.1))]
+        located = 1.0 + 2.0 * (SPREADING_R0F - 0.98) / (1.02 - 0.98)
+        for prefix, time, r0f in ((frames, located, 1.02), (frames[2:], 3.0, 1.02)):
+            cls = classify(Trajectory(unit_params, monod2, prefix))
+            assert cls.verdict is Verdict.SPREADING
+            assert (cls.evidence.time, cls.evidence.r0f) == (time, r0f)
+
     def test_empty_trajectory_rejected(self, unit_params, monod2):
         from epifront.solver import Trajectory
 
@@ -198,7 +213,8 @@ class TestMonitors:
         init = InitialData.cosine(1.0)
         monitors = Monitors(bound_certificate(unit_params, monod2, init))
         traj, _ = simulate(unit_params, monod2, init,
-                           SolverConfig(t_max=3.0, early_stop=False), monitors=monitors)
+                           SolverConfig(t_max=3.0, frame_stride=5, early_stop=False),
+                           monitors=monitors)
         assert len(traj.frames) > 10
 
     def test_bound_violation_detected(self, unit_params, monod2):

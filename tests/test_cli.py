@@ -130,11 +130,11 @@ class TestConfigParsing:
                 in capsys.readouterr().err)
 
     def test_derived_solver_value_invalid(self, tmp_path, capsys):
-        # The default dt_max = 1e-3 h0^2/d overflows to inf.
+        # The first step 1e-3 h0^2/d of an unset dt_max overflows to inf.
         cfg = write(tmp_path, "model.h0 = 1e200\nmodel.d = 1e-200\n")
         assert main(["validate", "--config", cfg]) == 2
-        assert (f"config error: {cfg}: solver.dt_max: dt_max must be finite and > 0 (got inf)"
-                in capsys.readouterr().err)
+        assert (f"config error: {cfg}: solver.dt_max: the first step 1e-3 h0^2/d must be "
+                "finite and > 0 (got inf)" in capsys.readouterr().err)
 
     @pytest.mark.parametrize("command", ["validate", "run", "threshold", "sweep"])
     def test_habitat_too_narrow_for_its_eigenvalue(self, command, tmp_path, capsys):
@@ -150,8 +150,10 @@ class TestConfigParsing:
     def test_defaults_resolve(self):
         setup = build_setup({})
         assert setup.params.d == 1.0
-        assert setup.solver.dt_max == pytest.approx(1e-3)
+        assert setup.solver.dt_max is None
+        assert setup.solver.first_step(setup.params) == pytest.approx(1e-3)
         assert setup.echo["response.kind"] == "monod"
+        assert "solver.dt_max" not in setup.echo and setup.echo["solver.t_max"] == "200"
         assert setup.monitor_toggles == {"bounds": True, "symmetry": True, "speed": True}
         toggled = build_setup(parse_config_text("monitors.bounds = false\n"))
         assert toggled.monitor_toggles == {"bounds": False, "symmetry": True, "speed": True}
@@ -268,12 +270,12 @@ class TestRunCommand:
         assert times == {"0.5", "1.5"}
 
     def test_unreached_profile_times_reported(self, tmp_path, capsys):
-        # FAST is stopped by the classifier at t = 1.2, before 1.9 and 100.
+        # FAST is stopped by the classifier at t = 1.20737, before 1.9 and 100.
         cfg = write(tmp_path, FAST)
         out = tmp_path / "out"
         assert main(["run", "--config", cfg, "--out", str(out), "--profiles", "0.5,1.9,100"]) == 0
         err = capsys.readouterr().err
-        assert "profiles: no frame at t = 1.9, 100.0 (run ended at t = 1.2)" in err
+        assert "profiles: no frame at t = 1.9, 100.0 (run ended at t = 1.20737)" in err
         rows = (out / "profiles.csv").read_text().splitlines()
         assert {row.split(",")[0] for row in rows[1:]} == {"0.5"}
 
@@ -379,12 +381,12 @@ class TestRunCommand:
         assert not (out / "trajectory.csv").exists()
         assert not (out / "summary.json").exists()
 
-    # FAST records a frame every 20 steps: the 100th step fails after 5 frames, the
-    # 5th monitor check on the 5th frame, and the 1st step leaves only the initial frame.
-    # A run is a batch of one member, so each call of the stepper is one step.
+    # FAST records a frame every 20 accepted steps of three stepper calls each: the
+    # 100th call (in step 34) fails after 2 frames, the 5th monitor check on the 5th
+    # frame, and the 1st call leaves only the initial frame.
     @pytest.mark.parametrize("target, name, calls, error, code, frames", [
         pytest.param(solver_mod, "_step_batch", 100,
-                     lambda: BlowUpError("synthetic blow-up", 0.0, -1.0, 1.0), 3, 5,
+                     lambda: BlowUpError("synthetic blow-up", 0.0, -1.0, 1.0), 3, 2,
                      id="epifront.solver-step-100-<lambda>-3-5"),
         (Monitors, "on_frame", 5, lambda: MonitorViolation("bounds", 0.0, "synthetic"), 4, 5),
         pytest.param(solver_mod, "_step_batch", 1,
@@ -601,20 +603,25 @@ class TestSweepCommand:
         assert setup.sweep == {"sigma": (1.0,), "mu": (0.5, 2.0), "d": ()}
 
     def test_cells_step_with_the_base_models_solver_values(self, tmp_path, monkeypatch):
-        # The config resolves dt_max for model.d = 1, so every sweep.d cell
-        # steps at 1e-3 h0^2 / 1; the library's SolverConfig() would resolve
-        # dt_max per cell instead.
-        configs = []
+        # Every cell runs on the config the base model resolved, so a set dt_max
+        # is every cell's step.  An unset dt_max stays unset, and each sweep.d
+        # cell starts its error-controlled steps at its own 1e-3 h0^2/d.
+        calls = []
 
         def capture(members, config):
-            configs.append(config)
+            calls.append((members, config))
             return simulate_batch(members, config)
 
         monkeypatch.setattr(threshold, "simulate_batch", capture)
-        cfg = write(tmp_path, "solver.n_cells = 16\nsolver.t_max = 0.01\nsweep.d = 0.5,4\n")
-        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
-        [config] = configs
-        assert config.dt_max == 1e-3
+        for dt_max, first in ((0.002, [0.002, 0.002]), (None, [2e-3, 2.5e-4])):
+            calls.clear()
+            step = "" if dt_max is None else f"solver.dt_max = {dt_max}\n"
+            cfg = write(tmp_path, "solver.n_cells = 16\nsolver.t_max = 0.01\nsweep.d = 0.5,4\n"
+                        + step)
+            assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+            [(members, config)] = calls
+            assert (config.dt_max, config.t_max) == (dt_max, 0.01)
+            assert [config.first_step(p) for p, _, _ in members] == pytest.approx(first)
 
     def test_grid_rows_and_heatmap(self, tmp_path):
         cfg = write(tmp_path, FAST + "sweep.sigma = 0.5,1.0\nsweep.mu = 0.5,1.0\n")

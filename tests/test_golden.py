@@ -71,8 +71,8 @@ def test_simulate_with_record_times():
     cfg = SolverConfig(n_cells=256, t_max=1.0, frame_stride=40, record_times=(0.1, 0.25, 0.6))
     traj, cls = simulate(UNIT, InfectionResponse.monod(2.0), InitialData.cosine(1.0), cfg)
     assert cls.verdict is Verdict.UNDETERMINED
-    assert (traj.n_steps, len(traj.frames), traj.terminated_by) == (1001, 27, "t_max")
-    assert run_digest(traj) == "debfe57948de3b917ae1d341524c0b22dd4dfd4e48b661077a8b18bae4b6b854"
+    assert (traj.n_steps, len(traj.frames), traj.terminated_by) == (271, 10, "t_max")
+    assert run_digest(traj) == "83d4e6cfdf28fd29eb105576b6ab920cf75fc86448d921c9512616ce8bd516b0"
 
 
 # One config per command path: the cosine and the skewed data, the Monod and
@@ -85,31 +85,31 @@ COMMANDS = {
         ["run", "--svg", "--profiles", "0.5,1.0"],
         "model.h0 = 1.0\nresponse.a21 = 2.0\ninit.sigma = 1.0\nsolver.n_cells = 64\n"
         "solver.t_max = 2.0\nsolver.frame_stride = 20\n" + _MONITORS,
-        {"fronts.svg": "6c97a43f6b7db8f6bb6ea42620db5eab24f7c5c5f36cbb986977f7fe4f41e8a2",
-         "profiles.csv": "45b24c05e458326e31aa30e74a610adc359a71a66c6c9bf9f0268753dd4a777b",
-         "summary.json": "ff8ef7cfb526600958db0c9f9cc0aa67280197377a9c2a6e510b176d96d6456d",
-         "supnorms.svg": "a333651a28d80db22493b8bf89e2a1590ee3225595f596958c8f36f10f025b72",
-         "trajectory.csv": "6a34b7d3c5b6325d9a6549ea7af253de05980e493e599dc7ba59e33e4ba23ca2"}),
+        {"fronts.svg": "538697612f38b1617530b91a4c83f5fbc5dbee7f1e569119ff3eddf434521da2",
+         "profiles.csv": "f2cdad7aa1978b49f67d8326a7c83a517ffb77891fb1ef281d9e93f21c40b8ce",
+         "summary.json": "6c7609c5d14d504f5f97727eb0a2201be2ceb650ced3da266ac3d288a75899b5",
+         "supnorms.svg": "570630a841b420bdea4a23613595de5e8f98a111b076c182a3cbbffac5befdec",
+         "trajectory.csv": "2cf9ca7e0a080eaeee00b302b6241d0571b0397077f3c1ca536fa32a14356739"}),
     "run_skewed_table": (
         ["run"],
         "model.h0 = 1.0\nresponse.kind = table\nresponse.z_values = 0,1,2,4\n"
         "response.g_values = 0,1.5,2,2.5\ninit.shape = skewed_cosine\ninit.skew = 0.4\n"
         "init.sigma = 0.8\nsolver.n_cells = 64\nsolver.t_max = 2.0\nsolver.frame_stride = 20\n",
-        {"summary.json": "32603c868f2f5c7f9e4daf64345e352a9d0b24eb86034e45d8bb6da1e6b4ce5d",
-         "trajectory.csv": "741d17cc0c81e3c655b751d887d0c4d15ceb6550abcf74901635fb54019acb9d"}),
+        {"summary.json": "0c685da914f105c4e6210bddc5e2ec48a59a45d7f41eb949473b07dfe90e7a89",
+         "trajectory.csv": "1b7058f5cf2d9e2b7be8f0057ada7519e80703fc83bdfcde300710c75e9f6979"}),
     "threshold_sigma": (
         ["threshold", "--target", "sigma"],
         _BRACKET,
-        {"threshold.json": "92be8025214b333fccba1d57137b8a9b1d6257c39dd7d9c87c4cbb5aff429919"}),
+        {"threshold.json": "fb44588e75e480758e979d90d42fa6ac7a3db61655259939fa35a8b9594438e1"}),
     "threshold_mu": (
         ["threshold", "--target", "mu"],
         _BRACKET + "init.sigma = 0.1\n",
-        {"threshold.json": "130da489a09590cfa8a0e4d3007053eea477da1b33f7604915ecfa75d58a8147"}),
+        {"threshold.json": "c1497a529f54191ef06d732706b6f8c267ea4ba6566a3bbb1e16a7a7fe509aae"}),
     "sweep": (
         ["sweep", "--svg"],
         "model.h0 = 1.0\nsolver.n_cells = 32\nsolver.dt_max = 0.02\nsolver.t_max = 4\n"
         "sweep.sigma = 0.05,1.0\nsweep.mu = 0.5,2.0\n",
-        {"phase.csv": "671e314db8675559514d218dc645b029eac956e502e7df93897adcf1505c6524",
+        {"phase.csv": "8aef112372ea03ae8e60e70a4d9a75c56516458d0b3577b6ff52488e7eeb7974",
          "phase.svg": "45aecd2514dc523e63d6366b4ff32587de8c9d8a8a528e5c4fea329736c6ea68"}),
 }
 

@@ -112,6 +112,15 @@ class TestCriticalWidth:
         p, resp = params_with(1.0)
         assert critical_width(p, resp) is None
 
+    def test_width_at_another_level(self):
+        # The width where the run loop records the step on which spreading fires.
+        p, resp = params_with(2.0)
+        level = 1.0 + 1e-6
+        width = critical_width(p, resp, level)
+        assert width > critical_width(p, resp)
+        assert free_boundary_reproduction_number(p, resp, width) == pytest.approx(level, rel=1e-14)
+        assert critical_width(p, resp, 2.0) is None  # R0 = 2 never exceeds it
+
     @given(a21=st.floats(min_value=1.01, max_value=100.0), d=positive)
     @settings(max_examples=200)
     def test_defining_identity(self, a21, d):

@@ -101,6 +101,14 @@ class TestRefinementStudy:
         assert all(0.8 <= order <= 1.5 for order in study.front_orders)
         assert all(order >= 0.8 for order in study.residual_orders)
 
+    def test_unset_step_rejected(self, unit_params, monod2):
+        # Error-controlled steps have no dt to halve; the check is no assert, so
+        # python -O keeps it.
+        with pytest.raises(DomainError, match="refines a fixed step") as info:
+            refinement_study(unit_params, monod2, InitialData.cosine(1.0),
+                             SolverConfig(n_cells=32), t_end=0.5)
+        assert info.value.field == "dt_max"
+
     def test_zero_solution_inconclusive(self, unit_params, monod2):
         study = refinement_study(unit_params, monod2, InitialData.cosine(0.0),
                                  SolverConfig(n_cells=32, dt_max=4e-3), t_end=0.5)

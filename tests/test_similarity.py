@@ -119,13 +119,13 @@ def test_time_map(base_runs, sigma, k):
 
 @pytest.mark.parametrize("k", (2.0, 0.5))
 def test_time_map_with_default_step_and_horizon(k):
-    # Each model resolves dt_max = 1e-3 h0^2/d and t_max = 200/min(a11, a22)
-    # for itself, and both defaults scale with the clock.
+    # Each model takes its first error-controlled step 1e-3 h0^2/d and resolves
+    # t_max = 200/min(a11, a22) for itself, and both defaults scale with the clock.
     config = SolverConfig(n_cells=64)
     init = InitialData.cosine(0.1)
     base = run(BASE, InfectionResponse.monod(A21), init, config)
     p, resp = time_map(BASE, k)
-    assert config.resolved(p).dt_max == config.resolved(BASE).dt_max * k
+    assert config.first_step(p) == config.first_step(BASE) * k
     assert_scaled(base, run(p, resp, init, config), time_scale(k))
 
 

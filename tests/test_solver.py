@@ -27,6 +27,7 @@ from epifront import (
     sweep,
 )
 from conftest import zero_response
+from test_golden import run_digest
 
 
 class TestFrontSpeeds:
@@ -61,7 +62,7 @@ class TestFrontSpeeds:
             assert np.array_equal(getattr(start, name), getattr(first, name)), name
         assert speeds[0] < 0.0 < speeds[1] and speeds[0] != -speeds[1]
         # step chained from initial_state gives the run's next frames, every field of them.
-        cfg = SolverConfig(n_cells=64, frame_stride=1, early_stop=False, t_max=0.05)
+        cfg = SolverConfig(n_cells=64, dt_max=1e-3, frame_stride=1, early_stop=False, t_max=0.05)
         for model, data in ((unit_params, cosine_init), (p, init)):
             traj, _ = simulate(model, monod2, data, cfg)
             frame = initial_state(model, monod2, data, cfg.n_cells)
@@ -154,11 +155,12 @@ class TestSimulate:
         assert np.all(np.diff(widths) >= 0)
 
     def test_dirichlet_ends_stay_exactly_zero_at_large_r(self, unit_params, monod2):
-        # n = 256 at the default dt gives r = dt b / dy^2 of about 16, where a
-        # solve that couples the end rows pivots and leaves round-off there.
+        # n = 256 with the default error-controlled steps, which grow past 0.1,
+        # gives r = dt b / dy^2 in the thousands, where a solve that couples the
+        # end rows pivots and leaves round-off there; 2 half - full keeps the 0.
         traj, cls = simulate(unit_params, monod2, InitialData.cosine(0.02),
                              SolverConfig(n_cells=256))
-        assert cls.verdict is Verdict.VANISHING and len(traj.frames) > 800
+        assert cls.verdict is Verdict.VANISHING and len(traj.frames) > 50
         for frame in traj.frames:
             assert frame.w[0] == frame.w[-1] == 0.0
             assert frame.clipped == 0.0
@@ -275,7 +277,9 @@ class TestSimulate:
                 before = classify(Trajectory(p, monod2, traj.frames[:-1]))
                 assert before.verdict is Verdict.UNDETERMINED
                 if cls.verdict is Verdict.SPREADING:
-                    assert traj.final.t == cls.evidence.time
+                    # It ends on the crossing frame: the located time lies
+                    # between it and the frame before it.
+                    assert traj.frames[-2].t <= cls.evidence.time <= traj.final.t
 
     def test_first_frame_decides_early_stopped_run(self, unit_params, monod2):
         # R0F(0) = 1.18 >= 1 + margin spreads and zero data vanishes: the first
@@ -292,6 +296,24 @@ class TestSimulate:
             traj, cls = simulate(p, monod2, init, dataclasses.replace(cfg, early_stop=False))
             assert cls.verdict is verdict
             assert (traj.final.t, traj.terminated_by) == (cfg.t_max, "t_max")
+
+    def test_spreading_run_ends_on_its_crossing_step(self, unit_params, monod2):
+        # The step whose width first reaches the one where R0F = 1 + margin is
+        # recorded whatever the stride, so a stride-50 run ends on the step a
+        # stride-1 run ends on.
+        from epifront.analysis import SPREADING_R0F
+        from epifront.model import critical_width
+
+        p = unit_params.with_(h0=1.2)
+        cfg = SolverConfig(n_cells=64, dt_max=0.01, t_max=2.0, frame_stride=50)
+        traj, cls = simulate(p, monod2, InitialData.cosine(2.0), cfg)
+        every, _ = simulate(p, monod2, InitialData.cosine(2.0),
+                            dataclasses.replace(cfg, frame_stride=1))
+        assert cls.verdict is Verdict.SPREADING and traj.n_steps % 50 != 0
+        assert traj.n_steps == every.n_steps and traj.final.t == every.final.t
+        crossing = critical_width(p, monod2, SPREADING_R0F)
+        assert traj.frames[-2].width < crossing <= traj.final.width
+        assert traj.frames[-2].t < cls.evidence.time <= traj.final.t
 
     def test_rejects_shape_not_vanishing_at_ends(self, unit_params, monod2):
         bad = InitialData(1.0, phi=lambda x, h0: np.ones_like(np.asarray(x, dtype=float)),
@@ -322,7 +344,8 @@ class TestSimulateBatch:
 
     def test_members_equal_solo_runs(self, monod2):
         # The perfbench sweep_grid grid, shortened, plus a member with another d;
-        # dt_max is left to each member's own resolution (1e-3 h0^2 / d).
+        # dt_max is unset, so each member takes its own error-controlled steps
+        # from its own first step 1e-3 h0^2 / d.
         members = [(self.P.with_(mu=mu), monod2, InitialData.cosine(sigma))
                    for mu in (0.5, 1.0) for sigma in (0.02, 0.05, 0.1, 0.2, 0.5, 1.0, 2.0, 5.0)]
         members.append((self.P.with_(d=0.6), monod2, InitialData.cosine(0.3)))
@@ -334,6 +357,28 @@ class TestSimulateBatch:
         steps = {traj.n_steps for traj, _ in results}
         assert len(steps) > 1  # members left the batch at different steps
         assert all(np.any(traj.column("t") == 0.7) for traj, _ in results if traj.final.t > 0.7)
+
+    def test_member_with_a_rejected_step_equals_its_solo_run(self, unit_params, monod2,
+                                                             monkeypatch):
+        # sigma = 2 rejects a step where sigma = 0.5 accepts every one, so in the
+        # batch one member retries while the other moves on.  Each accepted or
+        # rejected attempt is three stepper calls.
+        from epifront import solver as solver_mod
+
+        members = [(unit_params, monod2, InitialData.cosine(sigma)) for sigma in (2.0, 0.5)]
+        cfg = SolverConfig(n_cells=64, t_max=1.0, frame_stride=5, early_stop=False)
+        real = solver_mod._step_batch
+        calls = []
+        monkeypatch.setattr(solver_mod, "_step_batch",
+                            lambda *args: calls.append(0) or real(*args))
+        solos, attempts = [], []
+        for member in members:
+            calls.clear()
+            solos.append(simulate(*member, cfg))
+            attempts.append(len(calls) // 3)
+        assert attempts[0] > solos[0][0].n_steps and attempts[1] == solos[1][0].n_steps
+        for got, solo in zip(simulate_batch(members, cfg), solos):
+            assert_same_run(got, solo)
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf - inf in the bad row
     def test_failure_stays_in_its_member(self, monod2):
@@ -548,10 +593,52 @@ class TestSolverConfig:
             SolverConfig(**{name: math.inf})
 
     def test_resolved_defaults(self, unit_params):
+        # An unset dt_max stays unset (error-controlled steps) and derives the first step.
         cfg = SolverConfig().resolved(unit_params)
-        assert cfg.dt_max == pytest.approx(1e-3)
+        assert cfg.dt_max is None
+        assert cfg.first_step(unit_params) == pytest.approx(1e-3)
         assert cfg.t_max == pytest.approx(200.0)
         p2 = ModelParams(d=4.0, a11=2.0, a12=1.0, a22=0.5, mu=1.0, h0=2.0)
         cfg2 = SolverConfig().resolved(p2)
-        assert cfg2.dt_max == pytest.approx(1e-3 * 4.0 / 4.0)
+        assert cfg2.first_step(p2) == pytest.approx(1e-3 * 4.0 / 4.0)
         assert cfg2.t_max == pytest.approx(400.0)
+        assert SolverConfig(dt_max=0.02).resolved(p2).first_step(p2) == 0.02
+
+
+class TestErrorControlledSteps:
+    """dt_max unset: step doubling with local Richardson extrapolation."""
+
+    def test_more_accurate_than_the_fixed_first_step(self, unit_params, monod2):
+        # The n = 64 vanish model at t = 4 against the fixed-step Richardson value
+        # 2 X(dt/2) - X(dt) at dt = 5e-4, whose own error is O(dt^2).
+        init = InitialData.cosine(0.02)
+
+        def run(dt_max):
+            cfg = SolverConfig(n_cells=64, dt_max=dt_max, t_max=4.0, early_stop=False)
+            return simulate(unit_params, monod2, init, cfg)[0]
+
+        coarse, fine = run(5e-4).final, run(2.5e-4).final
+        ref = [2.0 * getattr(fine, name) - getattr(coarse, name) for name in ("width", "sup_w")]
+
+        def errors(traj):
+            return [abs(traj.final.width - ref[0]), abs(traj.final.sup_w - ref[1])]
+
+        controlled, fixed = run(None), run(1e-3)  # 1e-3 h0^2/d, the first step
+        assert all(e < e_fixed for e, e_fixed in zip(errors(controlled), errors(fixed)))
+        assert controlled.n_steps < fixed.n_steps / 10
+
+    def test_spreading_time_matches_the_fixed_step_limit(self, unit_params, monod2):
+        # The perfbench recorded_spread model.  Its fixed-step limit 5.8843 is
+        # extrapolated from 5.874 (dt = 1e-3) and 5.88175 (dt = 2.5e-4) at stride 1.
+        cfg = SolverConfig(n_cells=256, t_max=8.0, frame_stride=1)
+        _, cls = simulate(unit_params, monod2, InitialData.cosine(0.3), cfg)
+        assert cls.verdict is Verdict.SPREADING
+        assert abs(cls.evidence.time - 5.8843) <= 2e-3
+
+    def test_rerun_is_byte_identical_and_widths_never_decrease(self, unit_params, monod2):
+        cfg = SolverConfig(n_cells=64, t_max=10.0, frame_stride=1, early_stop=False)
+        first, second = (simulate(unit_params, monod2, InitialData.cosine(0.3), cfg)[0]
+                         for _ in range(2))
+        assert run_digest(first) == run_digest(second)
+        assert np.all(np.diff(first.column("width")) >= 0.0)
+        assert first.n_steps < 10.0 / 1e-3 / 10  # far fewer than fixed 1e-3 steps

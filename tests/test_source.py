@@ -289,7 +289,8 @@ def test_perfbench_hooks_read_the_real_types(unit_params, monod2):
     bench.install_probes(tracer, cli)
     try:
         init = InitialData.cosine(1.0)
-        config = solver.SolverConfig(n_cells=64, t_max=0.05).resolved(unit_params)
+        # dt_limited reads config.dt_max, so the step is a fixed one.
+        config = solver.SolverConfig(n_cells=64, dt_max=1e-3, t_max=0.05).resolved(unit_params)
         start = solver.initial_state(unit_params, monod2, init, config.n_cells)
         solver.step(start, unit_params, monod2, config)
         traj, _ = threshold.simulate(unit_params, monod2, init, config)

@@ -21,5 +21,6 @@ def test_step_cost_prints_every_case(capsys):
     labels = [line.split()[:-1] for line in lines]
     assert labels == (
         [["step", f"n={n}", f"B={size}"] for n in step_cost.CELLS for size in step_cost.MEMBERS]
+        + [["controlled", f"n={step_cost.CONTROLLED_CELLS}", "B=1"]]
         + [["frame", f"n={n}"] for n in step_cost.CELLS])
     assert all(float(line.split()[-1]) > 0.0 for line in lines)
