@@ -11,12 +11,15 @@ backward Euler (tridiagonal solve), advection is first-order upwind, and
 reactions are explicit.  Fronts move first, by forward Euler on the
 Stefan conditions, with a CFL limiter on the per-step displacement.
 
-A set ``SolverConfig.dt_max`` is a fixed step.  Left unset, each step is
-error-controlled by step doubling (``_controlled_step``): one step of H
-and two of H/2, kept as the local Richardson value 2 half - full when
-the two differ by at most ``_RTOL`` relative to the sup of each field
-and to the width, and retried with a smaller H otherwise.  The first H
-is 1e-3 h0^2/d, so the steps, like the model, scale with h0^2/d.
+The run loop caps each step at the member's ``next_dt`` and at the time
+to its next record time, and the stepper cuts that cap to the front CFL
+limit.  A set ``SolverConfig.dt_max`` is a fixed step: ``next_dt`` stays
+dt_max.  Left unset, each step is error-controlled by step doubling
+(``_controlled_step``): one step of H and two of H/2, kept as the local
+Richardson value 2 half - full when the two differ by at most ``_RTOL``
+relative to the sup of each field and to the width, and retried with a
+smaller H otherwise.  The first H is 1e-3 h0^2/d, so the steps, like
+the model, scale with h0^2/d.
 
 The code splits into a stepper and a run loop.  The stepper
 (``_step_batch``) advances B members at once, each with its own
@@ -231,16 +234,19 @@ def _frame(
 class _Run:
     """One member of a batch: its trajectory, which carries its model, the
     scalars the stepper reads and advances, then the run loop's bookkeeping
-    (a bare ``step`` leaves it unset).  ``clipped``: mass clipped since the last frame;
-    ``next_dt``: the step the controller tries next; ``spread_width``: the
-    width at which R0F reaches ``analysis.SPREADING_R0F`` (inf if none does)."""
+    (a bare ``step`` leaves it unset).  ``clipped``: mass clipped since the
+    last frame; ``dt``: the step the stepper last took on this member;
+    ``next_dt``: the step this member tries next, dt_max for a fixed run;
+    ``spread_width``: the width at which R0F reaches
+    ``analysis.SPREADING_R0F`` (inf if none does)."""
 
     traj: Trajectory
-    config: SolverConfig  # resolved
+    config: SolverConfig | None  # resolved; None on _controlled_step's copies
     t: float
     g: float
     h: float
     clipped: float = 0.0
+    dt: float = 0.0
     index: int = 0  # position in the members of simulate_batch
     monitors: "analysis.Monitors | None" = None
     targets: list[float] = field(default_factory=list)  # still to land on; t_max last
@@ -312,22 +318,6 @@ def _block(runs: Sequence[_Run], n: int) -> tuple[np.ndarray, np.ndarray]:
                         for run in runs])
 
 
-def _step_size(m: _Run, edge: list[float], n: int, cap: float) -> tuple[float, float, float]:
-    """(g', h', dt) of member m on n cells from the edge nodes of its w:
-    the front speeds, and the step dt_max (when set) and ``cap`` allow,
-    cut to the front CFL limit."""
-    p, config = m.traj.params, m.config
-    dy = 2.0 * p.h0 / n
-    width = m.h - m.g
-    g_speed, h_speed = _stefan_speeds(*edge, dy, 2.0 * p.h0 * p.mu / width)
-    speed = max(h_speed, -g_speed)
-    dt = cap if config.dt_max is None else min(config.dt_max, cap)
-    if speed > 0.0:
-        dx_phys = dy * width / (2.0 * p.h0)
-        dt = min(dt, _FRONT_CFL * dx_phys / speed)
-    return g_speed, h_speed, dt
-
-
 def _step_batch(
     members: list[_Run],
     f: np.ndarray,
@@ -338,27 +328,33 @@ def _step_batch(
 
     ``f`` is the (2, B, n+1) field block: f[0] holds w and f[1] holds z,
     and row i of each belongs to ``members[i]``, whose interior y-nodes are
-    row i of ``y`` and whose step is also capped at ``caps[i]``.  Order
-    within a step: front speeds from the current field, fronts by forward
-    Euler, then the field update with the new geometry (implicit
-    diffusion, upwind advection, explicit reactions, floor at zero).  G
-    is evaluated once on the whole w block, with the response the members
-    share, so it must act elementwise.
+    row i of ``y`` and whose step is ``caps[i]`` cut to the front CFL
+    limit: the faster front moves at most ``_FRONT_CFL`` of a physical
+    cell.  Order within a step: front speeds from the current field,
+    fronts by forward Euler, then the field update with the new geometry
+    (implicit diffusion, upwind advection, explicit reactions, floor at
+    zero).  G is evaluated once on the whole w block, with the response
+    the members share, so it must act elementwise.
 
-    Advances each surviving member's t, g, h and clipped in place and
-    returns (f_new, failed).  ``failed`` maps a row to the exception that
-    ended its member; that row of f_new is meaningless.  An exception
-    raised here concerns the whole batch.
+    Advances each surviving member's t, g, h and clipped in place, sets
+    its ``dt`` to the step it took, and returns (f_new, failed).
+    ``failed`` maps a row to the exception that ended its member; that row
+    of f_new is meaningless.  An exception raised here concerns the whole
+    batch.
     """
     n = f.shape[2] - 1
     failed: dict[int, Exception] = {}
     rows = []  # per member: dt, A slope, A offset, new width, r, then its constants
     fronts = []  # per member: new g, new h, dy
     edges = f[0].take(_EDGE_NODES, axis=1).tolist()
-    for i, (m, edge, cap) in enumerate(zip(members, edges, caps)):
+    for i, (m, edge, dt) in enumerate(zip(members, edges, caps)):
         p = m.traj.params
         dy = 2.0 * p.h0 / n
-        g_speed, h_speed, dt = _step_size(m, edge, n, cap)
+        width = m.h - m.g
+        g_speed, h_speed = _stefan_speeds(*edge, dy, 2.0 * p.h0 * p.mu / width)
+        speed = max(h_speed, -g_speed)
+        if speed > 0.0:  # the front CFL limit
+            dt = min(dt, _FRONT_CFL * (dy * width / (2.0 * p.h0)) / speed)
         g_new = m.g + dt * g_speed
         h_new = m.h + dt * h_speed
         # The sign clamps give h_new >= h and g_new <= g, and rounding is monotone,
@@ -436,7 +432,8 @@ def _step_batch(
         if i in failed:
             continue
         g_new, h_new, dy_i = fronts[i]
-        m.t = m.t + rows[i][0]
+        m.dt = rows[i][0]
+        m.t = m.t + m.dt
         m.g, m.h = g_new, h_new
         if i in clipped:
             m.clipped = m.clipped + clipped[i] * dy_i * (h_new - g_new) / (2.0 * m.traj.params.h0)
@@ -451,17 +448,18 @@ def _controlled_step(
 ) -> tuple[np.ndarray, dict[int, Exception], set[int]]:
     """Try one error-controlled step of every member of a batch.
 
-    Step doubling on ``_step_batch``: from each member's state, one step
-    of its H and two of H/2, where H is its ``next_dt`` cut to ``caps[i]``
-    and to the front CFL limit.  The error estimate is the largest of
+    Step doubling on ``_step_batch``: from each member's state, one full
+    step capped at ``caps[i]``, whose size H is the ``dt`` it took, then
+    two half steps capped at H/2.  The error estimate is the largest of
     |w_half - w_full| / sup w_half, the same for z, and the gaps of the two
     fronts over the width.  A member whose estimate is at most ``_RTOL``
     takes the local Richardson value 2 half - full: the fields floored at
     0 (the floored mass joins ``clipped``, with what the half steps
     clipped) and the fronts clamped so that h never decreases and g never
     increases.  Any other member is rejected and keeps its state and its
-    row of ``f``; so is one whose second half step the front CFL limit
-    cut short.  Either way its ``next_dt`` becomes H times
+    row of ``f``.  So is one whose second half step took a ``dt`` other
+    than H/2, which the front CFL limit cut on the moved fronts, and its
+    ``next_dt`` becomes H/2; otherwise its ``next_dt`` becomes H times
     0.9 sqrt(_RTOL / error), clipped to [0.2, 2].  Each member's trial
     runs on copies of its scalars, so members accept or reject on their
     own and get exactly what they get alone.
@@ -470,13 +468,10 @@ def _controlled_step(
     (the first error of a member's three calls) and the rejected rows.
     """
     n = f.shape[2] - 1
-    edges = f[0].take(_EDGE_NODES, axis=1).tolist()
-    steps = [_step_size(m, edge, n, min(m.next_dt, cap))[2]
-             for m, edge, cap in zip(members, edges, caps)]
-    halves = [dt / 2.0 for dt in steps]
-    full = [_Run(m.traj, m.config, m.t, m.g, m.h) for m in members]
-    half = [_Run(m.traj, m.config, m.t, m.g, m.h) for m in members]
-    f_full, failed = _step_batch(full, f, y, steps)
+    full = [_Run(m.traj, None, m.t, m.g, m.h) for m in members]
+    half = [_Run(m.traj, None, m.t, m.g, m.h) for m in members]
+    f_full, failed = _step_batch(full, f, y, caps)
+    halves = [a.dt / 2.0 for a in full]  # 0 for a failed member: its half steps fail too
     f_mid, failed_mid = _step_batch(half, f, y, halves)
     f_half, failed_half = _step_batch(half, f_mid, y, halves)
     failed = {**failed_half, **failed_mid, **failed}
@@ -498,13 +493,12 @@ def _controlled_step(
     for i, (m, a, b) in enumerate(zip(members, full, half)):
         if i in failed:
             continue
-        dt = steps[i]
         width = b.h - b.g
         err = max(field_err[i], abs(b.g - a.g) / width, abs(b.h - a.h) / width)
         factor = 2.0 if err == 0.0 else min(2.0, max(0.2, 0.9 * math.sqrt(_RTOL / err)))
-        if b.t != (m.t + halves[i]) + halves[i]:  # the second half step was cut short
+        if b.dt != halves[i]:  # the front limit cut the second half step short
             factor, err = 0.5, math.inf
-        m.next_dt = dt * factor
+        m.next_dt = a.dt * factor
         if not err <= _RTOL:
             rejected.add(i)
             continue
@@ -584,11 +578,12 @@ def simulate_batch(
     ``members`` holds (p, resp, init) triples that share one response
     object: G is evaluated once on the whole (B, n+1) block, so it must act
     elementwise.  ``config`` is shared and resolved per member, so each
-    member's t_max and first step follow its own parameters.  With dt_max
-    unset, each member accepts or rejects its own error-controlled steps;
-    ``n_steps`` and ``frame_stride`` count accepted steps.  ``monitors``,
-    when given, holds one Monitors (or None) per member, evaluated on every
-    frame that member records.
+    member's t_max and first step follow its own parameters.  A member's
+    step is capped at its ``next_dt`` (dt_max for a fixed run) and at the
+    time to its next record time.  With dt_max unset, each member accepts
+    or rejects its own error-controlled steps; ``n_steps`` and
+    ``frame_stride`` count accepted steps.  ``monitors``, when given, holds one Monitors (or
+    None) per member, evaluated on every frame that member records.
 
     Every member starts from its :func:`initial_state`, which is its first
     frame.  With ``early_stop`` that frame is classified too, and a member
@@ -627,7 +622,7 @@ def simulate_batch(
     f, y = _block(runs, config.n_cells)
 
     while runs:
-        caps = [run.targets[0] - run.t for run in runs]
+        caps = [min(run.next_dt, run.targets[0] - run.t) for run in runs]
         try:
             if config.dt_max is None:
                 f, failed, rejected = _controlled_step(runs, f, y, caps)

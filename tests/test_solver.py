@@ -17,6 +17,7 @@ from epifront import (
     SolverConfig,
     Trajectory,
     Verdict,
+    bound_certificate,
     classify,
     front_speeds,
     initial_state,
@@ -642,3 +643,64 @@ class TestErrorControlledSteps:
         assert run_digest(first) == run_digest(second)
         assert np.all(np.diff(first.column("width")) >= 0.0)
         assert first.n_steps < 10.0 / 1e-3 / 10  # far fewer than fixed 1e-3 steps
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow in the bad row
+    def test_failed_member_leaves_its_batch_mate_as_its_solo_run(self, unit_params, monod2):
+        # cosine(1e300) overflows on its first attempt; its rows are zeroed
+        # before the error norms, so the other member never sees them.
+        cfg = SolverConfig(n_cells=64, t_max=2.0)
+        members = [(unit_params, monod2, InitialData.cosine(s)) for s in (1e300, 1.0)]
+        (traj, err), got = simulate_batch(members, cfg)
+        assert isinstance(err, BlowUpError)
+        assert traj.n_steps == 0 and len(traj.frames) == 1
+        assert_same_run(got, simulate(*members[1], cfg))
+
+    def test_floored_extrapolation_is_clipped_mass(self, unit_params, monod2):
+        # A narrow bump: 2 half - full dips below 0 in its tails, and the
+        # floored mass joins the frame's clipped mass.
+        def bump(x, h0):
+            return np.cos(np.pi * x / (2 * h0)) ** 50
+
+        init = InitialData(1.0, phi=bump, psi=bump)
+        cfg = SolverConfig(n_cells=64, t_max=3.0, frame_stride=1)
+        monitors = Monitors(bound_certificate(unit_params, monod2, init))
+        traj, _ = simulate(unit_params, monod2, init, cfg, monitors)
+        clipped = traj.column("clipped")
+        assert clipped.max() > 0.0
+        assert (clipped / traj.column("mass")).max() < 1e-13  # the monitor allows 1e-8
+        assert all(f.w.min() >= 0.0 and f.z.min() >= 0.0 for f in traj.frames)
+        rerun, _ = simulate(unit_params, monod2, init, cfg, monitors)
+        assert run_digest(rerun) == run_digest(traj)
+
+    def test_second_half_step_cut_by_the_front_limit_is_rejected(self, unit_params, monod2,
+                                                                 monkeypatch):
+        # cos^2 data has flat ends, so the fronts start at rest and the full
+        # step is not cut; after the first half step they are fast (mu = 1e4),
+        # and the front limit cuts the second.  Each attempt is three stepper
+        # calls: the full step, then the two half steps.
+        from epifront import solver as solver_mod
+
+        def flat_ends(x, h0):
+            return np.cos(np.pi * x / (2 * h0)) ** 2
+
+        real = solver_mod._step_batch
+        calls = []  # per call: (t, g, h) before, the member's field rows, t after, the cap
+
+        def spy(members, f, y, caps):
+            m = members[0]
+            before = (m.t, m.g, m.h)
+            out = real(members, f, y, caps)
+            calls.append((before, f[:, 0].copy(), m.t, caps[0]))
+            return out
+
+        monkeypatch.setattr(solver_mod, "_step_batch", spy)
+        init = InitialData(1.0, phi=flat_ends, psi=flat_ends)
+        simulate(unit_params.with_(mu=1e4), monod2, init, SolverConfig(n_cells=64, t_max=2.0))
+        attempts = [calls[k:k + 3] for k in range(0, len(calls), 3)]
+        cut = [k for k, (*_, (before, _, t, cap)) in enumerate(attempts) if t != before[0] + cap]
+        assert len(cut) == 4 and cut[0] == 0
+        assert attempts[0][0][0] == (0.0, -1.0, 1.0) and attempts[0][0][2] == 1e-3
+        for k in cut:  # each retry starts from the same state with half the step
+            (state, rows, t, _), retry = attempts[k][0], attempts[k + 1][0]
+            assert retry[0] == state and np.array_equal(retry[1], rows)
+            assert retry[2] - state[0] == (t - state[0]) / 2.0

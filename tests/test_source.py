@@ -178,6 +178,58 @@ def test_frames_built_only_in_one_place():
     assert builders == ["solver.py: _frame"]
 
 
+def attribute_uses(source: str, attr: str) -> list[tuple[str, str, str | None]]:
+    """(function, "read" or "write", assigned) for every ``x.<attr>`` of
+    ``source`` and every ``<attr>=`` keyword argument, which writes it.
+    ``function`` is the innermost function around it, or ``<module>``;
+    ``assigned`` is the name the enclosing assignment binds, if any."""
+    found = []
+
+    def visit(node: ast.AST, where: str, assigned: str | None) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Attribute) and child.attr == attr:
+                kind = "read" if isinstance(child.ctx, ast.Load) else "write"
+                found.append((where, kind, assigned))
+            elif isinstance(child, ast.keyword) and child.arg == attr:
+                found.append((where, "write", assigned))
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                visit(child, getattr(child, "name", "<lambda>"), None)
+            elif isinstance(child, ast.Assign):
+                names = [t.id for t in child.targets if isinstance(t, ast.Name)]
+                visit(child, where, names[0] if names else None)
+            else:
+                visit(child, where, assigned)
+
+    visit(ast.parse(source), "<module>", None)
+    return found
+
+
+def test_scan_flags_step_size_outside_its_rule():
+    source = ("def _step_batch(members, caps):\n    return members[0].config.dt_max\n"
+              "def simulate_batch(runs):\n    run = _Run(next_dt=1.0)\n"
+              "    caps = [r.next_dt for r in runs]\n"
+              "def _controlled_step(m):\n    m.next_dt = 2.0 * m.next_dt\n"
+              "    lost = lambda r: r.config\n")
+    assert attribute_uses(source, "config") == [("_step_batch", "read", None),
+                                                 ("<lambda>", "read", None)]
+    assert attribute_uses(source, "next_dt") == [
+        ("simulate_batch", "write", "run"), ("simulate_batch", "read", "caps"),
+        ("_controlled_step", "write", None), ("_controlled_step", "read", None)]
+
+
+def test_one_step_size_rule():
+    # The run loop caps every step at next_dt and the time to the next record
+    # time, in both modes; the stepper cuts that cap to the front limit
+    # without reading the config, and only the controller changes next_dt.
+    uses = {attr: [(path.name, *use) for path in sorted(SRC.glob("*.py"))
+                   for use in attribute_uses(path.read_text(encoding="utf-8"), attr)]
+            for attr in ("config", "next_dt")}
+    assert [use for use in uses["config"] if use[1] in ("_step_batch", "_controlled_step")] == []
+    assert uses["next_dt"] == [("solver.py", "_controlled_step", "write", None),
+                               ("solver.py", "simulate_batch", "write", "run"),
+                               ("solver.py", "simulate_batch", "read", "caps")]
+
+
 def annotation_names(annotation: ast.expr | None) -> set[str]:
     """The names an annotation mentions, inside string annotations too."""
     if annotation is None:

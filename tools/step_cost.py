@@ -13,14 +13,16 @@ figures.  Each batch is set up outside the timed calls the way
 ``solver.simulate_batch`` sets one up: its runs, then ``solver._block``
 of them, the (2, B, n+1) field block and the interior y-nodes.  The
 ``controlled`` line times ``solver._controlled_step`` (three stepper
-calls plus the error norm and the extrapolation) on a one-member batch
-with dt_max unset, and the ``frame`` lines time ``solver._frame`` on the
-initial state of a one-member batch, in the same way.  Each batch runs
-the unit model (every rate, d, mu and h0 equal to 1) with a Monod
-response, from cosine data of scales spread over [0.5, 1.5]; the
-stepper lines take the fixed step dt_max = 1e-3 h0^2/d, the first step
-of an unset one.  Taking the minimum discards the runs slowed by other
-work on the machine.
+calls plus the error norm and the extrapolation) on a one-member batch,
+and the ``frame`` lines time ``solver._frame`` on the initial state of a
+one-member batch, in the same way.  Each batch runs the unit model
+(every rate, d, mu and h0 equal to 1) with a Monod response, from cosine
+data of scales spread over [0.5, 1.5].  The stepper lines cap every step
+at 1e-3, which is 1e-3 h0^2/d, the first step of an unset dt_max; the
+``controlled`` line caps each attempt at the member's ``next_dt``, as the
+run loop does away from a record time.  The stepper cuts either cap to
+the front CFL limit.  Taking the minimum discards the runs slowed by
+other work on the machine.
 """
 
 from __future__ import annotations
@@ -41,12 +43,12 @@ MEMBERS = (1, 5, 16)
 CONTROLLED_CELLS = 256  # the controlled-step line runs one member on this many cells
 
 
-def _batch(n: int, size: int, dt_max: float | None = 1e-3):
+def _batch(n: int, size: int):
     """Runs, field block and interior y-nodes of a fresh batch of the unit
-    model, where 1e-3 h0^2/d is 1e-3; ``dt_max = None`` is error control."""
+    model, each run's ``next_dt`` at the first step 1e-3 h0^2/d = 1e-3."""
     p = ModelParams(d=1.0, a11=1.0, a12=1.0, a22=1.0, mu=1.0, h0=1.0)
     resp = InfectionResponse.monod(2.0)
-    config = solver.SolverConfig(n_cells=n, dt_max=dt_max).resolved(p)
+    config = solver.SolverConfig(n_cells=n).resolved(p)
     runs = []
     for k in range(size):
         init = InitialData.cosine(0.5 + k / max(1, size - 1))
@@ -68,7 +70,7 @@ def _min_us(fn, calls: int, repeats: int) -> float:
 
 def step_cost(n: int, size: int, calls: int, repeats: int) -> float:
     runs, f, y = _batch(n, size)
-    caps = [math.inf] * size
+    caps = [1e-3] * size
     block = [f]
 
     def one_step():
@@ -81,11 +83,11 @@ def step_cost(n: int, size: int, calls: int, repeats: int) -> float:
 
 def controlled_cost(n: int, calls: int, repeats: int) -> float:
     """One attempted error-controlled step, accepted or rejected."""
-    runs, f, y = _batch(n, 1, dt_max=None)
+    runs, f, y = _batch(n, 1)
     block = [f]
 
     def one_step():
-        block[0], failed, _ = solver._controlled_step(runs, block[0], y, [math.inf])
+        block[0], failed, _ = solver._controlled_step(runs, block[0], y, [runs[0].next_dt])
         if failed:
             raise RuntimeError(f"member failed while timing: {failed}")
 
