@@ -33,18 +33,19 @@ single LAPACK ``dgtsv`` call.  Its couplings between members are zero,
 so each member gets exactly the numbers it would get solved alone, and
 each member's end nodes are uncoupled identity rows, so the solve never
 pivots and w stays exactly 0 there.  The run loop (``simulate_batch``)
-owns, per member, the record times, the frame stride, failures and
-early stopping on each recorded frame, the first one included, and
-drops a member from the batch once it is done; it also records the step
-on which the width first reaches the one where R0F = 1 + margin, so
-that ``classify`` can locate the spreading time.  One ``_Run`` per member
-holds its trajectory (which carries the member's model), the scalars
-the stepper advances and the run loop's bookkeeping; ``_Run.record``
-appends every frame of a run.  ``simulate`` is the run loop's
-one-member case and ``step`` the stepper's.  ``_frame`` is the one place
-that builds a ``Frame``, the one snapshot of a run: every run starts
-from the frame ``initial_state`` gives, and ``step`` takes a frame and
-returns the next.
+owns, per member, the record times, failures and early stopping on each
+recorded frame, the first one included, and drops a member from the
+batch once it is done; it records a frame every ``frame_stride`` steps
+and on the step on which R0F first reaches ``analysis.SPREADING_R0F``,
+the level ``classify`` tests, so that ``classify`` can locate the
+spreading time.  One ``_Run`` per member holds its trajectory (which
+carries the member's model), the scalars the stepper advances and the
+run loop's bookkeeping, and reads the batch's one config;
+``_Run.record`` appends every frame of a run.  ``simulate`` is the run
+loop's one-member case and ``step`` the stepper's.  ``_frame`` is the
+one place that builds a ``Frame``, the one snapshot of a run: every run
+starts from the frame ``initial_state`` gives, and ``step`` takes a
+frame and returns the next.
 """
 
 from __future__ import annotations
@@ -58,13 +59,7 @@ from scipy.linalg.lapack import dgtsv
 
 from . import analysis
 from .errors import BlowUpError, DomainError
-from .model import (
-    InfectionResponse,
-    InitialData,
-    ModelParams,
-    critical_width,
-    free_boundary_reproduction_number,
-)
+from .model import InfectionResponse, InitialData, ModelParams, free_boundary_reproduction_number
 
 # A step that ends within 1e-9 max(1, target) of a record time lands on it:
 # absolute below t = 1, relative above.
@@ -236,12 +231,11 @@ class _Run:
     scalars the stepper reads and advances, then the run loop's bookkeeping
     (a bare ``step`` leaves it unset).  ``clipped``: mass clipped since the
     last frame; ``dt``: the step the stepper last took on this member;
-    ``next_dt``: the step this member tries next, dt_max for a fixed run;
-    ``spread_width``: the width at which R0F reaches
-    ``analysis.SPREADING_R0F`` (inf if none does)."""
+    ``next_dt``: the step this member tries next, dt_max for a fixed run.
+    It holds no settings: ``after_step`` and ``outcome`` read the batch's
+    one config."""
 
     traj: Trajectory
-    config: SolverConfig | None  # resolved; None on _controlled_step's copies
     t: float
     g: float
     h: float
@@ -252,7 +246,6 @@ class _Run:
     targets: list[float] = field(default_factory=list)  # still to land on; t_max last
     steps_since_frame: int = 0
     next_dt: float = 0.0
-    spread_width: float = math.inf
 
     def record(self, frame: Frame) -> None:
         """Append ``frame`` and run the monitors on it."""
@@ -261,36 +254,42 @@ class _Run:
         if self.monitors is not None:
             self.monitors.on_frame(frame, self.traj)
 
-    def after_step(self, w: np.ndarray, z: np.ndarray) -> "analysis.Classification | None":
-        """Land on the record time, record and classify after one step of
-        this member; return the classification once its run is over.  The
-        step on which the width first passes ``spread_width`` is recorded
-        too, so that ``classify`` locates the crossing from the frames on
-        either side of it."""
-        self.traj.n_steps += 1
+    def after_step(
+        self, f: np.ndarray, i: int, config: SolverConfig
+    ) -> "analysis.Classification | None":
+        """Land on the record time, record every ``config.frame_stride``
+        steps and classify after one step of this member, whose fields are
+        row i of the block ``f``; return the classification once its run is
+        over.  The step on which R0F first reaches ``analysis.SPREADING_R0F``,
+        the level ``classify`` tests, is recorded too, so that ``classify``
+        locates the crossing from the frames on either side of it.  Only a
+        recorded step slices w and z out of ``f``."""
+        traj = self.traj
+        traj.n_steps += 1
         self.steps_since_frame += 1
         target = self.targets[0]
         if abs(self.t - target) <= _TIME_SNAP * max(1.0, target):
             self.t = self.targets.pop(0)
-        elif self.steps_since_frame < self.config.frame_stride and not (
-                self.h - self.g >= self.spread_width
-                and self.traj.frames[-1].r0f < analysis.SPREADING_R0F):
+        elif self.steps_since_frame < config.frame_stride and not (
+                traj.frames[-1].r0f < analysis.SPREADING_R0F
+                <= free_boundary_reproduction_number(traj.params, traj.resp, self.h - self.g)):
             return None
-        traj = self.traj
-        self.record(_frame(traj.params, traj.resp, self.t, self.g, self.h, w, z, self.clipped))
+        self.record(_frame(traj.params, traj.resp, self.t, self.g, self.h, f[0, i], f[1, i],
+                           self.clipped))
         self.steps_since_frame = 0
-        return self.outcome()
+        return self.outcome(config)
 
-    def outcome(self) -> "analysis.Classification | None":
-        """Classify the last frame when the run may end on it; return the
-        classification once the run is over."""
+    def outcome(self, config: SolverConfig) -> "analysis.Classification | None":
+        """Classify the last frame when the run may end on it, with
+        ``config.early_stop`` or at t_max; return the classification once
+        the run is over."""
         # Every step is capped at target - t, so the step that reaches t_max
         # lands on it and is recorded.
         at_t_max = not self.targets
-        if not (self.config.early_stop or at_t_max):
+        if not (config.early_stop or at_t_max):
             return None
         cls = analysis.classify(self.traj)
-        decided = self.config.early_stop and cls.verdict is not analysis.Verdict.UNDETERMINED
+        decided = config.early_stop and cls.verdict is not analysis.Verdict.UNDETERMINED
         if not (decided or at_t_max):
             return None
         self.traj.terminated_by = f"classifier:{cls.verdict.value}" if decided else "t_max"
@@ -459,17 +458,18 @@ def _controlled_step(
     increases.  Any other member is rejected and keeps its state and its
     row of ``f``.  So is one whose second half step took a ``dt`` other
     than H/2, which the front CFL limit cut on the moved fronts, and its
-    ``next_dt`` becomes H/2; otherwise its ``next_dt`` becomes H times
-    0.9 sqrt(_RTOL / error), clipped to [0.2, 2].  Each member's trial
-    runs on copies of its scalars, so members accept or reject on their
-    own and get exactly what they get alone.
+    ``next_dt`` becomes twice that cut half step, the size that fit;
+    otherwise its ``next_dt`` becomes H times 0.9 sqrt(_RTOL / error),
+    clipped to [0.2, 2].  Each member's trial runs on copies of its
+    scalars, so members accept or reject on their own and get exactly
+    what they get alone.
 
     Returns (f_new, failed, rejected) with ``_step_batch``'s ``failed``
     (the first error of a member's three calls) and the rejected rows.
     """
     n = f.shape[2] - 1
-    full = [_Run(m.traj, None, m.t, m.g, m.h) for m in members]
-    half = [_Run(m.traj, None, m.t, m.g, m.h) for m in members]
+    full = [_Run(m.traj, m.t, m.g, m.h) for m in members]
+    half = [_Run(m.traj, m.t, m.g, m.h) for m in members]
     f_full, failed = _step_batch(full, f, y, caps)
     halves = [a.dt / 2.0 for a in full]  # 0 for a failed member: its half steps fail too
     f_mid, failed_mid = _step_batch(half, f, y, halves)
@@ -496,10 +496,9 @@ def _controlled_step(
         width = b.h - b.g
         err = max(field_err[i], abs(b.g - a.g) / width, abs(b.h - a.h) / width)
         factor = 2.0 if err == 0.0 else min(2.0, max(0.2, 0.9 * math.sqrt(_RTOL / err)))
-        if b.dt != halves[i]:  # the front limit cut the second half step short
-            factor, err = 0.5, math.inf
-        m.next_dt = a.dt * factor
-        if not err <= _RTOL:
+        cut = b.dt != halves[i]  # the front limit cut the second half step short
+        m.next_dt = 2.0 * b.dt if cut else a.dt * factor
+        if cut or not err <= _RTOL:
             rejected.add(i)
             continue
         m.t = a.t
@@ -548,9 +547,9 @@ def step(
     with no error control.  The new frame's ``clipped`` is the mass this
     step clipped.
     """
-    cfg = config.resolved(p)
-    m = _Run(Trajectory(p, resp, [frame]), cfg, frame.t, frame.g, frame.h)
-    f, failed = _step_batch([m], *_block([m], frame.w.size - 1), [cfg.first_step(p)])
+    m = _Run(Trajectory(p, resp, [frame]), frame.t, frame.g, frame.h)
+    dt = config.resolved(p).first_step(p)
+    f, failed = _step_batch([m], *_block([m], frame.w.size - 1), [dt])
     if failed:
         raise failed[0]
     return _frame(p, resp, m.t, m.g, m.h, f[0, 0], f[1, 0], m.clipped)
@@ -605,14 +604,12 @@ def simulate_batch(
         traj = Trajectory(p, resp)
         try:
             cfg = config.resolved(p)
-            spread_width = critical_width(p, resp, analysis.SPREADING_R0F)
             start = initial_state(p, resp, init, cfg.n_cells)
             targets = sorted({float(s) for s in cfg.record_times if 0.0 < s < cfg.t_max})
-            run = _Run(traj, cfg, start.t, start.g, start.h, index=index, monitors=mon,
-                       targets=[*targets, cfg.t_max], next_dt=cfg.first_step(p),
-                       spread_width=math.inf if spread_width is None else spread_width)
+            run = _Run(traj, start.t, start.g, start.h, index=index, monitors=mon,
+                       targets=[*targets, cfg.t_max], next_dt=cfg.first_step(p))
             run.record(start)
-            outcome = run.outcome()  # a run its first frame decides takes no step
+            outcome = run.outcome(config)  # a run its first frame decides takes no step
         except Exception as exc:  # noqa: BLE001 - the member's outcome
             outcome = exc
         if outcome is None:
@@ -638,7 +635,7 @@ def simulate_batch(
             outcome = failed.get(i)
             if outcome is None and i not in rejected:
                 try:
-                    outcome = run.after_step(f[0, i], f[1, i])
+                    outcome = run.after_step(f, i, config)
                 except Exception as exc:  # noqa: BLE001 - the member's outcome
                     outcome = exc
             if outcome is None:

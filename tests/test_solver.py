@@ -127,9 +127,7 @@ class TestStep:
         from epifront import solver as solver_mod
 
         frame = initial_state(unit_params, monod2, InitialData.cosine(1.0), 64)
-        config = SolverConfig(n_cells=64).resolved(unit_params)
-        m = solver_mod._Run(Trajectory(unit_params, monod2, [frame]), config,
-                            frame.t, frame.g, frame.h)
+        m = solver_mod._Run(Trajectory(unit_params, monod2, [frame]), frame.t, frame.g, frame.h)
         _, failed = solver_mod._step_batch([m], *solver_mod._block([m], 64), [0.0])
         assert list(failed) == [0] and isinstance(failed[0], DomainError)
         assert str(failed[0]) == "non-positive step size 0.0"
@@ -299,11 +297,9 @@ class TestSimulate:
             assert (traj.final.t, traj.terminated_by) == (cfg.t_max, "t_max")
 
     def test_spreading_run_ends_on_its_crossing_step(self, unit_params, monod2):
-        # The step whose width first reaches the one where R0F = 1 + margin is
-        # recorded whatever the stride, so a stride-50 run ends on the step a
-        # stride-1 run ends on.
+        # The step on which R0F first reaches 1 + margin is recorded whatever
+        # the stride, so a stride-50 run ends on the step a stride-1 run ends on.
         from epifront.analysis import SPREADING_R0F
-        from epifront.model import critical_width
 
         p = unit_params.with_(h0=1.2)
         cfg = SolverConfig(n_cells=64, dt_max=0.01, t_max=2.0, frame_stride=50)
@@ -312,9 +308,54 @@ class TestSimulate:
                             dataclasses.replace(cfg, frame_stride=1))
         assert cls.verdict is Verdict.SPREADING and traj.n_steps % 50 != 0
         assert traj.n_steps == every.n_steps and traj.final.t == every.final.t
-        crossing = critical_width(p, monod2, SPREADING_R0F)
-        assert traj.frames[-2].width < crossing <= traj.final.width
+        assert traj.frames[-2].r0f < SPREADING_R0F <= traj.final.r0f
         assert traj.frames[-2].t < cls.evidence.time <= traj.final.t
+
+    @staticmethod
+    def recorded_steps(monkeypatch, *args):
+        """The run ``simulate(*args)`` and the step count at each frame it recorded."""
+        from epifront import solver as solver_mod
+
+        steps = []
+        real = solver_mod._Run.record
+
+        def spy(run, frame):
+            steps.append(run.traj.n_steps)
+            real(run, frame)
+
+        monkeypatch.setattr(solver_mod._Run, "record", spy)
+        traj, _ = simulate(*args)
+        return traj, steps
+
+    def test_crossing_recorded_once_off_the_stride(self, unit_params, monod2, monkeypatch):
+        # Without early stop the run goes on past its crossing step: that step
+        # is recorded once, and the stride then counts from it.
+        from epifront.analysis import SPREADING_R0F
+
+        cfg = SolverConfig(n_cells=64, dt_max=0.002, t_max=1.0, frame_stride=50, early_stop=False)
+        traj, steps = self.recorded_steps(monkeypatch, unit_params.with_(h0=1.2), monod2,
+                                          InitialData.cosine(2.0), cfg)
+        r0f = traj.column("r0f")
+        crossed = [k for k in range(1, len(r0f)) if r0f[k - 1] < SPREADING_R0F <= r0f[k]]
+        assert len(crossed) == 1 and steps[crossed[0]] % 50 != 0
+        k = crossed[0]
+        assert traj.final.t == cfg.t_max and steps[-1] == traj.n_steps
+        assert all(b - a == 50 for a, b in zip(steps[k:-2], steps[k + 1:-1]))
+        assert all(b - a == 50 for a, b in zip(steps[:k - 1], steps[1:k]))
+        assert 0 < steps[k] - steps[k - 1] < 50 and 0 < steps[-1] - steps[-2] <= 50
+
+    def test_no_crossing_below_the_spreading_level(self, unit_params, monkeypatch):
+        # R0 = 1 + 5e-7 lies below the level R0F must reach, so no step is
+        # recorded off the stride and the run ends at t_max.
+        from epifront.analysis import SPREADING_R0F
+
+        cfg = SolverConfig(n_cells=64, dt_max=0.01, t_max=2.0, frame_stride=50)
+        traj, steps = self.recorded_steps(monkeypatch, unit_params,
+                                          InfectionResponse.monod(1.0 + 5e-7),
+                                          InitialData.cosine(2.0), cfg)
+        assert traj.column("r0f").max() < SPREADING_R0F
+        assert traj.terminated_by == "t_max" and traj.final.t == cfg.t_max
+        assert steps == [*range(0, traj.n_steps, 50), traj.n_steps]
 
     def test_rejects_shape_not_vanishing_at_ends(self, unit_params, monod2):
         bad = InitialData(1.0, phi=lambda x, h0: np.ones_like(np.asarray(x, dtype=float)),
@@ -684,23 +725,23 @@ class TestErrorControlledSteps:
             return np.cos(np.pi * x / (2 * h0)) ** 2
 
         real = solver_mod._step_batch
-        calls = []  # per call: (t, g, h) before, the member's field rows, t after, the cap
+        calls = []  # per call: (t, g, h) before, the member's field rows, the step taken, the cap
 
         def spy(members, f, y, caps):
             m = members[0]
             before = (m.t, m.g, m.h)
             out = real(members, f, y, caps)
-            calls.append((before, f[:, 0].copy(), m.t, caps[0]))
+            calls.append((before, f[:, 0].copy(), m.dt, caps[0]))
             return out
 
         monkeypatch.setattr(solver_mod, "_step_batch", spy)
         init = InitialData(1.0, phi=flat_ends, psi=flat_ends)
         simulate(unit_params.with_(mu=1e4), monod2, init, SolverConfig(n_cells=64, t_max=2.0))
         attempts = [calls[k:k + 3] for k in range(0, len(calls), 3)]
-        cut = [k for k, (*_, (before, _, t, cap)) in enumerate(attempts) if t != before[0] + cap]
-        assert len(cut) == 4 and cut[0] == 0
+        cut = [k for k, (*_, (_, _, dt, cap)) in enumerate(attempts) if dt != cap]
+        assert cut == [0]
         assert attempts[0][0][0] == (0.0, -1.0, 1.0) and attempts[0][0][2] == 1e-3
-        for k in cut:  # each retry starts from the same state with half the step
-            (state, rows, t, _), retry = attempts[k][0], attempts[k + 1][0]
-            assert retry[0] == state and np.array_equal(retry[1], rows)
-            assert retry[2] - state[0] == (t - state[0]) / 2.0
+        # The retry starts from the same state, at twice the half step that fit.
+        (state, rows, _, _), retry = attempts[0][0], attempts[1][0]
+        assert retry[0] == state and np.array_equal(retry[1], rows)
+        assert retry[2] == 2.0 * attempts[0][2][2] < attempts[0][0][2] / 2.0

@@ -48,13 +48,13 @@ def _batch(n: int, size: int):
     model, each run's ``next_dt`` at the first step 1e-3 h0^2/d = 1e-3."""
     p = ModelParams(d=1.0, a11=1.0, a12=1.0, a22=1.0, mu=1.0, h0=1.0)
     resp = InfectionResponse.monod(2.0)
-    config = solver.SolverConfig(n_cells=n).resolved(p)
+    first_step = solver.SolverConfig(n_cells=n).first_step(p)
     runs = []
     for k in range(size):
         init = InitialData.cosine(0.5 + k / max(1, size - 1))
         start = solver.initial_state(p, resp, init, n)
-        runs.append(solver._Run(solver.Trajectory(p, resp, [start]), config,
-                                start.t, start.g, start.h, next_dt=config.first_step(p)))
+        runs.append(solver._Run(solver.Trajectory(p, resp, [start]), start.t, start.g, start.h,
+                                next_dt=first_step))
     return runs, *solver._block(runs, n)
 
 
